@@ -1,18 +1,19 @@
 //! Dependency-free micro-benchmarks for the attestation hot path.
 //!
 //! Measures the optimised kernels — modular exponentiation,
-//! RSA-verify-shaped modpow, SHA-256 compression, multi-buffer SHA-256
-//! and LUKS sector encryption — each against an in-repo "before"
-//! reference (the legacy `BigUint::modpow`, a rolled SHA-256
-//! compression loop, single-stream hashing, the single-stream ChaCha20
-//! sector path), so the speedup is recorded next to the code that
-//! earned it. Plain `std::time::Instant`, JSON-lines output, no
-//! external crates: it runs in the offline build where criterion
-//! cannot.
+//! RSA-verify-shaped modpow, SHA-256 compression, multi-buffer SHA-256,
+//! LUKS sector encryption and RSA prime search — each against an
+//! in-repo "before" reference (the legacy `BigUint::modpow`, a rolled
+//! SHA-256 compression loop, single-stream hashing, the single-stream
+//! ChaCha20 sector path, the generic-`Montgomery` Miller–Rabin), so the
+//! speedup is recorded next to the code that earned it. Plain
+//! `std::time::Instant`, JSON-lines output, no external crates: it runs
+//! in the offline build where criterion cannot.
 
 use std::time::Instant;
 
 use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
+use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::{
     sha256_many, BigUint, Montgomery, RandomSource, SectorCipher, XorShiftSource, SECTOR_SIZE,
 };
@@ -275,6 +276,78 @@ fn sector_xor_streamed(key: &Key, nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
     }
 }
 
+/// The prime search before the fixed-width Miller–Rabin kernel, copied
+/// here as the keygen baseline: `BigUint` trial division, then a
+/// generic [`Montgomery`] context per candidate, with `n-1 = d·2^r`
+/// re-split and `x` leaving the Montgomery domain on every round. It
+/// draws the same candidates and bases, so it returns the same primes.
+fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
+    const SMALL_PRIMES: [u64; 54] = [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
+        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
+        191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+    ];
+    fn sprp(n: &BigUint, a: &BigUint, ctx: &Montgomery) -> bool {
+        let one = BigUint::one();
+        let n_minus_1 = n.sub(&one);
+        let mut d = n_minus_1.clone();
+        let mut r = 0usize;
+        while !d.is_odd() {
+            d = d.shr(1);
+            r += 1;
+        }
+        let mut x = ctx.pow(a, &d);
+        if x == one || x == n_minus_1 {
+            return true;
+        }
+        for _ in 0..r - 1 {
+            x = ctx.mul_mod(&x, &x);
+            if x == n_minus_1 {
+                return true;
+            }
+        }
+        false
+    }
+    // Only the random-base branch: key primes are far above 81 bits.
+    fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
+        for p in SMALL_PRIMES {
+            let pb = BigUint::from_u64(p);
+            if n == &pb {
+                return true;
+            }
+            if n.rem(&pb).is_zero() {
+                return false;
+            }
+        }
+        let ctx = Montgomery::new(n).expect("candidate is odd and > 1");
+        let n_minus_3 = n.sub(&BigUint::from_u64(3));
+        (0..24).all(|_| {
+            let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
+            sprp(n, &a, &ctx)
+        })
+    }
+    loop {
+        let mut buf = vec![0u8; bits.div_ceil(8)];
+        rng.fill_bytes(&mut buf);
+        let top_bit = (bits - 1) % 8;
+        buf[0] &= ((1u16 << (top_bit + 1)) - 1) as u8;
+        buf[0] |= 1 << top_bit;
+        let last = buf.len() - 1;
+        buf[last] |= 1;
+        let candidate = BigUint::from_bytes_be(&buf);
+        if candidate.bits() == bits && is_prime(&candidate, rng) {
+            return candidate;
+        }
+    }
+}
+
+/// The two 256-bit primes of the 512-bit RSA key for `seed`, drawn as
+/// `keypair_from_seed` draws them, with the given prime search.
+fn key_primes_512(seed: u64, search: fn(usize, &mut dyn RandomSource) -> BigUint) -> [BigUint; 2] {
+    let mut rng = XorShiftSource::new(seed);
+    [search(256, &mut rng), search(256, &mut rng)]
+}
+
 /// Runs every hot-path benchmark at the given [`Effort`].
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
@@ -456,6 +529,44 @@ pub fn run(effort: Effort) -> Vec<Record> {
         (rounds * iters, rounds * iters),
         ns,
         Some(disk.len() as u64),
+    );
+
+    // --- RSA key generation: the prime search of a 512-bit key -------
+    // Per-key cost varies several-fold with how far the search walks,
+    // so every batch covers the same seeds for both variants.
+    let keys = effort.pick(16u64, 8, 4);
+    for seed in 1..=keys {
+        assert_eq!(
+            key_primes_512(seed, gen_prime_generic),
+            key_primes_512(seed, gen_prime),
+            "prime search cross-check, seed {seed}"
+        );
+    }
+    let rounds = effort.pick(8, 2, 1);
+    let (ns_generic, ns_fixed) = time_pair(
+        rounds,
+        1,
+        1,
+        || {
+            for seed in 1..=keys {
+                std::hint::black_box(key_primes_512(seed, gen_prime_generic));
+            }
+        },
+        || {
+            for seed in 1..=keys {
+                std::hint::black_box(key_primes_512(seed, gen_prime));
+            }
+        },
+    );
+    let per_key = keys as f64;
+    let iters = rounds * keys as u32;
+    record_pair(
+        &mut records,
+        "keygen_512",
+        ("generic", "fixed_width"),
+        (iters, iters),
+        (ns_generic / per_key, ns_fixed / per_key),
+        None,
     );
 
     records

@@ -2,10 +2,22 @@
 //! speedups (generous margins — CI boxes are noisy) and the binary must
 //! run end to end in `--quick` and `--smoke` modes.
 
+use std::sync::Mutex;
+
 use bolted_bench::hotpath::{self, Effort};
+
+/// Serialises the tests in this file: the speedup assertions time short
+/// interleaved batches, and on a small box a concurrent bench run can
+/// land on one variant's batch and skew the ratio.
+static CPU: Mutex<()> = Mutex::new(());
+
+fn exclusive_cpu() -> std::sync::MutexGuard<'static, ()> {
+    CPU.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn quick_run_reports_kernel_speedups() {
+    let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Quick);
     for bench in [
         "rsa_verify_2048",
@@ -13,6 +25,7 @@ fn quick_run_reports_kernel_speedups() {
         "sha256",
         "sha256_mb",
         "sector_encrypt",
+        "keygen_512",
     ] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
@@ -49,15 +62,26 @@ fn quick_run_reports_kernel_speedups() {
         sect >= sect_floor,
         "sector_encrypt speedup {sect:.2}x < {sect_floor}x"
     );
+    // The fixed-width Miller–Rabin kernel runs the prime search ~3x as
+    // fast as the generic path in release builds; 2x leaves room for a
+    // loaded box. The test profile (opt-level 1, debug assertions)
+    // measures it near 2x, so only a clear win is asserted there.
+    let keygen_floor = if cfg!(debug_assertions) { 1.5 } else { 2.0 };
+    let keygen = hotpath::speedup(&records, "keygen_512").expect("pair");
+    assert!(
+        keygen >= keygen_floor,
+        "keygen_512 speedup {keygen:.2}x < {keygen_floor}x"
+    );
 }
 
 #[test]
 fn smoke_effort_runs_every_bench() {
     // The verify gate runs this tier: it must stay cheap but still
     // produce both variants of every bench.
+    let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 5, "all five benches present: {benches:?}");
+    assert_eq!(benches.len(), 6, "all six benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }
@@ -65,6 +89,7 @@ fn smoke_effort_runs_every_bench() {
 
 #[test]
 fn hotpath_binary_emits_json_lines() {
+    let _cpu = exclusive_cpu();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_hotpath"))
         .arg("--smoke")
         .output()

@@ -4,6 +4,13 @@
 //! seeded random bases above that, plus small-prime trial division for
 //! speed. Prime generation is deterministic given the caller's RNG, which
 //! keeps TPM identities reproducible across simulation runs.
+//!
+//! Every candidate up to 1024 bits runs on a const-generic, stack-only
+//! Montgomery kernel (`FixedMont`) sized to its limb count: no `BigUint`
+//! division or allocation per candidate or per round. It draws the same
+//! random bases with the same RNG consumption as the generic
+//! [`Montgomery`] path that wider candidates take, so it returns the same
+//! primes.
 
 use crate::bignum::BigUint;
 use crate::montgomery::Montgomery;
@@ -52,10 +59,26 @@ impl RandomSource for XorShiftSource {
     }
 }
 
-const SMALL_PRIMES: [u32; 54] = [
+const SMALL_PRIMES: [u64; 54] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
     197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
+];
+
+/// `SMALL_PRIMES` above 2, in runs whose products stay below 2^32.
+const ODD_PRIME_RUNS: [&[u64]; 12] = [
+    &[3, 5, 7, 11, 13, 17, 19, 23, 29],
+    &[31, 37, 41, 43, 47],
+    &[53, 59, 61, 67, 71],
+    &[73, 79, 83, 89, 97],
+    &[101, 103, 107, 109],
+    &[113, 127, 131, 137],
+    &[139, 149, 151, 157],
+    &[163, 167, 173, 179],
+    &[181, 191, 193, 197],
+    &[199, 211, 223, 227],
+    &[229, 233, 239, 241],
+    &[251],
 ];
 
 /// Deterministic Miller–Rabin bases valid for all `n < 3.3 * 10^24`.
@@ -64,6 +87,105 @@ const DETERMINISTIC_BASES: [u64; 13] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 
 /// Number of random Miller–Rabin rounds for large candidates
 /// (error probability < 4^-24).
 const RANDOM_ROUNDS: usize = 24;
+
+/// Candidates up to 81 bits take the deterministic base set.
+const DETERMINISTIC_MAX_BITS: usize = 81;
+
+/// Widest candidate, in `u64` limbs, the fixed-width kernel handles
+/// (2048-bit keys have 1024-bit primes); wider ones take the generic
+/// [`Montgomery`] path.
+const MAX_FIXED_LIMBS: usize = 16;
+
+/// Tests `n` for primality.
+pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
+    if n.is_zero() || n == &BigUint::one() {
+        return false;
+    }
+    let limbs = n.to_u64_limbs(n.bits().div_ceil(64));
+    if let Some(verdict) = trial_division(&limbs) {
+        return verdict;
+    }
+    // n > 251 and odd from here on.
+    probable_prime(n, &limbs, rng)
+}
+
+/// Miller–Rabin for odd `n > 251` (with `limbs` its minimal `u64`
+/// limbs): the fixed-width kernel for every width up to
+/// [`MAX_FIXED_LIMBS`], the generic path above that.
+fn probable_prime(n: &BigUint, limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
+    match limbs.len() {
+        1 => probable_prime_fixed::<1>(limbs, rng),
+        2 => probable_prime_fixed::<2>(limbs, rng),
+        3 => probable_prime_fixed::<3>(limbs, rng),
+        4 => probable_prime_fixed::<4>(limbs, rng),
+        5 => probable_prime_fixed::<5>(limbs, rng),
+        6 => probable_prime_fixed::<6>(limbs, rng),
+        7 => probable_prime_fixed::<7>(limbs, rng),
+        8 => probable_prime_fixed::<8>(limbs, rng),
+        9 => probable_prime_fixed::<9>(limbs, rng),
+        10 => probable_prime_fixed::<10>(limbs, rng),
+        11 => probable_prime_fixed::<11>(limbs, rng),
+        12 => probable_prime_fixed::<12>(limbs, rng),
+        13 => probable_prime_fixed::<13>(limbs, rng),
+        14 => probable_prime_fixed::<14>(limbs, rng),
+        15 => probable_prime_fixed::<15>(limbs, rng),
+        16 => probable_prime_fixed::<16>(limbs, rng),
+        _ => probable_prime_generic(n, rng),
+    }
+}
+
+/// Small-prime trial division over little-endian `u64` limbs: `Some`
+/// verdict when it settles `n` (a small prime, or a multiple of one),
+/// `None` when `n` is odd, above 251 and needs Miller–Rabin.
+fn trial_division(n: &[u64]) -> Option<bool> {
+    if n.len() == 1 && n[0] <= 251 {
+        return Some(SMALL_PRIMES.contains(&n[0]));
+    }
+    if n[0] & 1 == 0 {
+        return Some(false);
+    }
+    for run in &ODD_PRIME_RUNS {
+        // One fold of `n` modulo the run's product (below 2^32), over
+        // 32-bit halves from the top so every step is a u64 division;
+        // the run's primes then divide the small remainder.
+        let m: u64 = run.iter().product();
+        let rem = n.iter().rev().fold(0, |r, &limb| {
+            let r = ((r << 32) | (limb >> 32)) % m;
+            ((r << 32) | (limb & 0xFFFF_FFFF)) % m
+        });
+        if run.iter().any(|&p| rem % p == 0) {
+            return Some(false);
+        }
+    }
+    None
+}
+
+/// Miller–Rabin on the fixed-width kernel for an `N`-limb candidate.
+fn probable_prime_fixed<const N: usize>(limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
+    let mut n = [0u64; N];
+    n.copy_from_slice(limbs);
+    FixedMont::new(n).probable_prime(rng)
+}
+
+/// Miller–Rabin for odd `n > 251`, sharing one [`Montgomery`] context
+/// across bases: the path for candidates wider than the fixed-width
+/// kernel, and its reference. Bases and RNG consumption match the
+/// kernel's exactly.
+fn probable_prime_generic(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
+    let ctx = Montgomery::new(n).expect("candidate is odd and > 1");
+    if n.bits() <= DETERMINISTIC_MAX_BITS {
+        // Deterministic for anything that fits well under 3.3e24.
+        return DETERMINISTIC_BASES
+            .iter()
+            .all(|&b| sprp(n, &BigUint::from_u64(b), &ctx));
+    }
+    // Random bases in [2, n-2].
+    let n_minus_3 = n.sub(&BigUint::from_u64(3));
+    (0..RANDOM_ROUNDS).all(|_| {
+        let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
+        sprp(n, &a, &ctx)
+    })
+}
 
 /// Miller–Rabin strong-probable-prime test to base `a`, using a shared
 /// Montgomery context for `n` (candidates are always odd here).
@@ -91,41 +213,266 @@ fn sprp(n: &BigUint, a: &BigUint, ctx: &Montgomery) -> bool {
     false
 }
 
-/// Tests `n` for primality.
-pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
-    if n.is_zero() || n == &BigUint::one() {
-        return false;
-    }
-    for &p in &SMALL_PRIMES {
-        let pb = BigUint::from_u64(u64::from(p));
-        if n == &pb {
-            return true;
+/// Stack-only Montgomery arithmetic modulo one odd candidate `n` of
+/// exactly `N` limbs (`R = 2^{64N}`), built per candidate without any
+/// `BigUint` division.
+///
+/// It holds what may become an RSA private factor, so it deliberately
+/// implements neither `Debug` nor `Display`.
+struct FixedMont<const N: usize> {
+    /// The candidate, little-endian.
+    n: [u64; N],
+    /// `-n^{-1} mod 2^64`.
+    n0inv: u64,
+    /// `R mod n`: the Montgomery form of 1.
+    one: [u64; N],
+    /// `n - (R mod n)`: the Montgomery form of `n - 1`.
+    minus_one: [u64; N],
+    /// `R^2 mod n`, for entering the Montgomery domain.
+    r2: [u64; N],
+}
+
+impl<const N: usize> FixedMont<N> {
+    /// Builds the context for odd `n > 1` whose top limb is non-zero.
+    fn new(n: [u64; N]) -> Self {
+        // Newton–Hensel lifting, as in `Montgomery::new`.
+        let mut inv = n[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
-        if n.rem(&pb).is_zero() {
-            return false;
-        }
-    }
-    // n > 251 and odd from here on; one Montgomery context serves every
-    // base tested against this candidate.
-    let ctx = Montgomery::new(n).expect("candidate is odd and > 1");
-    if n.bits() <= 81 {
-        // Deterministic for anything that fits well under 3.3e24.
-        for &b in &DETERMINISTIC_BASES {
-            if !sprp(n, &BigUint::from_u64(b), &ctx) {
-                return false;
+        debug_assert_eq!(n[0].wrapping_mul(inv), 1);
+        let one = if n[N - 1] >> 63 == 1 {
+            // n > R/2, so R mod n = R - n: the two's-complement negation.
+            let mut r = [0u64; N];
+            sub_wrapping(&mut r, &n);
+            r
+        } else {
+            // Double the highest power of two below n up to R.
+            let top = 64 * N - n[N - 1].leading_zeros() as usize - 1;
+            let mut r = [0u64; N];
+            r[top / 64] = 1 << (top % 64);
+            for _ in top..64 * N {
+                r = double_mod(&r, &n);
+            }
+            r
+        };
+        let mut minus_one = n;
+        sub_wrapping(&mut minus_one, &one);
+        let mut ctx = FixedMont {
+            n,
+            n0inv: inv.wrapping_neg(),
+            one,
+            minus_one,
+            r2: [0; N],
+        };
+        // 2R mod n is the Montgomery form of 2; raising it to the power
+        // 64N in the domain gives the form of 2^{64N} = R, i.e. R^2 mod n.
+        let two = double_mod(&ctx.one, &n);
+        let exp = 64 * N;
+        let mut acc = two;
+        for i in (0..exp.ilog2()).rev() {
+            acc = ctx.mul(&acc, &acc);
+            if (exp >> i) & 1 == 1 {
+                acc = ctx.mul(&acc, &two);
             }
         }
-        return true;
+        ctx.r2 = acc;
+        ctx
     }
-    // Random bases in [2, n-2].
-    let n_minus_3 = n.sub(&BigUint::from_u64(3));
-    for _ in 0..RANDOM_ROUNDS {
-        let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
-        if !sprp(n, &a, &ctx) {
-            return false;
+
+    /// Fused CIOS Montgomery multiplication, `a * b * R^{-1} mod n`: the
+    /// loop of `Montgomery::mont_mul_into` over fixed-size arrays. Inputs
+    /// must be below `n`; so is the result.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let n = &self.n;
+        let mut t = [0u64; N];
+        // The running sum's limb N; limb N + 1 of the slice version is
+        // always zero between iterations, so it needs no storage here.
+        let mut top = 0u64;
+        for &ai in a {
+            let s = u128::from(t[0]) + u128::from(ai) * u128::from(b[0]);
+            let m = (s as u64).wrapping_mul(self.n0inv);
+            let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[0]);
+            debug_assert_eq!(s2 as u64, 0);
+            let mut carry_a = s >> 64;
+            let mut carry_m = s2 >> 64;
+            for j in 1..N {
+                let s = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + carry_a;
+                carry_a = s >> 64;
+                let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + carry_m;
+                carry_m = s2 >> 64;
+                t[j - 1] = s2 as u64;
+            }
+            let s = u128::from(top) + carry_a + carry_m;
+            t[N - 1] = s as u64;
+            top = (s >> 64) as u64;
+        }
+        // t + top·R < 2n: one conditional subtract, whose borrow
+        // consumes `top`.
+        if top != 0 || !less_than(&t, n) {
+            sub_wrapping(&mut t, n);
+        }
+        t
+    }
+
+    /// Fixed 4-bit-window exponentiation in the domain: `base^exp`.
+    /// `exp` must be non-zero.
+    fn pow(&self, base: &[u64; N], exp: &[u64; N]) -> [u64; N] {
+        let mut table = [self.one; 16];
+        table[1] = *base;
+        for d in 2..16 {
+            table[d] = self.mul(&table[d - 1], base);
+        }
+        let top_limb = exp.iter().rposition(|&l| l != 0).expect("exp > 0");
+        let bits = 64 * top_limb + 64 - exp[top_limb].leading_zeros() as usize;
+        // A window never straddles limbs: 4 divides 64.
+        let digit = |w: usize| ((exp[w / 16] >> (4 * (w % 16))) & 15) as usize;
+        let windows = bits.div_ceil(4);
+        let mut acc = table[digit(windows - 1)];
+        for w in (0..windows - 1).rev() {
+            for _ in 0..4 {
+                acc = self.mul(&acc, &acc);
+            }
+            acc = self.mul(&acc, &table[digit(w)]);
+        }
+        acc
+    }
+
+    /// Miller–Rabin with the same bases, in the same order and drawn
+    /// with the same RNG consumption as [`probable_prime_generic`].
+    /// Requires odd `n > 251`.
+    fn probable_prime(&self, rng: &mut dyn RandomSource) -> bool {
+        // n - 1 = d·2^r, split once for every base.
+        let mut d = self.n;
+        d[0] &= !1;
+        let zero_limbs = d.iter().take_while(|&&l| l == 0).count();
+        let r = 64 * zero_limbs + d[zero_limbs].trailing_zeros() as usize;
+        shr_in_place(&mut d, r);
+        let bits = 64 * N - self.n[N - 1].leading_zeros() as usize;
+        if bits <= DETERMINISTIC_MAX_BITS {
+            return DETERMINISTIC_BASES.iter().all(|&b| {
+                let mut a = [0u64; N];
+                a[0] = b;
+                self.sprp(&a, &d, r)
+            });
+        }
+        // Random bases in [2, n-2]: a uniform draw below n - 3, plus 2.
+        let mut bound = self.n;
+        let mut three = [0u64; N];
+        three[0] = 3;
+        sub_wrapping(&mut bound, &three);
+        let bound_bits = 64 * N - bound[N - 1].leading_zeros() as usize;
+        (0..RANDOM_ROUNDS).all(|_| {
+            let mut a = random_limbs_below(&bound, bound_bits, rng);
+            add_small(&mut a, 2);
+            self.sprp(&a, &d, r)
+        })
+    }
+
+    /// One strong-probable-prime round to base `a` (`1 < a < n - 1`),
+    /// with `n - 1 = d·2^r`. Both comparisons run in Montgomery form.
+    fn sprp(&self, a: &[u64; N], d: &[u64; N], r: usize) -> bool {
+        let mut x = self.pow(&self.mul(a, &self.r2), d);
+        if x == self.one || x == self.minus_one {
+            return true;
+        }
+        for _ in 1..r {
+            x = self.mul(&x, &x);
+            if x == self.minus_one {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// A uniform value below `bound` (`bound_bits` bits long), drawn with
+/// exactly the RNG consumption of [`random_below`]: the same byte
+/// length, top-byte mask and rejection loop.
+fn random_limbs_below<const N: usize>(
+    bound: &[u64; N],
+    bound_bits: usize,
+    rng: &mut dyn RandomSource,
+) -> [u64; N] {
+    let mut bytes = [0u8; 8 * MAX_FIXED_LIMBS];
+    let buf = &mut bytes[..bound_bits.div_ceil(8)];
+    let top_bits = bound_bits % 8;
+    loop {
+        rng.fill_bytes(buf);
+        if top_bits != 0 {
+            buf[0] &= (1u8 << top_bits) - 1;
+        }
+        let mut candidate = [0u64; N];
+        for (i, &b) in buf.iter().rev().enumerate() {
+            candidate[i / 8] |= u64::from(b) << (8 * (i % 8));
+        }
+        if less_than(&candidate, bound) {
+            return candidate;
         }
     }
-    true
+}
+
+/// `2x mod n` for `x < n`.
+fn double_mod<const N: usize>(x: &[u64; N], n: &[u64; N]) -> [u64; N] {
+    let mut out = [0u64; N];
+    let mut carry = 0u64;
+    for (o, &l) in out.iter_mut().zip(x) {
+        *o = (l << 1) | carry;
+        carry = l >> 63;
+    }
+    if carry != 0 || !less_than(&out, n) {
+        sub_wrapping(&mut out, n);
+    }
+    out
+}
+
+/// `a < b` over equal-length little-endian limbs.
+fn less_than(a: &[u64], b: &[u64]) -> bool {
+    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
+        if x != y {
+            return x < y;
+        }
+    }
+    false
+}
+
+/// `a -= b` modulo `2^{64·len}` over equal-length little-endian limbs.
+fn sub_wrapping(a: &mut [u64], b: &[u64]) {
+    let mut borrow = false;
+    for (x, &y) in a.iter_mut().zip(b) {
+        let (d1, o1) = x.overflowing_sub(y);
+        let (d2, o2) = d1.overflowing_sub(u64::from(borrow));
+        *x = d2;
+        borrow = o1 || o2;
+    }
+}
+
+/// `a += v`, which must not overflow the limbs.
+fn add_small(a: &mut [u64], v: u64) {
+    let mut carry = v;
+    for limb in a.iter_mut() {
+        let (s, o) = limb.overflowing_add(carry);
+        *limb = s;
+        carry = u64::from(o);
+        if carry == 0 {
+            break;
+        }
+    }
+}
+
+/// `a >>= shift` for `shift < 64·len`.
+fn shr_in_place(a: &mut [u64], shift: usize) {
+    let (limbs, bits) = (shift / 64, shift % 64);
+    let len = a.len();
+    for i in 0..len {
+        let lo = a.get(i + limbs).copied().unwrap_or(0);
+        let hi = a.get(i + limbs + 1).copied().unwrap_or(0);
+        a[i] = if bits == 0 {
+            lo
+        } else {
+            (lo >> bits) | (hi << (64 - bits))
+        };
+    }
 }
 
 /// Returns a uniform value in `[0, bound)` by rejection sampling.
@@ -250,6 +597,119 @@ mod tests {
         let c = gen_prime(64, &mut XorShiftSource::new(8));
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// A random odd value of exactly `bits` bits.
+    fn random_odd(bits: usize, r: &mut XorShiftSource) -> BigUint {
+        let mut buf = vec![0u8; bits.div_ceil(8)];
+        r.fill_bytes(&mut buf);
+        let top = (bits - 1) % 8;
+        buf[0] &= ((1u16 << (top + 1)) - 1) as u8;
+        buf[0] |= 1 << top;
+        let last = buf.len() - 1;
+        buf[last] |= 1;
+        BigUint::from_bytes_be(&buf)
+    }
+
+    /// Runs Miller–Rabin for odd `n > 251` on the fixed-width kernel and
+    /// on the generic path, from clones of one RNG: verdicts and the
+    /// RNG state afterwards must match. Returns the verdict.
+    fn assert_kernel_matches_generic(n: &BigUint, seed: u64) -> bool {
+        let limbs = n.to_u64_limbs(n.bits().div_ceil(64));
+        assert!(limbs.len() <= MAX_FIXED_LIMBS, "{} bits", n.bits());
+        let mut fixed_rng = XorShiftSource::new(seed);
+        let mut generic_rng = fixed_rng.clone();
+        let fixed = probable_prime(n, &limbs, &mut fixed_rng);
+        let generic = probable_prime_generic(n, &mut generic_rng);
+        assert_eq!(fixed, generic, "verdicts differ for {n:?}");
+        assert_eq!(
+            fixed_rng.next_u64(),
+            generic_rng.next_u64(),
+            "RNG consumption differs for {n:?}"
+        );
+        fixed
+    }
+
+    /// A prime of exactly `bits` bits found by the generic path alone,
+    /// so a broken kernel fails a comparison instead of stalling a
+    /// `gen_prime` search.
+    fn generic_prime(bits: usize, r: &mut XorShiftSource) -> BigUint {
+        loop {
+            let c = random_odd(bits, r);
+            let limbs = c.to_u64_limbs(c.bits().div_ceil(64));
+            if trial_division(&limbs).is_none() && probable_prime_generic(&c, r) {
+                return c;
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_kernel_matches_generic_at_every_width() {
+        let mut r = XorShiftSource::new(0xF1CED);
+        for limbs in 1..=MAX_FIXED_LIMBS {
+            // Top bit set (R mod n = R - n) and clear (R mod n by
+            // doubling); one width-2 size takes the deterministic bases.
+            let mut sizes = vec![64 * limbs, 64 * limbs - 7];
+            if limbs == 2 {
+                sizes.push(75);
+            }
+            for bits in sizes {
+                let mut tested = 0;
+                while tested < 6 {
+                    let c = random_odd(bits, &mut r);
+                    let c_limbs = c.to_u64_limbs(limbs);
+                    if trial_division(&c_limbs).is_none() {
+                        assert_kernel_matches_generic(&c, r.next_u64());
+                        tested += 1;
+                    }
+                }
+                // A prime runs every round; a product of two primes
+                // passes trial division and must still be caught.
+                let p = generic_prime(bits, &mut r);
+                assert!(assert_kernel_matches_generic(&p, r.next_u64()));
+                let q =
+                    generic_prime(bits / 2, &mut r).mul(&generic_prime(bits - bits / 2, &mut r));
+                if q.bits() == bits {
+                    assert!(!assert_kernel_matches_generic(&q, r.next_u64()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_width_kernel_matches_generic_on_pseudoprimes() {
+        let carmichael = [561u64, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265];
+        let strong_base_2 = [2047u64, 3277, 4033, 4681, 8321];
+        for c in carmichael.into_iter().chain(strong_base_2) {
+            assert!(!assert_kernel_matches_generic(&n(c), c));
+        }
+        let mersenne = |e: usize| BigUint::one().shl(e).sub(&BigUint::one());
+        assert!(assert_kernel_matches_generic(&mersenne(89), 89));
+        assert!(!assert_kernel_matches_generic(&mersenne(83), 83));
+    }
+
+    #[test]
+    fn trial_division_matches_biguint_remainders() {
+        let reference = |v: &BigUint| -> Option<bool> {
+            for p in SMALL_PRIMES {
+                let pb = n(p);
+                if v == &pb {
+                    return Some(true);
+                }
+                if v.rem(&pb).is_zero() {
+                    return Some(false);
+                }
+            }
+            None
+        };
+        let mut r = rng();
+        let values = (2..4096u64)
+            .map(n)
+            .chain((0..512).map(|i| random_odd(8 + i % 300, &mut r)));
+        for v in values {
+            let limbs = v.to_u64_limbs(v.bits().div_ceil(64));
+            assert_eq!(trial_division(&limbs), reference(&v), "{v:?}");
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! This backs the TPM's Endorsement Key (EK) and Attestation Identity Key
 //! (AIK): quotes are RSA signatures over a PCR composite and nonce, and
 //! the registrar's credential-activation challenge is RSA-encrypted to
-//! the EK. Key sizes are configurable; the simulation defaults to 1024-bit
-//! keys (and tests often use 512) to keep runs fast — the protocol logic
-//! is identical at 2048.
+//! the EK. Key sizes are configurable; the simulated cloud defaults to
+//! 512-bit keys (`CloudConfig::tpm_key_bits`) to keep runs fast — the
+//! protocol logic is identical at 2048.
 
 use std::sync::{Arc, OnceLock};
 

@@ -14,6 +14,8 @@
 //! See `DESIGN.md` §14 for the rule catalogue and the escape-hatch
 //! grammar (`// lint: allow(RULE: reason)`).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod lexer;
 pub mod report;

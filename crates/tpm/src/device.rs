@@ -187,8 +187,8 @@ pub struct Tpm {
 
 impl Tpm {
     /// Manufactures a TPM with a deterministic EK derived from `seed`.
-    /// `key_bits` controls RSA size (1024 for simulation speed; the
-    /// protocol is identical at 2048).
+    /// `key_bits` controls RSA size (the simulated cloud defaults to 512
+    /// for speed; the protocol is identical at 2048).
     pub fn new(seed: u64, key_bits: usize) -> Self {
         Tpm {
             ek: keypair_from_seed(key_bits, seed),
@@ -220,7 +220,7 @@ impl Tpm {
 
     /// Creates (or re-creates) an AIK and returns its public half.
     pub fn create_aik(&mut self) -> PublicKey {
-        let bits = &self.ek.public.modulus_len() * 8;
+        let bits = self.ek.public.modulus_len() * 8;
         let aik = keypair_from_seed(bits, self.aik_seed);
         self.aik_seed = self.aik_seed.wrapping_add(1);
         let public = aik.public.clone();
