@@ -2,10 +2,11 @@
 //!
 //! Measures the optimised kernels — modular exponentiation,
 //! RSA-verify-shaped modpow, SHA-256 compression, multi-buffer SHA-256,
-//! LUKS sector encryption and RSA prime search — each against an
-//! in-repo "before" reference (the legacy `BigUint::modpow`, a rolled
-//! SHA-256 compression loop, single-stream hashing, the single-stream
-//! ChaCha20 sector path, the generic-`Montgomery` Miller–Rabin), so the
+//! LUKS sector encryption, RSA prime search and RSA CRT signing — each
+//! against an in-repo "before" reference (the legacy `BigUint::modpow`,
+//! a rolled SHA-256 compression loop, single-stream hashing, the
+//! single-stream ChaCha20 sector path, the generic-`Montgomery`
+//! Miller–Rabin, the generic-`Montgomery` CRT exponentiation), so the
 //! speedup is recorded next to the code that earned it. Plain
 //! `std::time::Instant`, JSON-lines output, no external crates: it runs
 //! in the offline build where criterion cannot.
@@ -15,7 +16,8 @@ use std::time::Instant;
 use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
 use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::{
-    sha256_many, BigUint, Montgomery, RandomSource, SectorCipher, XorShiftSource, SECTOR_SIZE,
+    keypair_from_seed, sha256_many, BigUint, Montgomery, RandomSource, SectorCipher,
+    XorShiftSource, SECTOR_SIZE,
 };
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -348,6 +350,74 @@ fn key_primes_512(seed: u64, search: fn(usize, &mut dyn RandomSource) -> BigUint
     [search(256, &mut rng), search(256, &mut rng)]
 }
 
+/// A 512-bit RSA private key as the generic CRT signer sees it, rebuilt
+/// from a seed. Holds the CRT factors, so it implements no `Debug`.
+struct GenericCrtKey {
+    p: BigUint,
+    q: BigUint,
+    dp: BigUint,
+    dq: BigUint,
+    qinv: BigUint,
+    /// Modulus length in bytes.
+    k: usize,
+}
+
+impl GenericCrtKey {
+    /// The key `keypair_from_seed(512, seed)` returns: the same prime
+    /// draws and the same retry conditions as `generate_keypair`.
+    fn from_seed(seed: u64) -> GenericCrtKey {
+        let mut rng = XorShiftSource::new(seed);
+        let one = BigUint::one();
+        let e = BigUint::from_u64(65537);
+        loop {
+            let p = gen_prime(256, &mut rng);
+            let q = gen_prime(256, &mut rng);
+            if p == q || p.mul(&q).bits() != 512 {
+                continue;
+            }
+            let phi = p.sub(&one).mul(&q.sub(&one));
+            let (Some(d), Some(qinv)) = (e.modinv(&phi), q.modinv(&p)) else {
+                continue;
+            };
+            return GenericCrtKey {
+                dp: d.rem(&p.sub(&one)),
+                dq: d.rem(&q.sub(&one)),
+                p,
+                q,
+                qinv,
+                k: 64,
+            };
+        }
+    }
+
+    /// PKCS#1 v1.5 / SHA-256 signing with the CRT exponentiation before
+    /// the fixed-width kernel: a generic [`Montgomery`] context per half
+    /// and `BigUint` arithmetic for Garner's recombination.
+    fn sign(&self, message: &[u8]) -> Vec<u8> {
+        const SHA256_DIGEST_INFO: [u8; 19] = [
+            0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02,
+            0x01, 0x05, 0x00, 0x04, 0x20,
+        ];
+        let hash = bolted_crypto::sha256(message);
+        let mut em = vec![0x00, 0x01];
+        em.resize(self.k - SHA256_DIGEST_INFO.len() - 32 - 1, 0xFF);
+        em.push(0x00);
+        em.extend_from_slice(&SHA256_DIGEST_INFO);
+        em.extend_from_slice(hash.as_bytes());
+        let m = BigUint::from_bytes_be(&em);
+        let m1 = m.modpow_montgomery(&self.dp, &self.p);
+        let m2 = m.modpow_montgomery(&self.dq, &self.q);
+        let m2_mod_p = m2.rem(&self.p);
+        let diff = if m1 >= m2_mod_p {
+            m1.sub(&m2_mod_p)
+        } else {
+            m1.add(&self.p).sub(&m2_mod_p)
+        };
+        let h = self.qinv.mul_mod(&diff, &self.p);
+        m2.add(&self.q.mul(&h)).to_bytes_be_padded(self.k)
+    }
+}
+
 /// Runs every hot-path benchmark at the given [`Effort`].
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
@@ -566,6 +636,41 @@ pub fn run(effort: Effort) -> Vec<Record> {
         ("generic", "fixed_width"),
         (iters, iters),
         (ns_generic / per_key, ns_fixed / per_key),
+        None,
+    );
+
+    // --- RSA signing: one 512-bit quote signature -------------------
+    let seeds = 1..=4u64;
+    let generic_keys: Vec<GenericCrtKey> = seeds.clone().map(GenericCrtKey::from_seed).collect();
+    let fixed_keys: Vec<_> = seeds.map(|s| keypair_from_seed(512, s).private).collect();
+    let quote = b"pcr composite || nonce";
+    for (g, f) in generic_keys.iter().zip(&fixed_keys) {
+        assert_eq!(g.sign(quote), f.sign(quote), "CRT signing cross-check");
+    }
+    let (rounds, iters) = effort.pick((16, 64), (4, 16), (1, 4));
+    let ns = time_pair(
+        rounds,
+        iters,
+        iters,
+        || {
+            for key in &generic_keys {
+                std::hint::black_box(key.sign(quote));
+            }
+        },
+        || {
+            for key in &fixed_keys {
+                std::hint::black_box(key.sign(quote));
+            }
+        },
+    );
+    let per_sig = generic_keys.len() as f64;
+    let sigs = rounds * iters * generic_keys.len() as u32;
+    record_pair(
+        &mut records,
+        "rsa_sign_512",
+        ("generic_crt", "fixed_width_crt"),
+        (sigs, sigs),
+        (ns.0 / per_sig, ns.1 / per_sig),
         None,
     );
 

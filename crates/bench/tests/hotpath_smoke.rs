@@ -26,6 +26,7 @@ fn quick_run_reports_kernel_speedups() {
         "sha256_mb",
         "sector_encrypt",
         "keygen_512",
+        "rsa_sign_512",
     ] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
@@ -72,6 +73,15 @@ fn quick_run_reports_kernel_speedups() {
         keygen >= keygen_floor,
         "keygen_512 speedup {keygen:.2}x < {keygen_floor}x"
     );
+    // Fixed-width CRT signing runs ~3x as fast as the generic CRT path
+    // in release builds and ~2.6x in the test profile (opt-level 1,
+    // debug assertions); the floors leave room for a loaded box.
+    let sign_floor = if cfg!(debug_assertions) { 1.3 } else { 1.5 };
+    let sign = hotpath::speedup(&records, "rsa_sign_512").expect("pair");
+    assert!(
+        sign >= sign_floor,
+        "rsa_sign_512 speedup {sign:.2}x < {sign_floor}x"
+    );
 }
 
 #[test]
@@ -81,7 +91,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 6, "all six benches present: {benches:?}");
+    assert_eq!(benches.len(), 7, "all seven benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

@@ -5,15 +5,17 @@
 //! speed. Prime generation is deterministic given the caller's RNG, which
 //! keeps TPM identities reproducible across simulation runs.
 //!
-//! Every candidate up to 1024 bits runs on a const-generic, stack-only
-//! Montgomery kernel (`FixedMont`) sized to its limb count: no `BigUint`
-//! division or allocation per candidate or per round. It draws the same
-//! random bases with the same RNG consumption as the generic
-//! [`Montgomery`] path that wider candidates take, so it returns the same
-//! primes.
+//! Every candidate up to 1024 bits runs on the const-generic, stack-only
+//! Montgomery kernel (`montgomery::FixedMont`) sized to its limb count:
+//! no `BigUint` division or allocation per candidate or per round. It
+//! draws the same random bases with the same RNG consumption as the
+//! generic [`Montgomery`] path that wider candidates take, so it returns
+//! the same primes.
 
 use crate::bignum::BigUint;
-use crate::montgomery::Montgomery;
+use crate::montgomery::{
+    fixed_width, less_than, sub_wrapping, FixedMont, Montgomery, MAX_FIXED_LIMBS,
+};
 
 /// A deterministic RNG source for prime generation; implemented by
 /// `bolted_sim::Rng` in practice, duplicated here as a tiny trait so this
@@ -91,11 +93,6 @@ const RANDOM_ROUNDS: usize = 24;
 /// Candidates up to 81 bits take the deterministic base set.
 const DETERMINISTIC_MAX_BITS: usize = 81;
 
-/// Widest candidate, in `u64` limbs, the fixed-width kernel handles
-/// (2048-bit keys have 1024-bit primes); wider ones take the generic
-/// [`Montgomery`] path.
-const MAX_FIXED_LIMBS: usize = 16;
-
 /// Tests `n` for primality.
 pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
     if n.is_zero() || n == &BigUint::one() {
@@ -111,27 +108,13 @@ pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
 
 /// Miller–Rabin for odd `n > 251` (with `limbs` its minimal `u64`
 /// limbs): the fixed-width kernel for every width up to
-/// [`MAX_FIXED_LIMBS`], the generic path above that.
+/// `MAX_FIXED_LIMBS`, the generic path above that.
 fn probable_prime(n: &BigUint, limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
-    match limbs.len() {
-        1 => probable_prime_fixed::<1>(limbs, rng),
-        2 => probable_prime_fixed::<2>(limbs, rng),
-        3 => probable_prime_fixed::<3>(limbs, rng),
-        4 => probable_prime_fixed::<4>(limbs, rng),
-        5 => probable_prime_fixed::<5>(limbs, rng),
-        6 => probable_prime_fixed::<6>(limbs, rng),
-        7 => probable_prime_fixed::<7>(limbs, rng),
-        8 => probable_prime_fixed::<8>(limbs, rng),
-        9 => probable_prime_fixed::<9>(limbs, rng),
-        10 => probable_prime_fixed::<10>(limbs, rng),
-        11 => probable_prime_fixed::<11>(limbs, rng),
-        12 => probable_prime_fixed::<12>(limbs, rng),
-        13 => probable_prime_fixed::<13>(limbs, rng),
-        14 => probable_prime_fixed::<14>(limbs, rng),
-        15 => probable_prime_fixed::<15>(limbs, rng),
-        16 => probable_prime_fixed::<16>(limbs, rng),
-        _ => probable_prime_generic(n, rng),
-    }
+    fixed_width!(
+        limbs.len(),
+        probable_prime_fixed(limbs, rng),
+        probable_prime_generic(n, rng)
+    )
 }
 
 /// Small-prime trial division over little-endian `u64` limbs: `Some`
@@ -160,11 +143,65 @@ fn trial_division(n: &[u64]) -> Option<bool> {
     None
 }
 
-/// Miller–Rabin on the fixed-width kernel for an `N`-limb candidate.
+/// Miller–Rabin on the fixed-width kernel for an `N`-limb candidate,
+/// with the same bases, in the same order and drawn with the same RNG
+/// consumption as [`probable_prime_generic`]. Requires odd `n > 251`.
 fn probable_prime_fixed<const N: usize>(limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
     let mut n = [0u64; N];
     n.copy_from_slice(limbs);
-    FixedMont::new(n).probable_prime(rng)
+    let ctx = FixedMont::new(n);
+    // n - 1 = d·2^r, split once for every base.
+    let mut d = n;
+    d[0] &= !1;
+    let zero_limbs = d.iter().take_while(|&&l| l == 0).count();
+    let r = 64 * zero_limbs + d[zero_limbs].trailing_zeros() as usize;
+    shr_in_place(&mut d, r);
+    // n - (R mod n): the Montgomery form of n - 1.
+    let mut minus_one = n;
+    sub_wrapping(&mut minus_one, ctx.one());
+    let sprp = |a: &[u64; N]| sprp_fixed(&ctx, &minus_one, a, &d, r);
+    let bits = 64 * N - n[N - 1].leading_zeros() as usize;
+    if bits <= DETERMINISTIC_MAX_BITS {
+        return DETERMINISTIC_BASES.iter().all(|&b| {
+            let mut a = [0u64; N];
+            a[0] = b;
+            sprp(&a)
+        });
+    }
+    // Random bases in [2, n-2]: a uniform draw below n - 3, plus 2.
+    let mut bound = n;
+    let mut three = [0u64; N];
+    three[0] = 3;
+    sub_wrapping(&mut bound, &three);
+    let bound_bits = 64 * N - bound[N - 1].leading_zeros() as usize;
+    (0..RANDOM_ROUNDS).all(|_| {
+        let mut a = random_limbs_below(&bound, bound_bits, rng);
+        add_small(&mut a, 2);
+        sprp(&a)
+    })
+}
+
+/// One strong-probable-prime round to base `a` (`1 < a < n - 1`), with
+/// `n - 1 = d·2^r` and `minus_one` the Montgomery form of `n - 1`. Both
+/// comparisons run in Montgomery form.
+fn sprp_fixed<const N: usize>(
+    ctx: &FixedMont<N>,
+    minus_one: &[u64; N],
+    a: &[u64; N],
+    d: &[u64; N],
+    r: usize,
+) -> bool {
+    let mut x = ctx.pow(&ctx.to_mont(a), d);
+    if &x == ctx.one() || &x == minus_one {
+        return true;
+    }
+    for _ in 1..r {
+        x = ctx.mul(&x, &x);
+        if &x == minus_one {
+            return true;
+        }
+    }
+    false
 }
 
 /// Miller–Rabin for odd `n > 251`, sharing one [`Montgomery`] context
@@ -213,179 +250,6 @@ fn sprp(n: &BigUint, a: &BigUint, ctx: &Montgomery) -> bool {
     false
 }
 
-/// Stack-only Montgomery arithmetic modulo one odd candidate `n` of
-/// exactly `N` limbs (`R = 2^{64N}`), built per candidate without any
-/// `BigUint` division.
-///
-/// It holds what may become an RSA private factor, so it deliberately
-/// implements neither `Debug` nor `Display`.
-struct FixedMont<const N: usize> {
-    /// The candidate, little-endian.
-    n: [u64; N],
-    /// `-n^{-1} mod 2^64`.
-    n0inv: u64,
-    /// `R mod n`: the Montgomery form of 1.
-    one: [u64; N],
-    /// `n - (R mod n)`: the Montgomery form of `n - 1`.
-    minus_one: [u64; N],
-    /// `R^2 mod n`, for entering the Montgomery domain.
-    r2: [u64; N],
-}
-
-impl<const N: usize> FixedMont<N> {
-    /// Builds the context for odd `n > 1` whose top limb is non-zero.
-    fn new(n: [u64; N]) -> Self {
-        // Newton–Hensel lifting, as in `Montgomery::new`.
-        let mut inv = n[0];
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
-        }
-        debug_assert_eq!(n[0].wrapping_mul(inv), 1);
-        let one = if n[N - 1] >> 63 == 1 {
-            // n > R/2, so R mod n = R - n: the two's-complement negation.
-            let mut r = [0u64; N];
-            sub_wrapping(&mut r, &n);
-            r
-        } else {
-            // Double the highest power of two below n up to R.
-            let top = 64 * N - n[N - 1].leading_zeros() as usize - 1;
-            let mut r = [0u64; N];
-            r[top / 64] = 1 << (top % 64);
-            for _ in top..64 * N {
-                r = double_mod(&r, &n);
-            }
-            r
-        };
-        let mut minus_one = n;
-        sub_wrapping(&mut minus_one, &one);
-        let mut ctx = FixedMont {
-            n,
-            n0inv: inv.wrapping_neg(),
-            one,
-            minus_one,
-            r2: [0; N],
-        };
-        // 2R mod n is the Montgomery form of 2; raising it to the power
-        // 64N in the domain gives the form of 2^{64N} = R, i.e. R^2 mod n.
-        let two = double_mod(&ctx.one, &n);
-        let exp = 64 * N;
-        let mut acc = two;
-        for i in (0..exp.ilog2()).rev() {
-            acc = ctx.mul(&acc, &acc);
-            if (exp >> i) & 1 == 1 {
-                acc = ctx.mul(&acc, &two);
-            }
-        }
-        ctx.r2 = acc;
-        ctx
-    }
-
-    /// Fused CIOS Montgomery multiplication, `a * b * R^{-1} mod n`: the
-    /// loop of `Montgomery::mont_mul_into` over fixed-size arrays. Inputs
-    /// must be below `n`; so is the result.
-    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
-        let n = &self.n;
-        let mut t = [0u64; N];
-        // The running sum's limb N; limb N + 1 of the slice version is
-        // always zero between iterations, so it needs no storage here.
-        let mut top = 0u64;
-        for &ai in a {
-            let s = u128::from(t[0]) + u128::from(ai) * u128::from(b[0]);
-            let m = (s as u64).wrapping_mul(self.n0inv);
-            let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[0]);
-            debug_assert_eq!(s2 as u64, 0);
-            let mut carry_a = s >> 64;
-            let mut carry_m = s2 >> 64;
-            for j in 1..N {
-                let s = u128::from(t[j]) + u128::from(ai) * u128::from(b[j]) + carry_a;
-                carry_a = s >> 64;
-                let s2 = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + carry_m;
-                carry_m = s2 >> 64;
-                t[j - 1] = s2 as u64;
-            }
-            let s = u128::from(top) + carry_a + carry_m;
-            t[N - 1] = s as u64;
-            top = (s >> 64) as u64;
-        }
-        // t + top·R < 2n: one conditional subtract, whose borrow
-        // consumes `top`.
-        if top != 0 || !less_than(&t, n) {
-            sub_wrapping(&mut t, n);
-        }
-        t
-    }
-
-    /// Fixed 4-bit-window exponentiation in the domain: `base^exp`.
-    /// `exp` must be non-zero.
-    fn pow(&self, base: &[u64; N], exp: &[u64; N]) -> [u64; N] {
-        let mut table = [self.one; 16];
-        table[1] = *base;
-        for d in 2..16 {
-            table[d] = self.mul(&table[d - 1], base);
-        }
-        let top_limb = exp.iter().rposition(|&l| l != 0).expect("exp > 0");
-        let bits = 64 * top_limb + 64 - exp[top_limb].leading_zeros() as usize;
-        // A window never straddles limbs: 4 divides 64.
-        let digit = |w: usize| ((exp[w / 16] >> (4 * (w % 16))) & 15) as usize;
-        let windows = bits.div_ceil(4);
-        let mut acc = table[digit(windows - 1)];
-        for w in (0..windows - 1).rev() {
-            for _ in 0..4 {
-                acc = self.mul(&acc, &acc);
-            }
-            acc = self.mul(&acc, &table[digit(w)]);
-        }
-        acc
-    }
-
-    /// Miller–Rabin with the same bases, in the same order and drawn
-    /// with the same RNG consumption as [`probable_prime_generic`].
-    /// Requires odd `n > 251`.
-    fn probable_prime(&self, rng: &mut dyn RandomSource) -> bool {
-        // n - 1 = d·2^r, split once for every base.
-        let mut d = self.n;
-        d[0] &= !1;
-        let zero_limbs = d.iter().take_while(|&&l| l == 0).count();
-        let r = 64 * zero_limbs + d[zero_limbs].trailing_zeros() as usize;
-        shr_in_place(&mut d, r);
-        let bits = 64 * N - self.n[N - 1].leading_zeros() as usize;
-        if bits <= DETERMINISTIC_MAX_BITS {
-            return DETERMINISTIC_BASES.iter().all(|&b| {
-                let mut a = [0u64; N];
-                a[0] = b;
-                self.sprp(&a, &d, r)
-            });
-        }
-        // Random bases in [2, n-2]: a uniform draw below n - 3, plus 2.
-        let mut bound = self.n;
-        let mut three = [0u64; N];
-        three[0] = 3;
-        sub_wrapping(&mut bound, &three);
-        let bound_bits = 64 * N - bound[N - 1].leading_zeros() as usize;
-        (0..RANDOM_ROUNDS).all(|_| {
-            let mut a = random_limbs_below(&bound, bound_bits, rng);
-            add_small(&mut a, 2);
-            self.sprp(&a, &d, r)
-        })
-    }
-
-    /// One strong-probable-prime round to base `a` (`1 < a < n - 1`),
-    /// with `n - 1 = d·2^r`. Both comparisons run in Montgomery form.
-    fn sprp(&self, a: &[u64; N], d: &[u64; N], r: usize) -> bool {
-        let mut x = self.pow(&self.mul(a, &self.r2), d);
-        if x == self.one || x == self.minus_one {
-            return true;
-        }
-        for _ in 1..r {
-            x = self.mul(&x, &x);
-            if x == self.minus_one {
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// A uniform value below `bound` (`bound_bits` bits long), drawn with
 /// exactly the RNG consumption of [`random_below`]: the same byte
 /// length, top-byte mask and rejection loop.
@@ -409,41 +273,6 @@ fn random_limbs_below<const N: usize>(
         if less_than(&candidate, bound) {
             return candidate;
         }
-    }
-}
-
-/// `2x mod n` for `x < n`.
-fn double_mod<const N: usize>(x: &[u64; N], n: &[u64; N]) -> [u64; N] {
-    let mut out = [0u64; N];
-    let mut carry = 0u64;
-    for (o, &l) in out.iter_mut().zip(x) {
-        *o = (l << 1) | carry;
-        carry = l >> 63;
-    }
-    if carry != 0 || !less_than(&out, n) {
-        sub_wrapping(&mut out, n);
-    }
-    out
-}
-
-/// `a < b` over equal-length little-endian limbs.
-fn less_than(a: &[u64], b: &[u64]) -> bool {
-    for (x, y) in a.iter().rev().zip(b.iter().rev()) {
-        if x != y {
-            return x < y;
-        }
-    }
-    false
-}
-
-/// `a -= b` modulo `2^{64·len}` over equal-length little-endian limbs.
-fn sub_wrapping(a: &mut [u64], b: &[u64]) {
-    let mut borrow = false;
-    for (x, &y) in a.iter_mut().zip(b) {
-        let (d1, o1) = x.overflowing_sub(y);
-        let (d2, o2) = d1.overflowing_sub(u64::from(borrow));
-        *x = d2;
-        borrow = o1 || o2;
     }
 }
 

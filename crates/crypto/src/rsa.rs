@@ -10,7 +10,7 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::bignum::BigUint;
-use crate::montgomery::Montgomery;
+use crate::montgomery::{fixed_width, FixedMont, Montgomery, MAX_FIXED_LIMBS};
 use crate::prime::{gen_prime, RandomSource};
 use crate::sha256::{sha256, Digest};
 
@@ -78,7 +78,11 @@ impl std::fmt::Debug for PublicKey {
     }
 }
 
-/// CRT acceleration parameters (RFC 8017 §3.2, second representation).
+/// CRT acceleration parameters (RFC 8017 §3.2, second representation):
+/// the only source of the per-call fixed-width Montgomery contexts of
+/// [`PrivateKey::sign`] and [`PrivateKey::decrypt`]. No context is cached
+/// next to them: building both on the stack costs about as much as
+/// reading a cached one.
 #[derive(Clone)]
 struct CrtParams {
     p: BigUint,
@@ -86,6 +90,85 @@ struct CrtParams {
     dp: BigUint,
     dq: BigUint,
     qinv: BigUint,
+}
+
+impl CrtParams {
+    /// `m^d mod pq` on the fixed-width kernel, or `None` when `p` and `q`
+    /// differ in limb count or are wider than `MAX_FIXED_LIMBS`, or `m`
+    /// does not fit twice their width.
+    fn private_exp_fixed(&self, m: &BigUint) -> Option<BigUint> {
+        let limbs = self.p.bits().div_ceil(64);
+        if self.q.bits().div_ceil(64) != limbs || m.bits() > 128 * limbs {
+            return None;
+        }
+        Some(fixed_width!(limbs, crt_exp_fixed(self, m), return None))
+    }
+
+    /// Garner's recombination on the generic [`Montgomery`] path: a
+    /// context with two `BigUint` divisions per half, built per call.
+    fn private_exp_generic(&self, m: &BigUint) -> BigUint {
+        let m1 = m.modpow_montgomery(&self.dp, &self.p);
+        let m2 = m.modpow_montgomery(&self.dq, &self.q);
+        // h = qinv * (m1 - m2) mod p, computed over non-negative values.
+        let m2_mod_p = m2.rem(&self.p);
+        let diff = if m1 >= m2_mod_p {
+            m1.sub(&m2_mod_p)
+        } else {
+            m1.add(&self.p).sub(&m2_mod_p)
+        };
+        let h = self.qinv.mul_mod(&diff, &self.p);
+        m2.add(&self.q.mul(&h))
+    }
+}
+
+/// One CRT private exponentiation with `N`-limb primes, entirely on the
+/// stack: `m` (at most `2N` limbs) enters each half's Montgomery domain
+/// by multiplication alone, and Garner's `h` is formed inside `p`'s.
+fn crt_exp_fixed<const N: usize>(crt: &CrtParams, m: &BigUint) -> BigUint {
+    let p = FixedMont::new(limbs::<N>(&crt.p));
+    let q = FixedMont::new(limbs::<N>(&crt.q));
+    let wide = m.to_u64_limbs(2 * N);
+    let lo: [u64; N] = limbs_of(&wide[..N]);
+    let hi: [u64; N] = limbs_of(&wide[N..]);
+    // m1 stays in p's domain (as m1·R mod p); m2 leaves q's.
+    let m1_mont = p.pow(&p.to_mont_wide(&lo, &hi), &limbs(&crt.dp));
+    let m2 = q.from_mont(&q.pow(&q.to_mont_wide(&lo, &hi), &limbs(&crt.dq)));
+    // h = (m1 - m2)·qinv mod p: m2 (below q, which may exceed p) enters
+    // p's domain, and multiplying the difference's form by qinv leaves it.
+    let h = p.mul(&p.sub(&m1_mont, &p.to_mont(&m2)), &limbs(&crt.qinv));
+    // s = m2 + q·h < q + q·(p - 1) = n, so 2N limbs hold it.
+    let mut s = [0u64; 2 * MAX_FIXED_LIMBS];
+    mul_add_wide(q.modulus(), &h, &m2, &mut s[..2 * N]);
+    BigUint::from_u64_limbs(&s[..2 * N])
+}
+
+/// `x` (which must fit `N` limbs) as an `N`-limb array.
+fn limbs<const N: usize>(x: &BigUint) -> [u64; N] {
+    limbs_of(&x.to_u64_limbs(N))
+}
+
+/// An `N`-limb slice as an array.
+fn limbs_of<const N: usize>(s: &[u64]) -> [u64; N] {
+    let mut out = [0u64; N];
+    out.copy_from_slice(s);
+    out
+}
+
+/// `out = a·b + c` by schoolbook multiplication into `2N` limbs, which
+/// always hold it: `(R - 1)^2 + (R - 1) < R^2`.
+fn mul_add_wide<const N: usize>(a: &[u64; N], b: &[u64; N], c: &[u64; N], out: &mut [u64]) {
+    out[..N].copy_from_slice(c);
+    out[N..].fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &bj) in b.iter().enumerate() {
+            let s = u128::from(out[i + j]) + u128::from(ai) * u128::from(bj) + carry;
+            out[i + j] = s as u64;
+            carry = s >> 64;
+        }
+        // Rows before this one reached limb i + N - 1 at most.
+        out[i + N] = carry as u64;
+    }
 }
 
 /// An RSA private key.
@@ -238,25 +321,22 @@ impl PrivateKey {
         &self.public
     }
 
-    /// Private exponentiation `m^d mod n`, via CRT when available. Both
-    /// the full-size and half-size exponentiations run in Montgomery form
-    /// (RSA primes are odd, so the context always exists).
+    /// Private exponentiation `m^d mod n`, via CRT when available.
+    ///
+    /// Primes of equal limb count, up to `MAX_FIXED_LIMBS` (which covers
+    /// 512-, 1024- and 2048-bit keys), take the stack-only fixed-width
+    /// kernel: no `BigUint` division and no context kept between calls.
+    /// Other prime pairs take the generic [`Montgomery`] CRT path. Both
+    /// compute the unique CRT representative below `n`, so the output
+    /// bytes do not depend on the path. Without CRT the full-size
+    /// exponentiation runs on [`Montgomery`] (RSA moduli are odd, so the
+    /// context exists).
     fn private_exp(&self, m: &BigUint) -> BigUint {
         let Some(crt) = &self.crt else {
             return m.modpow_montgomery(&self.d, &self.public.n);
         };
-        // Garner's recombination over the two half-size halves.
-        let m1 = m.modpow_montgomery(&crt.dp, &crt.p);
-        let m2 = m.modpow_montgomery(&crt.dq, &crt.q);
-        // h = qinv * (m1 - m2) mod p, computed over non-negative values.
-        let m2_mod_p = m2.rem(&crt.p);
-        let diff = if m1 >= m2_mod_p {
-            m1.sub(&m2_mod_p)
-        } else {
-            m1.add(&crt.p).sub(&m2_mod_p)
-        };
-        let h = crt.qinv.mul_mod(&diff, &crt.p);
-        m2.add(&crt.q.mul(&h))
+        crt.private_exp_fixed(m)
+            .unwrap_or_else(|| crt.private_exp_generic(m))
     }
 
     /// Disables CRT acceleration (testing and benchmarking).
@@ -469,7 +549,7 @@ mod tests {
 #[cfg(test)]
 mod crt_tests {
     use super::*;
-    use crate::prime::XorShiftSource;
+    use crate::prime::{random_below, XorShiftSource};
 
     #[test]
     fn crt_and_plain_signatures_agree() {
@@ -490,6 +570,80 @@ mod crt_tests {
             kp.private.decrypt(&ct).expect("crt"),
             plain.decrypt(&ct).expect("plain")
         );
+    }
+
+    /// `0, 1, 2, p, q, n - 1` and random values below `n`.
+    fn edge_and_random_inputs(kp: &KeyPair, seed: u64) -> Vec<BigUint> {
+        let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
+        let n = &kp.public.n;
+        let mut out = vec![
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from_u64(2),
+            crt.p.clone(),
+            crt.q.clone(),
+            n.sub(&BigUint::one()),
+        ];
+        let mut rng = XorShiftSource::new(seed);
+        out.extend((0..4).map(|_| random_below(n, &mut rng)));
+        out
+    }
+
+    /// The CRT path must agree with the plain exponentiation on
+    /// signatures, decryption and raw private exponentiation.
+    fn assert_crt_matches_plain(kp: &KeyPair, seed: u64) {
+        let plain = kp.private.clone().without_crt();
+        // Keys below 496 bits cannot hold a SHA-256 EMSA encoding.
+        if emsa_pkcs1_v15(b"", kp.public.k).is_ok() {
+            for msg in [b"".as_slice(), b"quote over pcrs", &[0xA5; 200]] {
+                assert_eq!(kp.private.sign(msg), plain.sign(msg), "sign, seed {seed}");
+            }
+        }
+        let mut rng = XorShiftSource::new(seed);
+        let ct = kp.public.encrypt(b"cred", &mut rng).expect("fits");
+        assert_eq!(kp.private.decrypt(&ct), plain.decrypt(&ct));
+        for c in edge_and_random_inputs(kp, seed) {
+            assert_eq!(
+                kp.private.private_exp(&c),
+                plain.private_exp(&c),
+                "{} bits, seed {seed}",
+                kp.public.n.bits()
+            );
+            let bytes = c.to_bytes_be_padded(kp.public.k);
+            assert_eq!(kp.private.decrypt(&bytes), plain.decrypt(&bytes));
+        }
+    }
+
+    /// Whether `kp` takes the fixed-width CRT path.
+    fn takes_fixed_path(kp: &KeyPair) -> bool {
+        let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
+        crt.private_exp_fixed(&BigUint::from_u64(2)).is_some()
+    }
+
+    #[test]
+    fn fixed_crt_matches_plain_at_every_prime_width() {
+        for limbs in 1..=MAX_FIXED_LIMBS {
+            let kp = keypair_from_seed(128 * limbs, limbs as u64);
+            assert!(takes_fixed_path(&kp), "{limbs}-limb primes");
+            assert_crt_matches_plain(&kp, limbs as u64);
+        }
+    }
+
+    #[test]
+    fn fixed_crt_matches_plain_when_primes_leave_top_limb_short() {
+        for bits in [200, 520, 1000] {
+            let kp = keypair_from_seed(bits, bits as u64);
+            assert!(takes_fixed_path(&kp), "{bits}-bit key");
+            assert_crt_matches_plain(&kp, bits as u64);
+        }
+    }
+
+    #[test]
+    fn primes_of_different_widths_take_the_generic_path() {
+        // 257 bits: a 128-bit (2-limb) p and a 129-bit (3-limb) q.
+        let kp = keypair_from_seed(257, 257);
+        assert!(!takes_fixed_path(&kp));
+        assert_crt_matches_plain(&kp, 257);
     }
 
     #[test]

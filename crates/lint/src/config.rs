@@ -8,8 +8,10 @@
 pub struct SecretType {
     /// Type name, e.g. `KeyShare`.
     pub name: String,
-    /// Workspace-relative file that defines it (scopes derive checks).
+    /// Workspace-relative file that defines it (checked by `L2-manifest`).
     pub defined_in: String,
+    /// Line of the entry's `type` key in `secrets.toml`.
+    pub line: u32,
 }
 
 /// A secret-bearing field (`[[secret]] field = "Type.field"`).
@@ -18,6 +20,8 @@ pub struct SecretField {
     pub type_name: String,
     pub field: String,
     pub defined_in: String,
+    /// Line of the entry's `field` key in `secrets.toml`.
+    pub line: u32,
 }
 
 /// Parsed `secrets.toml`.
@@ -58,26 +62,28 @@ impl SecretsManifest {
             Expose,
         }
         let mut section = Section::None;
-        let mut cur_type: Option<String> = None;
-        let mut cur_field: Option<String> = None;
+        // Each key's value with its 1-indexed line.
+        let mut cur_type: Option<(String, u32)> = None;
+        let mut cur_field: Option<(String, u32)> = None;
         let mut cur_defined: Option<String> = None;
         let mut pending_array: Option<String> = None;
 
-        let mut flush = |t: &mut Option<String>,
-                         f: &mut Option<String>,
+        let mut flush = |t: &mut Option<(String, u32)>,
+                         f: &mut Option<(String, u32)>,
                          d: &mut Option<String>|
          -> Result<(), String> {
             let defined = d.take().unwrap_or_default();
-            if let Some(name) = t.take() {
+            if let Some((name, line)) = t.take() {
                 if defined.is_empty() {
                     return Err(format!("secret type {name} needs defined_in"));
                 }
                 m.types.push(SecretType {
                     name,
                     defined_in: defined.clone(),
+                    line,
                 });
             }
-            if let Some(spec) = f.take() {
+            if let Some((spec, line)) = f.take() {
                 let (ty, field) = spec
                     .split_once('.')
                     .ok_or_else(|| format!("field {spec} must be Type.field"))?;
@@ -88,6 +94,7 @@ impl SecretsManifest {
                     type_name: ty.to_string(),
                     field: field.to_string(),
                     defined_in: defined,
+                    line,
                 });
             }
             Ok(())
@@ -125,8 +132,8 @@ impl SecretsManifest {
             let key = key.trim();
             let value = value.trim();
             match (&section, key) {
-                (Section::Secret, "type") => cur_type = Some(unquote(value)?),
-                (Section::Secret, "field") => cur_field = Some(unquote(value)?),
+                (Section::Secret, "type") => cur_type = Some((unquote(value)?, ln as u32 + 1)),
+                (Section::Secret, "field") => cur_field = Some((unquote(value)?, ln as u32 + 1)),
                 (Section::Secret, "defined_in") => cur_defined = Some(unquote(value)?),
                 (Section::Expose, "allow") => {
                     if value.contains(']') {
@@ -255,9 +262,11 @@ allow = [
         let m = SecretsManifest::parse(SAMPLE).expect("parses");
         assert_eq!(m.types.len(), 1);
         assert_eq!(m.types[0].name, "KeyShare");
+        assert_eq!(m.types[0].line, 4);
         assert_eq!(m.fields.len(), 1);
         assert_eq!(m.fields[0].type_name, "TenantPayload");
         assert_eq!(m.fields[0].field, "luks_passphrase");
+        assert_eq!(m.fields[0].line, 8);
         assert_eq!(
             m.expose_allow,
             vec!["crates/crypto/src/secret.rs", "examples/quickstart.rs"]

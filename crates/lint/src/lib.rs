@@ -119,4 +119,13 @@ impl Workspace {
         sort_findings(&mut findings);
         findings
     }
+
+    /// Checks the secret manifest against the loaded files (rule
+    /// `L2-manifest`): each entry's `defined_in` file must be present and
+    /// define the named type, or the struct holding the named field.
+    /// Findings are located in `secrets.toml`, where no `// lint:`
+    /// directive can suppress them.
+    pub fn check_manifest(&self, manifest: &SecretsManifest) -> Vec<Finding> {
+        rules::rule_l2_manifest(&self.files, manifest)
+    }
 }

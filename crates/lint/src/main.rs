@@ -5,7 +5,7 @@
 //! bolted-lint [--root <dir>] [--json <out.json>]
 //! ```
 
-use bolted_lint::{to_json, Config, SecretsManifest, Workspace};
+use bolted_lint::{sort_findings, to_json, Config, SecretsManifest, Workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -61,7 +61,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let findings = ws.analyze(&config);
+    let mut findings = ws.analyze(&config);
+    findings.extend(ws.check_manifest(&config.secrets));
+    sort_findings(&mut findings);
 
     if let Some(path) = json_out {
         if let Some(parent) = path.parent() {

@@ -8,14 +8,17 @@
 //! | `L2-derive`        | secret types never derive/impl `Debug`/`Display`/serialization   |
 //! | `L2-format`        | secret identifiers stay out of format macros and label call sites|
 //! | `L2-expose`        | `.expose(` only in manifest-allowlisted files                    |
+//! | `L2-manifest`      | every `secrets.toml` entry's `defined_in` file defines its item  |
 //! | `L3-uninstrumented`| every service-trait method routes through a gated/counted op     |
 //! | `L3-unknown-op`    | `// lint: op(name)` names a registered op                        |
 //! | `L4-span`          | opened spans are closed, RAII-guarded, or their handle is used   |
 //!
 //! Suppression (`// lint: allow(...)`) is applied by the caller in
 //! [`crate::Workspace::analyze`]; the passes here report raw hits.
+//! `L2-manifest` checks the manifest rather than a source file, so it
+//! runs from [`crate::Workspace::check_manifest`] instead.
 
-use crate::config::Config;
+use crate::config::{Config, SecretsManifest};
 use crate::lexer::Tok;
 use crate::report::Finding;
 use crate::source::{matching, DirectiveKind, SourceFile};
@@ -252,6 +255,74 @@ fn rule_l2_derive(f: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
         }
         i += 1;
     }
+}
+
+/// L2-manifest: every `secrets.toml` entry names an item that its
+/// `defined_in` file defines outside test code — a secret type, or a
+/// struct with the secret field. Findings point at the entry's line in
+/// `secrets.toml`. No other rule reads `defined_in`, so without this
+/// check a type that moves leaves a stale path behind silently.
+pub fn rule_l2_manifest(files: &[SourceFile], manifest: &SecretsManifest) -> Vec<Finding> {
+    let types = manifest
+        .types
+        .iter()
+        .map(|t| (t.line, t.defined_in.as_str(), t.name.as_str(), None));
+    let fields = manifest.fields.iter().map(|f| {
+        let field = Some(f.field.as_str());
+        (f.line, f.defined_in.as_str(), f.type_name.as_str(), field)
+    });
+    let mut out = Vec::new();
+    for (line, defined_in, ty, field) in types.chain(fields) {
+        let item = match field {
+            Some(field) => format!("`{ty}.{field}`"),
+            None => format!("`{ty}`"),
+        };
+        let message = match files.iter().find(|f| f.path == defined_in) {
+            None => {
+                format!("secret {item}: defined_in `{defined_in}` is not a scanned source file")
+            }
+            Some(f) if !defines(f, ty, field) => {
+                format!("secret {item} is not defined in `{defined_in}`")
+            }
+            Some(_) => continue,
+        };
+        out.push(Finding::new("L2-manifest", "secrets.toml", line, message));
+    }
+    out
+}
+
+/// True when `f` defines the item `ty` outside test code — with `field`,
+/// a struct `ty` whose braced body declares `field: …`.
+fn defines(f: &SourceFile, ty: &str, field: Option<&str>) -> bool {
+    let toks = &f.tokens;
+    (1..toks.len()).any(|i| {
+        if f.test_mask[i] || !toks[i].is_ident(ty) {
+            return false;
+        }
+        let Some(field) = field else {
+            return toks[i - 1]
+                .ident()
+                .is_some_and(|kw| ["struct", "enum", "union", "type", "trait"].contains(&kw));
+        };
+        if !toks[i - 1].is_ident("struct") {
+            return false;
+        }
+        // The body is the first `{` before any `;`: unit and tuple
+        // structs have no named fields.
+        let Some(open) = (i..toks.len()).find(|&k| toks[k].is_punct('{') || toks[k].is_punct(';'))
+        else {
+            return false;
+        };
+        if !toks[open].is_punct('{') {
+            return false;
+        }
+        let Some(close) = matching(toks, open, '{', '}') else {
+            return false;
+        };
+        toks[open..close]
+            .windows(3)
+            .any(|w| w[0].is_ident(field) && w[1].is_punct(':') && !w[2].is_punct(':'))
+    })
 }
 
 /// L2b: secret identifiers must not flow into format macros (as

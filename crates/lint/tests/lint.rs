@@ -307,6 +307,85 @@ mod tests {
     assert!(analyze(&[("crates/core/src/x.rs", in_test)]).is_empty());
 }
 
+#[test]
+fn l2_manifest_flags_entries_their_file_does_not_define() {
+    let manifest = SecretsManifest::parse(
+        r#"
+[[secret]]
+type = "FixedMont"
+defined_in = "crates/crypto/src/prime.rs"
+
+[[secret]]
+type = "FixedMont"
+defined_in = "crates/crypto/src/montgomery.rs"
+
+[[secret]]
+type = "KeyShare"
+defined_in = "crates/keylime/src/gone.rs"
+
+[[secret]]
+field = "TenantPayload.luks_passphrase"
+defined_in = "crates/keylime/src/payload.rs"
+
+[[secret]]
+field = "TenantPayload.passphrase"
+defined_in = "crates/keylime/src/payload.rs"
+
+[[secret]]
+field = "KeyShare.share"
+defined_in = "crates/keylime/src/share.rs"
+"#,
+    )
+    .expect("fixture manifest parses");
+    let mut ws = Workspace::new();
+    // After a move: prime.rs only uses the type; a test-only definition
+    // does not count either.
+    ws.add_file(
+        "crates/crypto/src/prime.rs",
+        "\
+use crate::montgomery::FixedMont;
+fn f(ctx: &FixedMont<4>) {}
+#[cfg(test)]
+mod tests {
+    struct FixedMont;
+}
+",
+    );
+    ws.add_file(
+        "crates/crypto/src/montgomery.rs",
+        "pub(crate) struct FixedMont<const N: usize> { n: [u64; N] }\n",
+    );
+    ws.add_file(
+        "crates/keylime/src/payload.rs",
+        "\
+pub struct TenantPayload {
+    pub luks_passphrase: Secret<Vec<u8>>,
+    pub kind: std::string::String,
+}
+fn passphrase() {}
+",
+    );
+    // A tuple struct has no named fields, even when a later item does.
+    ws.add_file(
+        "crates/keylime/src/share.rs",
+        "\
+pub struct KeyShare(Vec<u8>);
+pub struct Other { pub share: u8 }
+",
+    );
+    let findings = ws.check_manifest(&manifest);
+    assert_eq!(
+        hits(&findings, "L2-manifest"),
+        vec![
+            ("secrets.toml".to_string(), 3),
+            ("secrets.toml".to_string(), 11),
+            ("secrets.toml".to_string(), 19),
+            ("secrets.toml".to_string(), 23),
+        ]
+    );
+    assert!(findings[1].message.contains("not a scanned source file"));
+}
+
 // ---------------------------------------------------------------- L3
 
 const FIXTURE_SERVICES: &str = "\
@@ -425,7 +504,8 @@ fn the_workspace_tree_is_clean() {
     let mut config = Config::bolted();
     let manifest = std::fs::read_to_string(root.join("secrets.toml")).expect("secrets.toml");
     config.secrets = SecretsManifest::parse(&manifest).expect("manifest parses");
-    let findings = ws.analyze(&config);
+    let mut findings = ws.analyze(&config);
+    findings.extend(ws.check_manifest(&config.secrets));
     assert!(
         findings.is_empty(),
         "bolted-lint found violations in the tree:\n{}",
