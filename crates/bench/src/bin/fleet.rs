@@ -109,13 +109,16 @@ fn main() {
     let _ = writeln!(json, "  \"runs\": [");
     for (i, r) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
+        // A speedup is only claimed where every worker has a core.
+        let speedup = if r.workers <= max {
+            format!(", \"speedup_vs_1\": {:.2}", r.nodes_per_second / base)
+        } else {
+            String::new()
+        };
         let _ = writeln!(
             json,
-            "    {{\"workers\": {}, \"wall_seconds\": {:.3}, \"nodes_per_second\": {:.1}, \"speedup_vs_1\": {:.2}}}{comma}",
-            r.workers,
-            r.wall_seconds,
-            r.nodes_per_second,
-            r.nodes_per_second / base,
+            "    {{\"workers\": {}, \"wall_seconds\": {:.3}, \"nodes_per_second\": {:.1}{speedup}}}{comma}",
+            r.workers, r.wall_seconds, r.nodes_per_second,
         );
     }
     let _ = writeln!(json, "  ]");

@@ -105,6 +105,9 @@ fn main() {
     let _ = writeln!(json, "  \"total_tenants\": {},", spec.total_tenants());
     let _ = writeln!(json, "  \"epochs\": {},", spec.epochs);
     let _ = writeln!(json, "  \"seed\": {},", spec.seed);
+    // Pool sizes beyond `cores` timeshare: they show digest stability,
+    // not scaling.
+    let _ = writeln!(json, "  \"cores\": {},", bolted_sim::max_workers());
     let _ = writeln!(json, "  \"converged\": {},", report.converged());
     let _ = writeln!(json, "  \"isolation_violations\": {},", violations.len());
     for name in [

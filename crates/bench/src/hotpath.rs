@@ -2,7 +2,7 @@
 //!
 //! Measures the optimised kernels — modular exponentiation,
 //! RSA-verify-shaped modpow, SHA-256 compression, multi-buffer SHA-256,
-//! LUKS sector encryption, RSA prime search and RSA CRT signing — each
+//! LUKS sector encryption, RSA key generation and RSA CRT signing — each
 //! against an in-repo "before" reference (the legacy `BigUint::modpow`,
 //! a rolled SHA-256 compression loop, single-stream hashing, the
 //! single-stream ChaCha20 sector path, the generic-`Montgomery`
@@ -282,7 +282,8 @@ fn sector_xor_streamed(key: &Key, nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
 /// here as the keygen baseline: `BigUint` trial division, then a
 /// generic [`Montgomery`] context per candidate, with `n-1 = d·2^r`
 /// re-split and `x` leaving the Montgomery domain on every round. It
-/// draws the same candidates and bases, so it returns the same primes.
+/// draws the same candidates (top two bits and low bit set) and bases,
+/// so it returns the same primes.
 fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
     const SMALL_PRIMES: [u64; 54] = [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
@@ -334,20 +335,18 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
         let top_bit = (bits - 1) % 8;
         buf[0] &= ((1u16 << (top_bit + 1)) - 1) as u8;
         buf[0] |= 1 << top_bit;
+        if top_bit == 0 {
+            buf[1] |= 0x80;
+        } else {
+            buf[0] |= 1 << (top_bit - 1);
+        }
         let last = buf.len() - 1;
         buf[last] |= 1;
         let candidate = BigUint::from_bytes_be(&buf);
-        if candidate.bits() == bits && is_prime(&candidate, rng) {
+        if is_prime(&candidate, rng) {
             return candidate;
         }
     }
-}
-
-/// The two 256-bit primes of the 512-bit RSA key for `seed`, drawn as
-/// `keypair_from_seed` draws them, with the given prime search.
-fn key_primes_512(seed: u64, search: fn(usize, &mut dyn RandomSource) -> BigUint) -> [BigUint; 2] {
-    let mut rng = XorShiftSource::new(seed);
-    [search(256, &mut rng), search(256, &mut rng)]
 }
 
 /// A 512-bit RSA private key as the generic CRT signer sees it, rebuilt
@@ -363,15 +362,16 @@ struct GenericCrtKey {
 }
 
 impl GenericCrtKey {
-    /// The key `keypair_from_seed(512, seed)` returns: the same prime
-    /// draws and the same retry conditions as `generate_keypair`.
-    fn from_seed(seed: u64) -> GenericCrtKey {
+    /// The key `keypair_from_seed(512, seed)` returns, found with the
+    /// given prime search: the same prime draws, retry conditions, `modinv`
+    /// calls and CRT parameters as `generate_keypair`.
+    fn from_seed(seed: u64, search: fn(usize, &mut dyn RandomSource) -> BigUint) -> GenericCrtKey {
         let mut rng = XorShiftSource::new(seed);
         let one = BigUint::one();
         let e = BigUint::from_u64(65537);
         loop {
-            let p = gen_prime(256, &mut rng);
-            let q = gen_prime(256, &mut rng);
+            let p = search(256, &mut rng);
+            let q = search(256, &mut rng);
             if p == q || p.mul(&q).bits() != 512 {
                 continue;
             }
@@ -601,15 +601,18 @@ pub fn run(effort: Effort) -> Vec<Record> {
         Some(disk.len() as u64),
     );
 
-    // --- RSA key generation: the prime search of a 512-bit key -------
+    // --- RSA key generation: one whole 512-bit key ------------------
     // Per-key cost varies several-fold with how far the search walks,
-    // so every batch covers the same seeds for both variants.
+    // so every batch covers the same seeds for both variants. Each key
+    // is the whole `generate_keypair` loop: primes, length check,
+    // `modinv` and CRT parameters.
+    let quote = b"pcr composite || nonce";
     let keys = effort.pick(16u64, 8, 4);
     for seed in 1..=keys {
         assert_eq!(
-            key_primes_512(seed, gen_prime_generic),
-            key_primes_512(seed, gen_prime),
-            "prime search cross-check, seed {seed}"
+            GenericCrtKey::from_seed(seed, gen_prime_generic).sign(quote),
+            keypair_from_seed(512, seed).private.sign(quote),
+            "key generation cross-check, seed {seed}"
         );
     }
     let rounds = effort.pick(8, 2, 1);
@@ -619,12 +622,12 @@ pub fn run(effort: Effort) -> Vec<Record> {
         1,
         || {
             for seed in 1..=keys {
-                std::hint::black_box(key_primes_512(seed, gen_prime_generic));
+                std::hint::black_box(GenericCrtKey::from_seed(seed, gen_prime_generic));
             }
         },
         || {
             for seed in 1..=keys {
-                std::hint::black_box(key_primes_512(seed, gen_prime));
+                std::hint::black_box(keypair_from_seed(512, seed));
             }
         },
     );
@@ -641,9 +644,11 @@ pub fn run(effort: Effort) -> Vec<Record> {
 
     // --- RSA signing: one 512-bit quote signature -------------------
     let seeds = 1..=4u64;
-    let generic_keys: Vec<GenericCrtKey> = seeds.clone().map(GenericCrtKey::from_seed).collect();
+    let generic_keys: Vec<GenericCrtKey> = seeds
+        .clone()
+        .map(|s| GenericCrtKey::from_seed(s, gen_prime))
+        .collect();
     let fixed_keys: Vec<_> = seeds.map(|s| keypair_from_seed(512, s).private).collect();
-    let quote = b"pcr composite || nonce";
     for (g, f) in generic_keys.iter().zip(&fixed_keys) {
         assert_eq!(g.sign(quote), f.sign(quote), "CRT signing cross-check");
     }

@@ -326,26 +326,39 @@ pub fn random_below(bound: &BigUint, rng: &mut dyn RandomSource) -> BigUint {
     }
 }
 
-/// Generates a random prime with exactly `bits` bits.
+/// Generates a random prime of exactly `bits` bits with its top two
+/// bits set, so it lies in `[3·2^(bits−2), 2^bits)`.
+///
+/// Each candidate is drawn with its two top bits and its low bit forced
+/// (OpenSSL's `BN_RAND_TOP_TWO` odd draw). The range's floor of
+/// `1.5·2^(bits−1)` clears FIPS 186-5's `p, q ≥ √2·2^(bits−1)`, and it
+/// makes the product of any two such primes at least `2.25·2^(a+b−2)`,
+/// a full `a + b` bits: an RSA key's first prime pair always yields a
+/// modulus of the requested length, and no prime search is discarded.
 ///
 /// # Panics
 ///
 /// Panics if `bits < 8`.
 pub fn gen_prime(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
     assert!(bits >= 8, "prime size too small");
+    let mut buf = vec![0u8; bits.div_ceil(8)];
     loop {
-        let byte_len = bits.div_ceil(8);
-        let mut buf = vec![0u8; byte_len];
         rng.fill_bytes(&mut buf);
-        // Force exact bit length and oddness.
+        // Clear the bits above `bits`, then set bits `bits − 1` and
+        // `bits − 2` and the low bit. When `bits ≡ 1 (mod 8)` the
+        // second bit is the top bit of `buf[1]`.
         let top_bit = (bits - 1) % 8;
-        let mask = ((1u16 << (top_bit + 1)) - 1) as u8;
-        buf[0] &= mask;
+        buf[0] &= ((1u16 << (top_bit + 1)) - 1) as u8;
         buf[0] |= 1 << top_bit;
+        if top_bit == 0 {
+            buf[1] |= 0x80;
+        } else {
+            buf[0] |= 1 << (top_bit - 1);
+        }
         let last = buf.len() - 1;
         buf[last] |= 1;
         let candidate = BigUint::from_bytes_be(&buf);
-        if candidate.bits() == bits && is_prime(&candidate, rng) {
+        if is_prime(&candidate, rng) {
             return candidate;
         }
     }
@@ -410,10 +423,13 @@ mod tests {
 
     #[test]
     fn gen_prime_has_exact_bits_and_is_prime() {
+        // Every size from 8 bits, including those of the form 8k + 1,
+        // where the second bit is the top bit of the second byte.
         let mut r = rng();
-        for bits in [16usize, 32, 64, 128] {
+        for bits in 8usize..=130 {
             let p = gen_prime(bits, &mut r);
             assert_eq!(p.bits(), bits, "requested {bits} bits");
+            assert_eq!(p.shr(bits - 2), n(3), "top two bits of {bits}-bit prime");
             assert!(p.is_odd());
             assert!(is_prime(&p, &mut r));
         }

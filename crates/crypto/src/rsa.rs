@@ -209,6 +209,8 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
             continue;
         }
         let n = p.mul(&q);
+        // Unreachable guard: `gen_prime` sets both top bits of each
+        // prime, so `p·q ≥ 1.125·2^(bits−1)` always has `bits` bits.
         if n.bits() != bits {
             continue;
         }
@@ -644,6 +646,27 @@ mod crt_tests {
         let kp = keypair_from_seed(257, 257);
         assert!(!takes_fixed_path(&kp));
         assert_crt_matches_plain(&kp, 257);
+    }
+
+    #[test]
+    fn first_prime_pair_is_always_accepted() {
+        for bits in [512, 1024, 2048, 520, 1000] {
+            for seed in 1..=2 {
+                let mut rng = XorShiftSource::new(seed);
+                let mut probe = rng.clone();
+                let p = gen_prime(bits / 2, &mut probe);
+                let q = gen_prime(bits - bits / 2, &mut probe);
+                let kp = generate_keypair(bits, &mut rng);
+                let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
+                assert_eq!((&crt.p, &crt.q), (&p, &q), "{bits} bits, seed {seed}");
+                assert_eq!(kp.public.n.bits(), bits);
+                // Both primes lie in [3·2^(k−2), 2^k).
+                for (prime, k) in [(&p, bits / 2), (&q, bits - bits / 2)] {
+                    assert_eq!(prime.bits(), k, "{bits} bits");
+                    assert_eq!(prime.shr(k - 2), BigUint::from_u64(3), "{bits} bits");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Byte-identity pins for RSA key generation.
 //!
 //! Every TPM identity in the simulation (EKs, AIKs) comes out of
-//! `keypair_from_seed`, so the fleet, reconcile and scenario digests all
-//! depend on the exact primes the prime search returns. These pins hash
-//! the public-key fingerprints of a run of seeds; a change to the
-//! primality kernel, the candidate search or the RNG consumption of the
-//! random Miller–Rabin bases shows up here first.
+//! `keypair_from_seed`. The fleet, reconcile and scenario digests hash
+//! spans, metrics and outcomes, never key bytes, so these pins are what
+//! fix the exact primes the prime search returns. They hash the
+//! public-key fingerprints of a run of seeds; a change to the primality
+//! kernel, the candidate range or search, or the RNG consumption of the
+//! random Miller–Rabin bases shows up here.
 
 use bolted_crypto::{keypair_from_seed, sha256};
 
@@ -27,7 +28,7 @@ fn fingerprint_digest(bits: usize, seeds: std::ops::RangeInclusive<u64>) -> Stri
 fn keygen_512_fingerprints_are_pinned() {
     assert_eq!(
         fingerprint_digest(512, 1..=64),
-        "bd5f6be8a6099b9f962ad44cd25395c5d1de837eb2d1bd1dd237efe88ff13e54"
+        "3f6e41198eebc564e9e126fa6cae1dd48c6943e0d9e56073b52d26ee19dca714"
     );
 }
 
@@ -35,6 +36,6 @@ fn keygen_512_fingerprints_are_pinned() {
 fn keygen_1024_fingerprints_are_pinned() {
     assert_eq!(
         fingerprint_digest(1024, 1..=8),
-        "3e3ae28a52236804bc64296d706413f0c622018d139c9ca78c2581f1feeacdaf"
+        "48b2639fea1a32dc28faa0a42845b03746188828d2120408984083322310a881"
     );
 }
