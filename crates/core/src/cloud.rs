@@ -8,7 +8,7 @@ use bolted_hil::{BmcError, BmcOps, Hil, NodeId};
 use bolted_net::{Fabric, LinkModel, SwitchId};
 use bolted_sim::fault::{ops, FaultPlan, Faults};
 use bolted_sim::lock;
-use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans, Tracer};
+use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans};
 use bolted_storage::{Cluster, Gateway, ImageStore};
 use std::sync::{Arc, Mutex};
 
@@ -144,8 +144,6 @@ pub struct Cloud {
     /// The provider's single HTTP server for boot artifacts (iPXE,
     /// Heads, agent, kernels) — a shared, serialising resource.
     pub http: Resource,
-    /// Event trace.
-    pub tracer: Tracer,
     /// Structured span recorder (phase timings, key-material events).
     pub spans: Spans,
     /// Metrics registry (retry/fault counters, op counts, phase histograms).
@@ -167,7 +165,6 @@ impl Cloud {
         let store = ImageStore::new(&cluster);
         let gateway = Gateway::new(sim);
         let bmi = Bmi::new(sim, &store, &gateway);
-        let tracer = Tracer::new();
         let spans = Spans::new();
         let metrics = Metrics::new();
         let faults = Faults::new(config.faults.clone());
@@ -236,7 +233,6 @@ impl Cloud {
             bmi,
             airlock: Resource::new(sim, config.airlocks.max(1)),
             http: Resource::new(sim, 1),
-            tracer,
             spans,
             metrics,
             faults,

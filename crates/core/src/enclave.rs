@@ -287,13 +287,11 @@ mod tests {
         n: usize,
     ) -> Enclave {
         let nodes: Vec<_> = cloud.nodes().into_iter().take(n).collect();
-        let members = tenant
-            .provision_fleet(&nodes, &SecurityProfile::charlie(), golden)
-            .await
-            .into_iter()
-            .map(|r| r.expect("provisions"))
-            .collect();
-        Enclave::form(cloud, members)
+        let report = tenant
+            .provision_fleet_report(&nodes, &SecurityProfile::charlie(), golden)
+            .await;
+        assert!(report.failed.is_empty(), "provisions: {:?}", report.failed);
+        Enclave::form(cloud, report.succeeded)
     }
 
     #[test]
@@ -392,13 +390,11 @@ mod plain_enclave_tests {
             let (tenant, cloud) = (tenant.clone(), cloud.clone());
             async move {
                 let nodes = cloud.nodes();
-                let members = tenant
-                    .provision_fleet(&nodes, &SecurityProfile::bob(), golden)
-                    .await
-                    .into_iter()
-                    .map(|r| r.expect("provisions"))
-                    .collect();
-                Enclave::form(&cloud, members)
+                let report = tenant
+                    .provision_fleet_report(&nodes, &SecurityProfile::bob(), golden)
+                    .await;
+                assert!(report.failed.is_empty(), "provisions: {:?}", report.failed);
+                Enclave::form(&cloud, report.succeeded)
             }
         });
         assert!(!enclave.encrypted, "bob's psk is empty");

@@ -583,11 +583,6 @@ impl Tenant {
         let id = spans.event(sim, "tenant", "abandon", name);
         spans.attr(id, "node", node.0.to_string());
         spans.attr(id, "cause", cause);
-        self.env.tracer.record(
-            sim,
-            "tenant",
-            format!("{name} ABANDONED (infrastructure fault)"),
-        );
     }
 
     /// Runs `op` under the tenant's retry policy, retrying only errors
@@ -729,11 +724,6 @@ impl Tenant {
             target: None,
         };
         let started = sim.now();
-        self.env.tracer.record(
-            &sim,
-            "tenant",
-            format!("provision {name} [{}]", profile.name),
-        );
 
         for def in PIPELINE {
             match def.span {
@@ -749,11 +739,6 @@ impl Tenant {
         }
 
         let finished = sim.now();
-        self.env.tracer.record(
-            &sim,
-            "tenant",
-            format!("{name} provisioned in {}", finished.since(started)),
-        );
         Ok(ProvisionedNode {
             node,
             machine: cx.machine,
@@ -1047,11 +1032,6 @@ impl Tenant {
                         self.services.isolation.free_node(&self.project, cx.node)?;
                         self.services.isolation.quarantine(cx.node);
                         let _ = self.services.provisioning.release(image, false);
-                        self.env.tracer.record(
-                            &sim,
-                            "tenant",
-                            format!("{} REJECTED: {reason}", cx.name),
-                        );
                         return Err(ProvisionError::Rejected(reason));
                     }
                 }
@@ -1183,15 +1163,15 @@ impl Tenant {
     /// await-loop. Firmware boot, downloads and kernel boot all overlap
     /// in simulated time; only the attestation window itself stays
     /// serialised by the airlock semaphore (§7.3: "attestation for
-    /// provisioning is currently serialized"). Results come back in
-    /// input order, one per node, so callers can zip them against
-    /// `nodes`.
-    pub async fn provision_fleet(
+    /// provisioning is currently serialized"). The per-node results are
+    /// split into a report of successes and failures, each in input
+    /// order.
+    pub async fn provision_fleet_report(
         &self,
         nodes: &[NodeId],
         profile: &SecurityProfile,
         golden: ImageId,
-    ) -> Vec<Result<ProvisionedNode, ProvisionError>> {
+    ) -> FleetReport {
         let sim = self.env.sim().clone();
         let handles: Vec<_> = nodes
             .iter()
@@ -1201,21 +1181,9 @@ impl Tenant {
                 sim.spawn(async move { tenant.provision(node, &profile, golden).await })
             })
             .collect();
-        join_all(handles).await
-    }
-
-    /// As [`Tenant::provision_fleet`], but splits the per-node results
-    /// into a structured report of successes and failures.
-    pub async fn provision_fleet_report(
-        &self,
-        nodes: &[NodeId],
-        profile: &SecurityProfile,
-        golden: ImageId,
-    ) -> FleetReport {
-        let results = self.provision_fleet(nodes, profile, golden).await;
         let mut succeeded = Vec::new();
         let mut failed = Vec::new();
-        for (&node, result) in nodes.iter().zip(results) {
+        for (&node, result) in nodes.iter().zip(join_all(handles).await) {
             match result {
                 Ok(p) => succeeded.push(p),
                 Err(error) => failed.push(FleetFailure {
@@ -1330,15 +1298,6 @@ impl Tenant {
         }
         sim.sleep(calib.kernel_boot_cpu).await;
         timer.mark("kernel-boot");
-        self.env.tracer.record(
-            &sim,
-            "tenant",
-            format!(
-                "warm restart of {} in {}",
-                pnode.report.node,
-                sim.now().since(started)
-            ),
-        );
         Ok(ProvisionReport {
             node: pnode.report.node.clone(),
             profile: format!("{}-warm-restart", profile.name),
@@ -1370,11 +1329,6 @@ impl Tenant {
             .provisioning
             .release(pnode.image, keep_volume)?;
         pnode.lifecycle.transition(sim, NodeState::Free)?;
-        self.env.tracer.record(
-            sim,
-            "tenant",
-            format!("released node {}", pnode.report.node),
-        );
         Ok(pnode.lifecycle)
     }
 }
@@ -1520,30 +1474,29 @@ mod tests {
             let g = golden(&cloud);
             let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
             let nodes = cloud.nodes();
-            let results = sim.block_on({
+            sim.block_on({
                 let sim = sim.clone();
                 async move {
                     let t0 = sim.now();
-                    let results = if fleet {
+                    let ok = if fleet {
                         tenant
-                            .provision_fleet(&nodes, &SecurityProfile::charlie(), g)
+                            .provision_fleet_report(&nodes, &SecurityProfile::charlie(), g)
                             .await
+                            .succeeded
+                            .iter()
+                            .filter(|p| p.agent.is_some())
+                            .count()
                     } else {
-                        let mut out = Vec::new();
+                        let mut ok = 0;
                         for &n in &nodes {
-                            out.push(tenant.provision(n, &SecurityProfile::charlie(), g).await);
+                            let r = tenant.provision(n, &SecurityProfile::charlie(), g).await;
+                            ok += usize::from(r.is_ok_and(|p| p.agent.is_some()));
                         }
-                        out
+                        ok
                     };
-                    (sim.now().since(t0).as_secs_f64(), results)
+                    (sim.now().since(t0).as_secs_f64(), ok)
                 }
-            });
-            let ok = results
-                .1
-                .iter()
-                .filter(|r| r.as_ref().is_ok_and(|p| p.agent.is_some()))
-                .count();
-            (results.0, ok)
+            })
         };
         let (t_seq, ok_seq) = elapsed(false);
         let (t_fleet, ok_fleet) = elapsed(true);

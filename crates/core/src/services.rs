@@ -29,7 +29,7 @@ use bolted_keylime::{
     Agent, AttestOutcome, ImaWhitelist, KeyShare, RegisterError, Registrar, Verifier,
     VerifierConfig,
 };
-use bolted_sim::{CallEnv, Resource, Sim, Tracer};
+use bolted_sim::{CallEnv, Resource, Sim};
 use bolted_storage::{ImageId, IscsiTarget, Transport};
 
 use crate::calib::Calibration;
@@ -394,16 +394,14 @@ impl Services {
 }
 
 /// The ambient pieces of a tenant's world that are not service calls:
-/// virtual time, calibration, the instrumented call envelope, tracing
-/// and the two shared queueing resources.
+/// virtual time, calibration, the instrumented call envelope and the
+/// two shared queueing resources.
 #[derive(Clone)]
 pub struct TenantEnv {
     /// Measured phase durations driving every sleep.
     pub calib: Calibration,
     /// The single fault/retry/span/metrics envelope for service calls.
     pub call: CallEnv,
-    /// Human-readable event trace.
-    pub tracer: Tracer,
     /// The provisioning-network HTTP server (boot artifact downloads).
     pub http: Resource,
     /// The airlock bottleneck (paper §4.1: limited airlock slots).
@@ -420,7 +418,6 @@ impl TenantEnv {
         TenantEnv {
             calib: cloud.calib.clone(),
             call,
-            tracer: cloud.tracer.clone(),
             http: cloud.http.clone(),
             airlock: cloud.airlock.clone(),
         }

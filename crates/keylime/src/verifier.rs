@@ -17,11 +17,9 @@ use bolted_sim::lock;
 use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
 use bolted_sim::fault::{mix_seed, ops, Faults};
-use bolted_sim::{
-    channel, join_all, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimDuration, SimTime,
-};
-use bolted_sim::{CallEnv, Metrics, RetryError, RetryPolicy, SpanId, Spans};
-use bolted_tpm::{index, PcrBank, Quote, TpmError};
+use bolted_sim::{channel, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimDuration, SimTime};
+use bolted_sim::{CallEnv, Metrics, RetryError, RetryPolicy, Spans};
+use bolted_tpm::{index, PcrBank, TpmError};
 
 use crate::agent::{Agent, AttestationEvidence};
 use crate::ima::ImaWhitelist;
@@ -49,12 +47,6 @@ pub struct VerifierConfig {
     /// Retry discipline for the quote round-trip (dropped RPCs under a
     /// fault plan are retried with backoff; agent rejections are not).
     pub retry: RetryPolicy,
-    /// Worker-thread count for the batch quote-signature pool (the
-    /// `parallel-verify` feature); `None` uses the host's parallelism.
-    /// The pool's chunking is a fixed constant either way — the worker
-    /// count only affects which thread runs a chunk, never the results
-    /// or any accounting derived from them.
-    pub batch_workers: Option<usize>,
     /// Verification capacity: how many quote verifications the verifier
     /// can run concurrently (FIFO beyond that). `None` models unbounded
     /// capacity — every round charges `verify_cost` with no queueing —
@@ -79,7 +71,6 @@ impl Default for VerifierConfig {
                 index::IMA,
             ],
             retry: RetryPolicy::default(),
-            batch_workers: None,
             verify_slots: None,
         }
     }
@@ -211,18 +202,6 @@ impl AikCache {
         inner.keys.remove(node_id);
         *inner.epochs.entry(node_id.to_string()).or_insert(0) += 1;
     }
-}
-
-/// Evidence collected from an agent, awaiting verification — the output
-/// of the network/quote half of an attestation round.
-struct PendingAttest {
-    node_id: String,
-    agent: Agent,
-    nonce: [u8; 32],
-    selection: Vec<usize>,
-    evidence: AttestationEvidence,
-    /// The open `quote-verify` span, closed when the verdict lands.
-    span: SpanId,
 }
 
 /// The Cloud Verifier service (tenant-deployable).
@@ -373,22 +352,6 @@ impl Verifier {
         selection: &[usize],
         evidence: &AttestationEvidence,
     ) -> Result<(), String> {
-        self.verify_evidence_inner(node_id, nonce, selection, evidence, None)
-    }
-
-    /// As [`Verifier::verify_evidence`], but the RSA quote-signature check
-    /// may have been precomputed (on a worker thread by
-    /// [`Verifier::attest_many`]); `None` means check it here. The check
-    /// *order* is identical either way, so failure reasons — and therefore
-    /// [`AttestOutcome`]s — match the sequential path exactly.
-    fn verify_evidence_inner(
-        &self,
-        node_id: &str,
-        nonce: &[u8; 32],
-        selection: &[usize],
-        evidence: &AttestationEvidence,
-        precomputed_sig: Option<bool>,
-    ) -> Result<(), String> {
         if !lock(&self.inner).nodes.contains_key(node_id) {
             return Err("unknown node".into());
         }
@@ -397,7 +360,7 @@ impl Verifier {
             .certified_aik_cached(node_id)
             .ok_or("AIK not certified by registrar")?;
         // 2. Signature and freshness.
-        let mut sig_ok = precomputed_sig.unwrap_or_else(|| evidence.quote.verify(&aik));
+        let mut sig_ok = evidence.quote.verify(&aik);
         if !sig_ok {
             // The node may have re-registered with a fresh AIK since the
             // cache entry was filled (remediation reboot, warm restart):
@@ -469,27 +432,10 @@ impl Verifier {
     /// Runs one attestation round against a node, charging quote,
     /// network and verification time. `continuous` selects the PCR set.
     pub async fn attest_once(&self, node_id: &str, continuous: bool) -> AttestOutcome {
-        match self.collect_evidence(node_id, continuous).await {
-            Ok(pending) => self.finish_attest(pending, None).await,
-            Err(outcome) => outcome,
-        }
-    }
-
-    /// Network/quote half of an attestation round: nonce, RTTs, the
-    /// agent's quote, and the verification CPU budget. Agent failures are
-    /// recorded (and broadcast) here so the concurrent and sequential
-    /// paths fail identically. An `Err` is the round's final outcome:
-    /// `Failed` for protocol-level rejections, `Unreachable` when the
-    /// quote RPC itself gave out.
-    async fn collect_evidence(
-        &self,
-        node_id: &str,
-        continuous: bool,
-    ) -> Result<PendingAttest, AttestOutcome> {
         let (agent, selection) = {
             let inner = lock(&self.inner);
             let Some(node) = inner.nodes.get(node_id) else {
-                return Err(AttestOutcome::Failed("unknown node".into()));
+                return AttestOutcome::Failed("unknown node".into());
             };
             let sel = if continuous {
                 self.config.continuous_selection.clone()
@@ -500,9 +446,9 @@ impl Verifier {
         };
         let nonce = self.fresh_nonce();
         let spans = self.env.spans();
-        // The round's quote-verify span stays open until the verdict in
-        // finish_attest, so key-material release is provably ordered
-        // after its close.
+        // The round's quote-verify span stays open until the verdict
+        // below, so key-material release is provably ordered after its
+        // close.
         let span = spans.begin(self.sim(), "keylime", "quote-verify", node_id);
         // The quote round-trip [rtt → RPC → rtt] can be dropped by the
         // fault plan; dropped rounds retry with backoff. Agent *errors*
@@ -560,7 +506,7 @@ impl Verifier {
                 spans.end(self.sim(), span);
                 self.fail_node(node_id, &reason);
                 self.broadcast_revocation(node_id, &reason).await;
-                return Err(AttestOutcome::Failed(reason));
+                return AttestOutcome::Failed(reason);
             }
             Err(e) => {
                 // Exhausted/timed out on injected drops: infrastructure
@@ -569,9 +515,9 @@ impl Verifier {
                 // with an unreachable node.
                 spans.attr(span, "outcome", "rpc-fault");
                 spans.end(self.sim(), span);
-                return Err(AttestOutcome::Unreachable {
+                return AttestOutcome::Unreachable {
                     attempts: e.attempts(),
-                });
+                };
             }
         };
         // Verification CPU budget. Under bounded capacity the round
@@ -582,34 +528,8 @@ impl Verifier {
             Some(slots) => slots.visit(self.config.verify_cost).await,
             None => self.sim().sleep(self.config.verify_cost).await,
         }
-        Ok(PendingAttest {
-            node_id: node_id.to_string(),
-            agent,
-            nonce,
-            selection,
-            evidence,
-            span,
-        })
-    }
-
-    /// Verdict half of an attestation round: evidence checks, node state
-    /// update, first-success payload delivery or revocation broadcast.
-    async fn finish_attest(
-        &self,
-        pending: PendingAttest,
-        precomputed_sig: Option<bool>,
-    ) -> AttestOutcome {
-        let PendingAttest {
-            node_id,
-            agent,
-            nonce,
-            selection,
-            evidence,
-            span,
-        } = pending;
-        let spans = self.env.spans();
         let metrics = self.env.metrics();
-        match self.verify_evidence_inner(&node_id, &nonce, &selection, &evidence, precomputed_sig) {
+        match self.verify_evidence(node_id, &nonce, &selection, &evidence) {
             Ok(()) => {
                 // Close the span at the verdict — strictly before any key
                 // material moves, so span ordering proves the invariant.
@@ -617,11 +537,11 @@ impl Verifier {
                 spans.end(self.sim(), span);
                 metrics.inc(
                     "quote_verdicts",
-                    &[("target", &node_id), ("outcome", "trusted")],
+                    &[("target", node_id), ("outcome", "trusted")],
                 );
                 let deliver = {
                     let mut inner = lock(&self.inner);
-                    inner.nodes.get_mut(&node_id).and_then(|node| {
+                    inner.nodes.get_mut(node_id).and_then(|node| {
                         // Revocation is sticky: a concurrent round may
                         // have failed this node between our verification
                         // and this update, and a late success must not
@@ -645,8 +565,8 @@ impl Verifier {
                     self.sim().sleep(t + self.config.rtt).await;
                     // The guarded key-material event: V leaves the
                     // verifier only here, after the span above closed.
-                    spans.event(self.sim(), "key", "v-release", &node_id);
-                    metrics.inc("key_releases", &[("target", &node_id)]);
+                    spans.event(self.sim(), "key", "v-release", node_id);
+                    metrics.inc("key_releases", &[("target", node_id)]);
                     agent.deliver_v_and_payload(v, &sealed);
                 }
                 AttestOutcome::Trusted
@@ -657,64 +577,13 @@ impl Verifier {
                 spans.end(self.sim(), span);
                 metrics.inc(
                     "quote_verdicts",
-                    &[("target", &node_id), ("outcome", "failed")],
+                    &[("target", node_id), ("outcome", "failed")],
                 );
-                self.fail_node(&node_id, &reason);
-                self.broadcast_revocation(&node_id, &reason).await;
+                self.fail_node(node_id, &reason);
+                self.broadcast_revocation(node_id, &reason).await;
                 AttestOutcome::Failed(reason)
             }
         }
-    }
-
-    /// Attests a fleet of nodes concurrently; returns one outcome per
-    /// node, in input order, each identical to what a sequential
-    /// [`Verifier::attest_once`] would have produced.
-    ///
-    /// Per-node quote collection runs as concurrent sim tasks, so the
-    /// RTTs, TPM quote times and verification budgets overlap in
-    /// *simulated* time instead of accumulating. Between the two sim
-    /// phases, the RSA quote-signature checks — pure CPU, the *wall-clock*
-    /// hot spot — run on a small `std::thread` pool when the
-    /// `parallel-verify` feature is enabled (default).
-    pub async fn attest_many(&self, node_ids: &[String], continuous: bool) -> Vec<AttestOutcome> {
-        // Phase 1: collect evidence from every node concurrently.
-        let handles: Vec<_> = node_ids
-            .iter()
-            .map(|id| {
-                let this = self.clone();
-                let id = id.clone();
-                self.sim()
-                    .spawn(async move { this.collect_evidence(&id, continuous).await })
-            })
-            .collect();
-        let collected = join_all(handles).await;
-        // Phase 2: batch-verify quote signatures off the sim thread.
-        let jobs: Vec<Option<(Quote, PublicKey)>> = collected
-            .iter()
-            .map(|c| match c {
-                Ok(p) => self
-                    .certified_aik_cached(&p.node_id)
-                    .map(|aik| (p.evidence.quote.clone(), aik)),
-                Err(_) => None,
-            })
-            .collect();
-        let sigs = verify_quote_batch(&jobs, self.config.batch_workers);
-        // Phase 3: apply verdicts (and payload delivery / revocation
-        // timing) concurrently, preserving input order in the result.
-        let handles: Vec<_> = collected
-            .into_iter()
-            .zip(sigs)
-            .map(|(c, sig)| {
-                let this = self.clone();
-                self.sim().spawn(async move {
-                    match c {
-                        Ok(pending) => this.finish_attest(pending, sig).await,
-                        Err(outcome) => outcome,
-                    }
-                })
-            })
-            .collect();
-        join_all(handles).await
     }
 
     fn fail_node(&self, node_id: &str, reason: &str) {
@@ -759,91 +628,6 @@ impl Verifier {
             n.stop = true;
         }
     }
-}
-
-/// Fixed claim size for the batch-verify work queue. A constant — never
-/// derived from the host's core count — so the job→chunk assignment (and
-/// any order-sensitive accounting downstream of it) is identical on
-/// every machine and at every pool size; the worker count only decides
-/// which thread happens to claim a chunk.
-#[cfg(feature = "parallel-verify")]
-const BATCH_CHUNK: usize = 4;
-
-/// Verifies a batch of quote signatures; `None` entries (no evidence or no
-/// certified AIK) pass through as `None`. Quotes and keys are `Send`, so
-/// with the `parallel-verify` feature the batch fans out over a small
-/// thread pool (`workers`, defaulting to the host's parallelism); tiny
-/// batches stay serial to skip thread spawn overhead. Results depend
-/// only on the jobs — `out[i]` is a pure function of `jobs[i]` — so the
-/// pool size never changes the output.
-fn verify_quote_batch(
-    jobs: &[Option<(Quote, PublicKey)>],
-    workers: Option<usize>,
-) -> Vec<Option<bool>> {
-    #[cfg(feature = "parallel-verify")]
-    {
-        if jobs.iter().flatten().count() >= 2 {
-            let threads = workers
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-                .min(8)
-                .min(jobs.len())
-                .max(1);
-            return verify_quote_batch_parallel(jobs, threads);
-        }
-    }
-    let _ = workers;
-    jobs.iter()
-        .map(|j| j.as_ref().map(|(q, aik)| q.verify(aik)))
-        .collect()
-}
-
-#[cfg(feature = "parallel-verify")]
-fn verify_quote_batch_parallel(
-    jobs: &[Option<(Quote, PublicKey)>],
-    threads: usize,
-) -> Vec<Option<bool>> {
-    use std::sync::atomic::AtomicUsize;
-
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<bool>> = vec![None; jobs.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Atomic work queue claiming fixed BATCH_CHUNK runs:
-                    // RSA verify times vary with the Montgomery cache
-                    // state, so static per-thread partitioning would
-                    // leave threads idle, but the chunk boundaries
-                    // themselves stay host-independent.
-                    let mut local = Vec::new();
-                    loop {
-                        let start = next.fetch_add(BATCH_CHUNK, Ordering::Relaxed);
-                        if start >= jobs.len() {
-                            break;
-                        }
-                        let end = (start + BATCH_CHUNK).min(jobs.len());
-                        for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
-                            if let Some((quote, aik)) = job {
-                                local.push((i, quote.verify(aik)));
-                            }
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for worker in workers {
-            // lint: allow(L1-panic: a panicked verify worker means a bug in
-            // the signature code itself; propagating the panic is the only
-            // sound option)
-            for (i, ok) in worker.join().expect("verify worker panicked") {
-                if let Some(slot) = out.get_mut(i) {
-                    *slot = Some(ok);
-                }
-            }
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -1389,105 +1173,24 @@ mod fleet_tests {
     use crate::agent::agent_binary_digest;
     use bolted_crypto::prime::XorShiftSource;
     use bolted_firmware::{FirmwareKind, FirmwareSource, Machine};
+    use bolted_sim::join_all;
 
-    /// Builds a fleet of `n` machines named `node-0..n`; indices listed in
-    /// `tampered` boot a firmware build the tenant never approved. Returns
-    /// per-node outcomes and the simulated seconds the attestation phase
-    /// took (setup excluded).
-    fn run_fleet(n: usize, tampered: &[usize], batched: bool) -> (Vec<AttestOutcome>, f64) {
+    /// An id the verifier never registered fails before any quote is
+    /// requested: no `quote-verify` span opens and no verdict is counted.
+    #[test]
+    fn unknown_nodes_fail_without_a_verdict() {
         let sim = Sim::new();
-        let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let evil = fw.tampered(b"bootkit");
         let registrar = Registrar::new();
         let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
-        let mut wl = HashSet::new();
-        wl.insert(fw.build_id);
-        wl.insert(agent_binary_digest());
-        let machines: Vec<Machine> = (0..n)
-            .map(|i| {
-                let image = if tampered.contains(&i) {
-                    evil.clone()
-                } else {
-                    fw.clone()
-                };
-                let m = Machine::new(format!("node-{i}"), image, 7 + i as u64, 512, 64);
-                m.power_on();
-                m
-            })
-            .collect();
-        sim.block_on({
-            let sim = sim.clone();
-            let registrar = registrar.clone();
-            let verifier = verifier.clone();
-            async move {
-                let mut ids = Vec::new();
-                for (i, m) in machines.iter().enumerate() {
-                    m.run_firmware(&sim).await.expect("boots");
-                    m.measure_download("keylime-agent", agent_binary_digest())
-                        .expect("measures");
-                    let agent = Agent::start(&sim, format!("node-{i}"), m).await;
-                    let mut rng = XorShiftSource::new(11 + i as u64);
-                    agent
-                        .register(&sim, &registrar, &mut rng)
-                        .await
-                        .expect("registers");
-                    verifier.add_node(&agent, wl.clone(), ImaWhitelist::new(), None, Vec::new(), 0);
-                    ids.push(format!("node-{i}"));
-                }
-                let t0 = sim.now();
-                let outcomes = if batched {
-                    verifier.attest_many(&ids, false).await
-                } else {
-                    let mut out = Vec::new();
-                    for id in &ids {
-                        out.push(verifier.attest_once(id, false).await);
-                    }
-                    out
-                };
-                (outcomes, sim.now().since(t0).as_secs_f64())
-            }
-        })
-    }
-
-    /// The acceptance criterion: attest_many over >= 8 nodes (one of them
-    /// tampered) must yield outcomes identical to N sequential
-    /// attest_once calls — same variants, same failure strings.
-    #[test]
-    fn attest_many_matches_sequential_outcomes() {
-        let (sequential, t_seq) = run_fleet(8, &[3], false);
-        let (batched, t_batch) = run_fleet(8, &[3], true);
-        assert_eq!(sequential.len(), 8);
-        assert_eq!(batched, sequential);
-        for (i, outcome) in batched.iter().enumerate() {
-            if i == 3 {
-                assert!(
-                    matches!(outcome, AttestOutcome::Failed(r) if r.contains("unapproved")),
-                    "node-3 boots tampered firmware: {outcome:?}"
-                );
-            } else {
-                assert_eq!(outcome, &AttestOutcome::Trusted, "node-{i}");
-            }
-        }
-        // Concurrency must compress simulated time: the batch overlaps
-        // every node's quote + RTT + verification budget.
-        assert!(
-            t_batch < t_seq / 2.0,
-            "batched {t_batch}s not faster than sequential {t_seq}s"
-        );
-    }
-
-    #[test]
-    fn attest_many_flags_unknown_nodes() {
-        let (outcomes, _) = {
-            let sim = Sim::new();
-            let registrar = Registrar::new();
-            let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
-            let ids = vec!["ghost-1".to_string(), "ghost-2".to_string()];
-            (
-                sim.block_on(async move { verifier.attest_many(&ids, false).await }),
-                (),
-            )
-        };
+        let spans = Spans::new();
+        let metrics = Metrics::new();
+        verifier.set_observability(&spans, &metrics);
+        let outcomes = sim.block_on(async move {
+            vec![
+                verifier.attest_once("ghost-1", false).await,
+                verifier.attest_once("ghost-2", false).await,
+            ]
+        });
         assert_eq!(
             outcomes,
             vec![
@@ -1495,6 +1198,8 @@ mod fleet_tests {
                 AttestOutcome::Failed("unknown node".into())
             ]
         );
+        assert!(spans.records().iter().all(|r| r.name != "quote-verify"));
+        assert!(!metrics.to_json().contains("quote_verdicts"));
     }
 
     /// Satellite: hammer one node with concurrent attest_once rounds. The
@@ -1542,80 +1247,6 @@ mod fleet_tests {
         assert!(outcomes.iter().all(|o| o == &AttestOutcome::Trusted));
         assert_eq!(verifier.quotes_verified("node-0"), ROUNDS as u64);
         assert_eq!(verifier.status("node-0"), Some(NodeStatus::Trusted));
-    }
-
-    /// As [`run_fleet`], but batched with a pinned batch-verify pool
-    /// size and full observability, returning the metrics snapshot JSON.
-    fn run_fleet_metrics(
-        n: usize,
-        tampered: &[usize],
-        workers: usize,
-    ) -> (Vec<AttestOutcome>, String) {
-        let sim = Sim::new();
-        let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let evil = fw.tampered(b"bootkit");
-        let registrar = Registrar::new();
-        let config = VerifierConfig {
-            batch_workers: Some(workers),
-            ..VerifierConfig::default()
-        };
-        let verifier = Verifier::new(&sim, &registrar, config);
-        let spans = Spans::new();
-        let metrics = Metrics::new();
-        verifier.set_observability(&spans, &metrics);
-        let mut wl = HashSet::new();
-        wl.insert(fw.build_id);
-        wl.insert(agent_binary_digest());
-        let machines: Vec<Machine> = (0..n)
-            .map(|i| {
-                let image = if tampered.contains(&i) {
-                    evil.clone()
-                } else {
-                    fw.clone()
-                };
-                let m = Machine::new(format!("node-{i}"), image, 7 + i as u64, 512, 64);
-                m.power_on();
-                m
-            })
-            .collect();
-        let outcomes = sim.block_on({
-            let sim = sim.clone();
-            let registrar = registrar.clone();
-            let verifier = verifier.clone();
-            async move {
-                let mut ids = Vec::new();
-                for (i, m) in machines.iter().enumerate() {
-                    m.run_firmware(&sim).await.expect("boots");
-                    m.measure_download("keylime-agent", agent_binary_digest())
-                        .expect("measures");
-                    let agent = Agent::start(&sim, format!("node-{i}"), m).await;
-                    let mut rng = XorShiftSource::new(11 + i as u64);
-                    agent
-                        .register(&sim, &registrar, &mut rng)
-                        .await
-                        .expect("registers");
-                    verifier.add_node(&agent, wl.clone(), ImaWhitelist::new(), None, Vec::new(), 0);
-                    ids.push(format!("node-{i}"));
-                }
-                verifier.attest_many(&ids, false).await
-            }
-        });
-        (outcomes, metrics.to_json())
-    }
-
-    /// Satellite: the batch-verify pool size (previously derived from
-    /// `available_parallelism`, i.e. the host) must never change
-    /// outcomes or the metrics snapshot — worker count is scheduling
-    /// only, chunking is a fixed constant.
-    #[test]
-    fn batch_pool_size_never_changes_results_or_metrics() {
-        let (o1, m1) = run_fleet_metrics(9, &[2], 1);
-        let (o2, m2) = run_fleet_metrics(9, &[2], 2);
-        let (o8, m8) = run_fleet_metrics(9, &[2], 8);
-        assert_eq!(o1, o2);
-        assert_eq!(o1, o8);
-        assert_eq!(m1, m2, "metrics snapshot differs between 1 and 2 workers");
-        assert_eq!(m1, m8, "metrics snapshot differs between 1 and 8 workers");
     }
 }
 

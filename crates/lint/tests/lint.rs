@@ -516,3 +516,35 @@ fn the_workspace_tree_is_clean() {
             .join("\n")
     );
 }
+
+/// No crate in the workspace declares cargo features. A feature is a
+/// second build of the same job (one path behind the default, another
+/// behind the flag), and each job gets exactly one mechanism.
+#[test]
+fn no_crate_declares_cargo_features() {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut manifests = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates dir lists") {
+        let manifest = entry.expect("crates entry").path().join("Cargo.toml");
+        if manifest.is_file() {
+            manifests.push(manifest);
+        }
+    }
+    assert!(
+        manifests.len() > 10,
+        "expected every crate, got {manifests:?}"
+    );
+    let with_features: Vec<_> = manifests
+        .iter()
+        .filter(|m| {
+            std::fs::read_to_string(m)
+                .expect("manifest reads")
+                .lines()
+                .any(|l| l.trim_start().starts_with("[features"))
+        })
+        .collect();
+    assert!(
+        with_features.is_empty(),
+        "manifests declaring [features]: {with_features:?}"
+    );
+}

@@ -27,7 +27,6 @@ pub mod span;
 mod stats;
 mod sync;
 mod time;
-mod trace;
 
 pub use call::{CallEnv, OpGate, PhaseHandle};
 pub use executor::{join_all, lock, JoinHandle, Sim, Sleep};
@@ -45,4 +44,3 @@ pub use span::{SpanGuard, SpanId, SpanRecord, Spans};
 pub use stats::{OnlineStats, Samples};
 pub use sync::{channel, Acquire, Event, EventWait, Permit, Receiver, Recv, Resource, Sender};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, Tracer};

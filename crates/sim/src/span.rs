@@ -1,9 +1,8 @@
 //! Structured spans: nested begin/end scopes recorded at virtual time.
 //!
-//! Where [`crate::trace::Tracer`] records flat `(time, category, message)`
-//! strings, a [`Spans`] handle records a *tree*: every span has a
-//! category, a name, a target (the node or resource it is about), a
-//! start/end virtual time, and a set of string attributes. Two global
+//! A [`Spans`] handle records a *tree*: every span has a category, a
+//! name, a target (the node or resource it is about), a start/end
+//! virtual time, and a set of string attributes. Two global
 //! monotonic sequence numbers — one stamped at `begin`, one at `end` —
 //! give a total order over all span boundaries, so tests can assert
 //! cross-layer ordering invariants ("the V share was released strictly

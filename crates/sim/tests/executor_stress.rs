@@ -1,8 +1,6 @@
 //! Stress and edge-case tests for the virtual-time executor.
 
-use bolted_sim::{
-    channel, join_all, lock, Event, Resource, Rng, Sim, SimDuration, SimTime, Tracer,
-};
+use bolted_sim::{channel, join_all, lock, Event, Resource, Rng, Sim, SimDuration, SimTime};
 
 use std::sync::{Arc, Mutex};
 
@@ -127,25 +125,6 @@ fn event_set_before_and_after_waiters_mix() {
     });
     assert_eq!(sim.run(), 0);
     assert_eq!(*lock(&count), 3);
-}
-
-#[test]
-fn tracer_render_and_echo_do_not_disturb_time() {
-    let sim = Sim::new();
-    let tr = Tracer::new();
-    tr.set_echo(false);
-    sim.block_on({
-        let (sim2, tr2) = (sim.clone(), tr.clone());
-        async move {
-            for i in 0..50 {
-                tr2.record(&sim2, "cat", format!("event {i}"));
-                sim2.sleep(SimDuration::from_millis(1)).await;
-            }
-        }
-    });
-    assert_eq!(tr.len(), 50);
-    assert_eq!(sim.now().as_nanos() / 1_000_000, 50);
-    assert_eq!(tr.render().lines().count(), 50);
 }
 
 #[test]

@@ -22,7 +22,6 @@ fn main() {
             ..CloudConfig::default()
         },
     );
-    cloud.tracer.set_echo(true);
 
     // The provider (or the tenant!) registers a golden OS image.
     let kernel = KernelImage::from_bytes("fedora28-4.17.9", b"vmlinuz + initramfs");
@@ -52,6 +51,9 @@ fn main() {
             }
         })
         .expect("attested provisioning");
+
+    println!("=== Provisioning spans ===");
+    print!("{}", cloud.spans.render());
 
     println!("\n=== Figure 4-style breakdown ===");
     print!("{}", provisioned.report.render());

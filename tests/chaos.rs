@@ -14,7 +14,7 @@ mod common;
 use bolted::core::{ProvisionError, SecurityProfile, Tenant};
 use bolted::sim::fault::{ops, FaultPlan, FaultSpec};
 
-use common::{provision_fleet, world};
+use common::{charlie_fleet, world};
 
 /// A plan that flaps every hardware-facing layer a bounded number of
 /// times (all recover within the default 4-attempt retry policy) and
@@ -31,7 +31,7 @@ fn flaky_everything(seed: u64) -> FaultPlan {
 #[test]
 fn transient_faults_are_retried_and_the_fleet_comes_up() {
     let (sim, cloud, golden) = world().nodes(4).faults(flaky_everything(0xC4A05)).build();
-    let report = provision_fleet(&sim, &cloud, golden, 4);
+    let report = charlie_fleet(&sim, &cloud, golden, 4);
     assert_eq!(
         report.succeeded.len(),
         4,
@@ -59,7 +59,7 @@ fn permanently_dead_bmc_degrades_gracefully() {
     let plan = FaultPlan::seeded(7).with_target(ops::BMC_POWER, "m620-02", FaultSpec::permanent());
     let (sim, cloud, golden) = world().nodes(4).faults(plan).build();
     let nodes = cloud.nodes();
-    let report = provision_fleet(&sim, &cloud, golden, 4);
+    let report = charlie_fleet(&sim, &cloud, golden, 4);
     // The three healthy nodes are unaffected.
     assert_eq!(report.succeeded.len(), 3);
     assert_eq!(report.failed.len(), 1);
@@ -87,7 +87,7 @@ fn abandoned_node_leaves_a_traceable_span_event() {
     let plan = FaultPlan::seeded(7).with_target(ops::BMC_POWER, "m620-02", FaultSpec::permanent());
     let (sim, cloud, golden) = world().nodes(4).faults(plan).build();
     let nodes = cloud.nodes();
-    provision_fleet(&sim, &cloud, golden, 4);
+    charlie_fleet(&sim, &cloud, golden, 4);
     let event = cloud
         .spans
         .find("abandon", "m620-02")
@@ -106,7 +106,7 @@ fn abandoned_node_leaves_a_traceable_span_event() {
 fn chaos_runs_are_deterministic_under_a_seed() {
     let run = || {
         let (sim, cloud, golden) = world().nodes(4).faults(flaky_everything(0xDE7E12)).build();
-        let report = provision_fleet(&sim, &cloud, golden, 4);
+        let report = charlie_fleet(&sim, &cloud, golden, 4);
         let mut names: Vec<String> = report
             .succeeded
             .iter()

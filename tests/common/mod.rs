@@ -79,7 +79,7 @@ impl WorldBuilder {
 
 /// Provisions the first `n` nodes as one `charlie` fleet call under the
 /// full attested profile and returns the per-node report.
-pub fn provision_fleet(sim: &Sim, cloud: &Cloud, golden: ImageId, n: usize) -> FleetReport {
+pub fn charlie_fleet(sim: &Sim, cloud: &Cloud, golden: ImageId, n: usize) -> FleetReport {
     let tenant = Tenant::new(cloud, "charlie").expect("tenant");
     let nodes: Vec<_> = cloud.nodes().into_iter().take(n).collect();
     sim.block_on({

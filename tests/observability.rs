@@ -13,8 +13,8 @@ use bolted::storage::ImageId;
 use common::world;
 
 /// Provisions the first `n` nodes and asserts every one came up.
-fn provision_fleet(sim: &Sim, cloud: &Cloud, golden: ImageId, n: usize) {
-    let report = common::provision_fleet(sim, cloud, golden, n);
+fn provision_all_ok(sim: &Sim, cloud: &Cloud, golden: ImageId, n: usize) {
+    let report = common::charlie_fleet(sim, cloud, golden, n);
     if let Some(f) = report.failed.first() {
         panic!("{}: {}", f.name, f.error);
     }
@@ -34,7 +34,7 @@ fn same_seed_runs_produce_identical_spans_and_metrics() {
             .nodes(3)
             .faults(FaultPlan::seeded(0x0B5E_57A1))
             .build();
-        provision_fleet(&sim, &cloud, golden, 3);
+        provision_all_ok(&sim, &cloud, golden, 3);
         (cloud.spans.render(), cloud.metrics.to_json())
     };
     let (spans_a, metrics_a) = run();
@@ -48,7 +48,7 @@ fn same_seed_runs_produce_identical_spans_and_metrics() {
 #[test]
 fn span_tree_nests_phases_under_the_provision_root() {
     let (sim, cloud, golden) = world().build();
-    provision_fleet(&sim, &cloud, golden, 1);
+    provision_all_ok(&sim, &cloud, golden, 1);
     let root = cloud.spans.find("provision", "m620-01").expect("root span");
     assert_eq!(root.attr("outcome"), Some("ok"));
     assert_eq!(root.attr("profile"), Some("charlie-full"));
@@ -127,7 +127,7 @@ fn fault_plan_counts_land_exactly_per_op_and_target() {
         .with_target(ops::REGISTRAR_REGISTER, "m620-02", FaultSpec::flaky(2))
         .with_target(ops::VERIFIER_QUOTE, "m620-02", FaultSpec::flaky(2));
     let (sim, cloud, golden) = world().nodes(2).faults(plan).build();
-    provision_fleet(&sim, &cloud, golden, 2);
+    provision_all_ok(&sim, &cloud, golden, 2);
 
     let c = |name: &str, op: &str, target: &str| {
         cloud
@@ -160,7 +160,7 @@ fn fault_plan_counts_land_exactly_per_op_and_target() {
 #[test]
 fn empty_fault_plan_means_zero_retry_and_fault_counters() {
     let (sim, cloud, golden) = world().nodes(2).build();
-    provision_fleet(&sim, &cloud, golden, 2);
+    provision_all_ok(&sim, &cloud, golden, 2);
     assert_eq!(cloud.metrics.counter_total("retry_attempts"), 0);
     assert_eq!(cloud.metrics.counter_total("faults_injected"), 0);
     // ...while the op counters still tell the full story.
@@ -185,7 +185,7 @@ fn abandoned_node_is_an_exhausted_outcome_in_the_registry() {
     // the successes.
     let plan = FaultPlan::seeded(7).with_target(ops::BMC_POWER, "m620-02", FaultSpec::permanent());
     let (sim, cloud, golden) = world().nodes(2).faults(plan).build();
-    let report = common::provision_fleet(&sim, &cloud, golden, 2);
+    let report = common::charlie_fleet(&sim, &cloud, golden, 2);
     assert_eq!(report.succeeded.len(), 1);
     assert_eq!(report.failed.len(), 1);
     assert_eq!(report.failed[0].name, "m620-02");

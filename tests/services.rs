@@ -24,7 +24,7 @@ use bolted::hil::{HilError, NetworkId, NodeId, NodeMetadata};
 use bolted::keylime::{Agent, AttestOutcome, ImaWhitelist, KeyShare, RegisterError};
 use bolted::keylime::{Registrar, Verifier, VerifierConfig};
 use bolted::net::NetError;
-use bolted::sim::{CallEnv, Resource, Sim, Tracer};
+use bolted::sim::{CallEnv, Resource, Sim};
 use bolted::storage::Gateway;
 use bolted::storage::{Cluster, ImageId, ImageStore, IscsiTarget, Transport};
 use common::world;
@@ -285,7 +285,6 @@ fn mock_backend_provisions_end_to_end_through_trait_objects() {
     let env = TenantEnv {
         calib: Calibration::default(),
         call: CallEnv::new(&sim),
-        tracer: Tracer::new(),
         http: Resource::new(&sim, 1),
         airlock: Resource::new(&sim, 1),
     };
