@@ -1,23 +1,23 @@
 //! Dependency-free micro-benchmarks for the attestation hot path.
 //!
-//! Measures the optimised kernels — modular exponentiation,
-//! RSA-verify-shaped modpow, SHA-256 compression, multi-buffer SHA-256,
-//! LUKS sector encryption, RSA key generation and RSA CRT signing — each
-//! against an in-repo "before" reference (the legacy `BigUint::modpow`,
-//! a rolled SHA-256 compression loop, single-stream hashing, the
-//! single-stream ChaCha20 sector path, the generic-`Montgomery`
-//! Miller–Rabin, the generic-`Montgomery` CRT exponentiation), so the
-//! speedup is recorded next to the code that earned it. Plain
-//! `std::time::Instant`, JSON-lines output, no external crates: it runs
-//! in the offline build where criterion cannot.
+//! Measures the optimised kernels — RSA verification, SHA-256
+//! compression, multi-buffer SHA-256, LUKS sector encryption, RSA key
+//! generation and RSA CRT signing — each against an in-repo "before"
+//! reference (a rolled SHA-256 compression loop, single-stream hashing,
+//! the single-stream ChaCha20 sector path, and for every RSA row the
+//! schoolbook `BigUint::modpow`, the one reference the fixed-width
+//! Montgomery kernel is checked against), so the speedup is recorded
+//! next to the code that earned it. Plain `std::time::Instant`,
+//! JSON-lines output, no external crates: it runs in the offline build
+//! where criterion cannot.
 
 use std::time::Instant;
 
 use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
 use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::{
-    keypair_from_seed, sha256_many, BigUint, Montgomery, RandomSource, SectorCipher,
-    XorShiftSource, SECTOR_SIZE,
+    keypair_from_seed, sha256_many, BigUint, RandomSource, SectorCipher, XorShiftSource,
+    SECTOR_SIZE,
 };
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -48,7 +48,8 @@ impl Effort {
 pub struct Record {
     /// Benchmark name, e.g. `rsa_verify_2048`.
     pub bench: String,
-    /// Variant, baseline first: `legacy`/`montgomery`, `rolled`/`unrolled`, …
+    /// Variant, baseline first: `schoolbook`/`fixed_width`,
+    /// `rolled`/`unrolled`, …
     pub variant: String,
     /// Iterations timed (after one warm-up iteration).
     pub iters: u32,
@@ -168,25 +169,6 @@ fn record_pair(
     });
 }
 
-fn random_biguint(bytes: usize, rng: &mut XorShiftSource) -> BigUint {
-    let mut buf = vec![0u8; bytes];
-    rng.fill_bytes(&mut buf);
-    BigUint::from_bytes_be(&buf)
-}
-
-/// An RSA-shaped 2048-bit modulus: the product of two random odd
-/// 1024-bit numbers (primality is irrelevant for arithmetic cost).
-fn rsa_shaped_modulus(rng: &mut XorShiftSource) -> BigUint {
-    let odd_1024 = |rng: &mut XorShiftSource| {
-        let mut buf = vec![0u8; 128];
-        rng.fill_bytes(&mut buf);
-        buf[0] |= 0x80;
-        buf[127] |= 1;
-        BigUint::from_bytes_be(&buf)
-    };
-    odd_1024(rng).mul(&odd_1024(rng))
-}
-
 // ---------------------------------------------------------------------
 // "Before" references, kept here so the comparison survives in-repo.
 // ---------------------------------------------------------------------
@@ -278,19 +260,18 @@ fn sector_xor_streamed(key: &Key, nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
     }
 }
 
-/// The prime search before the fixed-width Miller–Rabin kernel, copied
-/// here as the keygen baseline: `BigUint` trial division, then a
-/// generic [`Montgomery`] context per candidate, with `n-1 = d·2^r`
-/// re-split and `x` leaving the Montgomery domain on every round. It
-/// draws the same candidates (top two bits and low bit set) and bases,
-/// so it returns the same primes.
+/// The prime search on schoolbook arithmetic, kept here as the keygen
+/// baseline: `BigUint` trial division, then Miller–Rabin on
+/// `BigUint::modpow` and `mul_mod`, with `n-1 = d·2^r` re-split on every
+/// round. It draws the same candidates (top two bits and low bit set)
+/// and bases, so it returns the same primes.
 fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
     const SMALL_PRIMES: [u64; 54] = [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
         97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
         191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
     ];
-    fn sprp(n: &BigUint, a: &BigUint, ctx: &Montgomery) -> bool {
+    fn sprp(n: &BigUint, a: &BigUint) -> bool {
         let one = BigUint::one();
         let n_minus_1 = n.sub(&one);
         let mut d = n_minus_1.clone();
@@ -299,12 +280,12 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
             d = d.shr(1);
             r += 1;
         }
-        let mut x = ctx.pow(a, &d);
+        let mut x = a.modpow(&d, n);
         if x == one || x == n_minus_1 {
             return true;
         }
         for _ in 0..r - 1 {
-            x = ctx.mul_mod(&x, &x);
+            x = x.mul_mod(&x, n);
             if x == n_minus_1 {
                 return true;
             }
@@ -322,11 +303,10 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
                 return false;
             }
         }
-        let ctx = Montgomery::new(n).expect("candidate is odd and > 1");
         let n_minus_3 = n.sub(&BigUint::from_u64(3));
         (0..24).all(|_| {
             let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
-            sprp(n, &a, &ctx)
+            sprp(n, &a)
         })
     }
     loop {
@@ -349,9 +329,10 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
     }
 }
 
-/// A 512-bit RSA private key as the generic CRT signer sees it, rebuilt
+/// An RSA key as the schoolbook signer and verifier see it, rebuilt
 /// from a seed. Holds the CRT factors, so it implements no `Debug`.
 struct GenericCrtKey {
+    n: BigUint,
     p: BigUint,
     q: BigUint,
     dp: BigUint,
@@ -362,17 +343,22 @@ struct GenericCrtKey {
 }
 
 impl GenericCrtKey {
-    /// The key `keypair_from_seed(512, seed)` returns, found with the
-    /// given prime search: the same prime draws, retry conditions, `modinv`
-    /// calls and CRT parameters as `generate_keypair`.
-    fn from_seed(seed: u64, search: fn(usize, &mut dyn RandomSource) -> BigUint) -> GenericCrtKey {
+    /// The key `keypair_from_seed(bits, seed)` returns, found with the
+    /// given prime search: the same prime draws, retry conditions,
+    /// `modinv` calls and CRT parameters as `generate_keypair`.
+    fn from_seed(
+        bits: usize,
+        seed: u64,
+        search: fn(usize, &mut dyn RandomSource) -> BigUint,
+    ) -> GenericCrtKey {
         let mut rng = XorShiftSource::new(seed);
         let one = BigUint::one();
         let e = BigUint::from_u64(65537);
         loop {
-            let p = search(256, &mut rng);
-            let q = search(256, &mut rng);
-            if p == q || p.mul(&q).bits() != 512 {
+            let p = search(bits / 2, &mut rng);
+            let q = search(bits - bits / 2, &mut rng);
+            let n = p.mul(&q);
+            if p == q || n.bits() != bits {
                 continue;
             }
             let phi = p.sub(&one).mul(&q.sub(&one));
@@ -380,20 +366,19 @@ impl GenericCrtKey {
                 continue;
             };
             return GenericCrtKey {
+                n,
                 dp: d.rem(&p.sub(&one)),
                 dq: d.rem(&q.sub(&one)),
                 p,
                 q,
                 qinv,
-                k: 64,
+                k: bits.div_ceil(8),
             };
         }
     }
 
-    /// PKCS#1 v1.5 / SHA-256 signing with the CRT exponentiation before
-    /// the fixed-width kernel: a generic [`Montgomery`] context per half
-    /// and `BigUint` arithmetic for Garner's recombination.
-    fn sign(&self, message: &[u8]) -> Vec<u8> {
+    /// The PKCS#1 v1.5 / SHA-256 encoding of `message`.
+    fn emsa(&self, message: &[u8]) -> Vec<u8> {
         const SHA256_DIGEST_INFO: [u8; 19] = [
             0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02,
             0x01, 0x05, 0x00, 0x04, 0x20,
@@ -404,9 +389,15 @@ impl GenericCrtKey {
         em.push(0x00);
         em.extend_from_slice(&SHA256_DIGEST_INFO);
         em.extend_from_slice(hash.as_bytes());
-        let m = BigUint::from_bytes_be(&em);
-        let m1 = m.modpow_montgomery(&self.dp, &self.p);
-        let m2 = m.modpow_montgomery(&self.dq, &self.q);
+        em
+    }
+
+    /// PKCS#1 v1.5 / SHA-256 signing by schoolbook CRT: each half on
+    /// `BigUint::modpow`, Garner's recombination in `BigUint` arithmetic.
+    fn sign(&self, message: &[u8]) -> Vec<u8> {
+        let m = BigUint::from_bytes_be(&self.emsa(message));
+        let m1 = m.modpow(&self.dp, &self.p);
+        let m2 = m.modpow(&self.dq, &self.q);
         let m2_mod_p = m2.rem(&self.p);
         let diff = if m1 >= m2_mod_p {
             m1.sub(&m2_mod_p)
@@ -416,6 +407,16 @@ impl GenericCrtKey {
         let h = self.qinv.mul_mod(&diff, &self.p);
         m2.add(&self.q.mul(&h)).to_bytes_be_padded(self.k)
     }
+
+    /// PKCS#1 v1.5 / SHA-256 verification with `s^65537 mod n` on
+    /// `BigUint::modpow`.
+    fn verify(&self, message: &[u8], signature: &[u8]) -> bool {
+        let s = BigUint::from_bytes_be(signature);
+        s < self.n
+            && s.modpow(&BigUint::from_u64(65537), &self.n)
+                .to_bytes_be_padded(self.k)
+                == self.emsa(message)
+    }
 }
 
 /// Runs every hot-path benchmark at the given [`Effort`].
@@ -423,58 +424,37 @@ pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
     let mut records = Vec::new();
 
-    // --- modular exponentiation, RSA-2048 shapes --------------------
-    let m = rsa_shaped_modulus(&mut rng);
-    let base = random_biguint(192, &mut rng);
-    let e = BigUint::from_u64(65537);
-    let d = random_biguint(256, &mut rng); // full-size private-shaped exponent
-    let ctx = Montgomery::new(&m).expect("odd modulus");
-    assert_eq!(
-        ctx.pow(&base, &e),
-        base.modpow(&e, &m),
-        "verify cross-check"
-    );
-
+    // --- RSA verification: one 2048-bit quote signature ------------
+    // The production path builds its fixed-width context per call; the
+    // reference exponentiates by 65537 on schoolbook `modpow`.
+    let quote = b"pcr composite || nonce";
+    let reference = GenericCrtKey::from_seed(2048, 1, gen_prime);
+    let key = keypair_from_seed(2048, 1);
+    let sig = key.private.sign(quote);
+    let mut forged = sig.clone();
+    forged[7] ^= 1;
+    assert_eq!(reference.sign(quote), sig, "2048-bit signing cross-check");
+    assert!(reference.verify(quote, &sig) && key.public.verify(quote, &sig));
+    assert!(!reference.verify(quote, &forged) && !key.public.verify(quote, &forged));
     // The optimised side gets more iterations per round so both batches
     // cover a similar stretch of wall clock within each round.
-    let (rounds, it_l, it_m) = effort.pick((16, 4, 16), (4, 2, 8), (2, 1, 4));
+    let (rounds, it_s, it_f) = effort.pick((16, 4, 32), (4, 2, 16), (2, 1, 8));
     let ns = time_pair(
         rounds,
-        it_l,
-        it_m,
+        it_s,
+        it_f,
         || {
-            std::hint::black_box(base.modpow(&e, &m));
+            std::hint::black_box(reference.verify(quote, &sig));
         },
         || {
-            std::hint::black_box(ctx.pow(&base, &e));
+            std::hint::black_box(key.public.verify(quote, &sig));
         },
     );
     record_pair(
         &mut records,
         "rsa_verify_2048",
-        ("legacy", "montgomery"),
-        (rounds * it_l, rounds * it_m),
-        ns,
-        None,
-    );
-
-    let (rounds, it_l, it_m) = effort.pick((4, 1, 6), (2, 1, 4), (1, 1, 2));
-    let ns = time_pair(
-        rounds,
-        it_l,
-        it_m,
-        || {
-            std::hint::black_box(base.modpow(&d, &m));
-        },
-        || {
-            std::hint::black_box(ctx.pow(&base, &d));
-        },
-    );
-    record_pair(
-        &mut records,
-        "modpow_2048_full_exp",
-        ("legacy", "montgomery"),
-        (rounds * it_l, rounds * it_m),
+        ("schoolbook", "fixed_width"),
+        (rounds * it_s, rounds * it_f),
         ns,
         None,
     );
@@ -606,23 +586,22 @@ pub fn run(effort: Effort) -> Vec<Record> {
     // so every batch covers the same seeds for both variants. Each key
     // is the whole `generate_keypair` loop: primes, length check,
     // `modinv` and CRT parameters.
-    let quote = b"pcr composite || nonce";
     let keys = effort.pick(16u64, 8, 4);
     for seed in 1..=keys {
         assert_eq!(
-            GenericCrtKey::from_seed(seed, gen_prime_generic).sign(quote),
+            GenericCrtKey::from_seed(512, seed, gen_prime_generic).sign(quote),
             keypair_from_seed(512, seed).private.sign(quote),
             "key generation cross-check, seed {seed}"
         );
     }
     let rounds = effort.pick(8, 2, 1);
-    let (ns_generic, ns_fixed) = time_pair(
+    let (ns_schoolbook, ns_fixed) = time_pair(
         rounds,
         1,
         1,
         || {
             for seed in 1..=keys {
-                std::hint::black_box(GenericCrtKey::from_seed(seed, gen_prime_generic));
+                std::hint::black_box(GenericCrtKey::from_seed(512, seed, gen_prime_generic));
             }
         },
         || {
@@ -636,20 +615,20 @@ pub fn run(effort: Effort) -> Vec<Record> {
     record_pair(
         &mut records,
         "keygen_512",
-        ("generic", "fixed_width"),
+        ("schoolbook", "fixed_width"),
         (iters, iters),
-        (ns_generic / per_key, ns_fixed / per_key),
+        (ns_schoolbook / per_key, ns_fixed / per_key),
         None,
     );
 
     // --- RSA signing: one 512-bit quote signature -------------------
     let seeds = 1..=4u64;
-    let generic_keys: Vec<GenericCrtKey> = seeds
+    let schoolbook_keys: Vec<GenericCrtKey> = seeds
         .clone()
-        .map(|s| GenericCrtKey::from_seed(s, gen_prime))
+        .map(|s| GenericCrtKey::from_seed(512, s, gen_prime))
         .collect();
     let fixed_keys: Vec<_> = seeds.map(|s| keypair_from_seed(512, s).private).collect();
-    for (g, f) in generic_keys.iter().zip(&fixed_keys) {
+    for (g, f) in schoolbook_keys.iter().zip(&fixed_keys) {
         assert_eq!(g.sign(quote), f.sign(quote), "CRT signing cross-check");
     }
     let (rounds, iters) = effort.pick((16, 64), (4, 16), (1, 4));
@@ -658,7 +637,7 @@ pub fn run(effort: Effort) -> Vec<Record> {
         iters,
         iters,
         || {
-            for key in &generic_keys {
+            for key in &schoolbook_keys {
                 std::hint::black_box(key.sign(quote));
             }
         },
@@ -668,12 +647,12 @@ pub fn run(effort: Effort) -> Vec<Record> {
             }
         },
     );
-    let per_sig = generic_keys.len() as f64;
-    let sigs = rounds * iters * generic_keys.len() as u32;
+    let per_sig = schoolbook_keys.len() as f64;
+    let sigs = rounds * iters * schoolbook_keys.len() as u32;
     record_pair(
         &mut records,
         "rsa_sign_512",
-        ("generic_crt", "fixed_width_crt"),
+        ("schoolbook_crt", "fixed_width_crt"),
         (sigs, sigs),
         (ns.0 / per_sig, ns.1 / per_sig),
         None,

@@ -21,7 +21,6 @@ fn quick_run_reports_kernel_speedups() {
     let records = hotpath::run(Effort::Quick);
     for bench in [
         "rsa_verify_2048",
-        "modpow_2048_full_exp",
         "sha256",
         "sha256_mb",
         "sector_encrypt",
@@ -34,12 +33,10 @@ fn quick_run_reports_kernel_speedups() {
             "{bench} needs baseline + optimised variants"
         );
     }
-    // ISSUE 2 acceptance: >= 5x on 2048-bit RSA verify; assert 3x so a
-    // loaded machine does not flake the suite.
+    // 2048-bit RSA verify on the fixed-width kernel against schoolbook
+    // `modpow`: assert 3x so a loaded machine does not flake the suite.
     let verify = hotpath::speedup(&records, "rsa_verify_2048").expect("pair");
     assert!(verify >= 3.0, "rsa_verify_2048 speedup {verify:.2}x < 3x");
-    let modpow = hotpath::speedup(&records, "modpow_2048_full_exp").expect("pair");
-    assert!(modpow >= 3.0, "modpow speedup {modpow:.2}x < 3x");
     // Single-stream SHA-256 must at least not regress. In debug builds
     // the comparison is meaningless (the library path is layered for
     // zero-copy streaming and relies on inlining the debug codegen
@@ -63,19 +60,19 @@ fn quick_run_reports_kernel_speedups() {
         sect >= sect_floor,
         "sector_encrypt speedup {sect:.2}x < {sect_floor}x"
     );
-    // The fixed-width Miller–Rabin kernel runs the prime search ~3x as
-    // fast as the generic path in release builds; 2x leaves room for a
-    // loaded box. The test profile (opt-level 1, debug assertions)
-    // measures it near 2x, so only a clear win is asserted there.
+    // The fixed-width Miller–Rabin kernel runs the prime search several
+    // times as fast as the schoolbook path in release builds; 2x leaves
+    // room for a loaded box, and the test profile (opt-level 1, debug
+    // assertions) is held to a clear win only.
     let keygen_floor = if cfg!(debug_assertions) { 1.5 } else { 2.0 };
     let keygen = hotpath::speedup(&records, "keygen_512").expect("pair");
     assert!(
         keygen >= keygen_floor,
         "keygen_512 speedup {keygen:.2}x < {keygen_floor}x"
     );
-    // Fixed-width CRT signing runs ~3x as fast as the generic CRT path
-    // in release builds and ~2.6x in the test profile (opt-level 1,
-    // debug assertions); the floors leave room for a loaded box.
+    // Fixed-width CRT signing runs several times as fast as schoolbook
+    // CRT in release builds and in the test profile (opt-level 1, debug
+    // assertions); the floors leave room for a loaded box.
     let sign_floor = if cfg!(debug_assertions) { 1.3 } else { 1.5 };
     let sign = hotpath::speedup(&records, "rsa_sign_512").expect("pair");
     assert!(
@@ -91,7 +88,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 7, "all seven benches present: {benches:?}");
+    assert_eq!(benches.len(), 6, "all six benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

@@ -350,8 +350,9 @@ impl BigUint {
 
     /// Modular exponentiation `self^exp mod m` (square-and-multiply).
     ///
-    /// This is the legacy path with a full reduction after every multiply;
-    /// prefer [`BigUint::modpow_montgomery`] for odd moduli.
+    /// The schoolbook reference, with a full division after every
+    /// multiply: tests and the `hotpath` bench compare the fixed-width
+    /// Montgomery kernel against it, and no production path calls it.
     ///
     /// # Panics
     ///
@@ -373,19 +374,6 @@ impl BigUint {
             }
         }
         result
-    }
-
-    /// Modular exponentiation through a Montgomery context when the modulus
-    /// is odd (the RSA case), falling back to [`BigUint::modpow`] otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is zero.
-    pub fn modpow_montgomery(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        match crate::montgomery::Montgomery::new(m) {
-            Some(ctx) => ctx.pow(self, exp),
-            None => self.modpow(exp, m),
-        }
     }
 
     /// Little-endian `u64` limbs padded with zeros to exactly `k` entries.

@@ -23,7 +23,7 @@ pub mod cost;
 pub mod ct;
 pub mod hmac;
 pub mod luks;
-pub mod montgomery;
+mod montgomery;
 pub mod prime;
 pub mod rsa;
 pub mod secret;
@@ -35,7 +35,6 @@ pub use chacha20::{ChaCha20, Key};
 pub use cost::{CipherCost, CipherSuite};
 pub use hmac::{hkdf, hmac_sha256, hmac_verify};
 pub use luks::{BlockDevice, BlockError, LuksDevice, RamDisk, SectorCipher, SECTOR_SIZE};
-pub use montgomery::Montgomery;
 pub use prime::{RandomSource, XorShiftSource};
 pub use rsa::{generate_keypair, keypair_from_seed, KeyPair, PrivateKey, PublicKey, RsaError};
 pub use secret::{Secret, Zeroize};

@@ -5,16 +5,16 @@
 //! speed. Prime generation is deterministic given the caller's RNG, which
 //! keeps TPM identities reproducible across simulation runs.
 //!
-//! Every candidate up to 1024 bits runs on the const-generic, stack-only
-//! Montgomery kernel (`montgomery::FixedMont`) sized to its limb count:
-//! no `BigUint` division or allocation per candidate or per round. It
-//! draws the same random bases with the same RNG consumption as the
-//! generic [`Montgomery`] path that wider candidates take, so it returns
-//! the same primes.
+//! Every candidate runs on the const-generic, stack-only Montgomery
+//! kernel (`montgomery::FixedMont`) sized to its limb count: no `BigUint`
+//! division or allocation per candidate or per round. Primes are capped
+//! at 1024 bits, half the widest RSA key. The tests check the kernel
+//! against a schoolbook `BigUint::modpow` Miller–Rabin that draws the
+//! same random bases with the same RNG consumption.
 
 use crate::bignum::BigUint;
 use crate::montgomery::{
-    fixed_width, less_than, sub_wrapping, FixedMont, Montgomery, MAX_FIXED_LIMBS,
+    bit_len, fixed_width, less_than, sub_wrapping, FixedMont, MAX_FIXED_LIMBS,
 };
 
 /// A deterministic RNG source for prime generation; implemented by
@@ -93,8 +93,12 @@ const RANDOM_ROUNDS: usize = 24;
 /// Candidates up to 81 bits take the deterministic base set.
 const DETERMINISTIC_MAX_BITS: usize = 81;
 
+/// Widest prime, in bits, that [`gen_prime`] searches for: one factor of
+/// a 2048-bit key, the widest `generate_keypair` accepts.
+const MAX_PRIME_BITS: usize = 1024;
+
 /// Tests `n` for primality.
-pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
+pub(crate) fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
     if n.is_zero() || n == &BigUint::one() {
         return false;
     }
@@ -103,18 +107,7 @@ pub fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
         return verdict;
     }
     // n > 251 and odd from here on.
-    probable_prime(n, &limbs, rng)
-}
-
-/// Miller–Rabin for odd `n > 251` (with `limbs` its minimal `u64`
-/// limbs): the fixed-width kernel for every width up to
-/// `MAX_FIXED_LIMBS`, the generic path above that.
-fn probable_prime(n: &BigUint, limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
-    fixed_width!(
-        limbs.len(),
-        probable_prime_fixed(limbs, rng),
-        probable_prime_generic(n, rng)
-    )
+    fixed_width!(limbs.len(), probable_prime_fixed(&limbs, rng))
 }
 
 /// Small-prime trial division over little-endian `u64` limbs: `Some`
@@ -143,9 +136,9 @@ fn trial_division(n: &[u64]) -> Option<bool> {
     None
 }
 
-/// Miller–Rabin on the fixed-width kernel for an `N`-limb candidate,
-/// with the same bases, in the same order and drawn with the same RNG
-/// consumption as [`probable_prime_generic`]. Requires odd `n > 251`.
+/// Miller–Rabin on the fixed-width kernel for an `N`-limb candidate:
+/// deterministic bases up to `DETERMINISTIC_MAX_BITS`, random bases drawn
+/// as `random_below(n - 3) + 2` above. Requires odd `n > 251`.
 fn probable_prime_fixed<const N: usize>(limbs: &[u64], rng: &mut dyn RandomSource) -> bool {
     let mut n = [0u64; N];
     n.copy_from_slice(limbs);
@@ -160,8 +153,7 @@ fn probable_prime_fixed<const N: usize>(limbs: &[u64], rng: &mut dyn RandomSourc
     let mut minus_one = n;
     sub_wrapping(&mut minus_one, ctx.one());
     let sprp = |a: &[u64; N]| sprp_fixed(&ctx, &minus_one, a, &d, r);
-    let bits = 64 * N - n[N - 1].leading_zeros() as usize;
-    if bits <= DETERMINISTIC_MAX_BITS {
+    if bit_len(&n) <= DETERMINISTIC_MAX_BITS {
         return DETERMINISTIC_BASES.iter().all(|&b| {
             let mut a = [0u64; N];
             a[0] = b;
@@ -173,7 +165,7 @@ fn probable_prime_fixed<const N: usize>(limbs: &[u64], rng: &mut dyn RandomSourc
     let mut three = [0u64; N];
     three[0] = 3;
     sub_wrapping(&mut bound, &three);
-    let bound_bits = 64 * N - bound[N - 1].leading_zeros() as usize;
+    let bound_bits = bit_len(&bound);
     (0..RANDOM_ROUNDS).all(|_| {
         let mut a = random_limbs_below(&bound, bound_bits, rng);
         add_small(&mut a, 2);
@@ -198,52 +190,6 @@ fn sprp_fixed<const N: usize>(
     for _ in 1..r {
         x = ctx.mul(&x, &x);
         if &x == minus_one {
-            return true;
-        }
-    }
-    false
-}
-
-/// Miller–Rabin for odd `n > 251`, sharing one [`Montgomery`] context
-/// across bases: the path for candidates wider than the fixed-width
-/// kernel, and its reference. Bases and RNG consumption match the
-/// kernel's exactly.
-fn probable_prime_generic(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
-    let ctx = Montgomery::new(n).expect("candidate is odd and > 1");
-    if n.bits() <= DETERMINISTIC_MAX_BITS {
-        // Deterministic for anything that fits well under 3.3e24.
-        return DETERMINISTIC_BASES
-            .iter()
-            .all(|&b| sprp(n, &BigUint::from_u64(b), &ctx));
-    }
-    // Random bases in [2, n-2].
-    let n_minus_3 = n.sub(&BigUint::from_u64(3));
-    (0..RANDOM_ROUNDS).all(|_| {
-        let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
-        sprp(n, &a, &ctx)
-    })
-}
-
-/// Miller–Rabin strong-probable-prime test to base `a`, using a shared
-/// Montgomery context for `n` (candidates are always odd here).
-/// Requires odd `n > 2` and `1 < a < n - 1`.
-fn sprp(n: &BigUint, a: &BigUint, ctx: &Montgomery) -> bool {
-    let one = BigUint::one();
-    let n_minus_1 = n.sub(&one);
-    // Write n-1 = d * 2^r.
-    let mut d = n_minus_1.clone();
-    let mut r = 0usize;
-    while !d.is_odd() {
-        d = d.shr(1);
-        r += 1;
-    }
-    let mut x = ctx.pow(a, &d);
-    if x == one || x == n_minus_1 {
-        return true;
-    }
-    for _ in 0..r - 1 {
-        x = ctx.mul_mod(&x, &x);
-        if x == n_minus_1 {
             return true;
         }
     }
@@ -338,9 +284,11 @@ pub fn random_below(bound: &BigUint, rng: &mut dyn RandomSource) -> BigUint {
 ///
 /// # Panics
 ///
-/// Panics if `bits < 8`.
+/// Panics if `bits < 8` or `bits > 1024` (a factor of a 2048-bit key,
+/// the widest `generate_keypair` accepts).
 pub fn gen_prime(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
     assert!(bits >= 8, "prime size too small");
+    assert!(bits <= MAX_PRIME_BITS, "prime size too large");
     let mut buf = vec![0u8; bits.div_ceil(8)];
     loop {
         rng.fill_bytes(&mut buf);
@@ -456,16 +404,51 @@ mod tests {
         BigUint::from_bytes_be(&buf)
     }
 
+    /// Miller–Rabin for odd `n > 251` on schoolbook `BigUint` arithmetic
+    /// (`modpow`, `mul_mod`): the kernel's reference, with the same bases
+    /// in the same order, drawn with the same RNG consumption.
+    fn probable_prime_schoolbook(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
+        let one = BigUint::one();
+        let n_minus_1 = n.sub(&one);
+        // n - 1 = d·2^r.
+        let mut d = n_minus_1.clone();
+        let mut r = 0usize;
+        while !d.is_odd() {
+            d = d.shr(1);
+            r += 1;
+        }
+        let sprp = |a: &BigUint| {
+            let mut x = a.modpow(&d, n);
+            if x == one || x == n_minus_1 {
+                return true;
+            }
+            for _ in 1..r {
+                x = x.mul_mod(&x, n);
+                if x == n_minus_1 {
+                    return true;
+                }
+            }
+            false
+        };
+        if n.bits() <= DETERMINISTIC_MAX_BITS {
+            return DETERMINISTIC_BASES
+                .iter()
+                .all(|&b| sprp(&BigUint::from_u64(b)));
+        }
+        // Random bases in [2, n-2].
+        let n_minus_3 = n.sub(&BigUint::from_u64(3));
+        (0..RANDOM_ROUNDS).all(|_| sprp(&random_below(&n_minus_3, rng).add(&BigUint::from_u64(2))))
+    }
+
     /// Runs Miller–Rabin for odd `n > 251` on the fixed-width kernel and
-    /// on the generic path, from clones of one RNG: verdicts and the
-    /// RNG state afterwards must match. Returns the verdict.
+    /// on the schoolbook reference, from clones of one RNG: verdicts and
+    /// the RNG state afterwards must match. Returns the verdict.
     fn assert_kernel_matches_generic(n: &BigUint, seed: u64) -> bool {
         let limbs = n.to_u64_limbs(n.bits().div_ceil(64));
-        assert!(limbs.len() <= MAX_FIXED_LIMBS, "{} bits", n.bits());
         let mut fixed_rng = XorShiftSource::new(seed);
         let mut generic_rng = fixed_rng.clone();
-        let fixed = probable_prime(n, &limbs, &mut fixed_rng);
-        let generic = probable_prime_generic(n, &mut generic_rng);
+        let fixed = fixed_width!(limbs.len(), probable_prime_fixed(&limbs, &mut fixed_rng));
+        let generic = probable_prime_schoolbook(n, &mut generic_rng);
         assert_eq!(fixed, generic, "verdicts differ for {n:?}");
         assert_eq!(
             fixed_rng.next_u64(),
@@ -475,14 +458,14 @@ mod tests {
         fixed
     }
 
-    /// A prime of exactly `bits` bits found by the generic path alone,
-    /// so a broken kernel fails a comparison instead of stalling a
+    /// A prime of exactly `bits` bits found by the schoolbook reference
+    /// alone, so a broken kernel fails a comparison instead of stalling a
     /// `gen_prime` search.
     fn generic_prime(bits: usize, r: &mut XorShiftSource) -> BigUint {
         loop {
             let c = random_odd(bits, r);
             let limbs = c.to_u64_limbs(c.bits().div_ceil(64));
-            if trial_division(&limbs).is_none() && probable_prime_generic(&c, r) {
+            if trial_division(&limbs).is_none() && probable_prime_schoolbook(&c, r) {
                 return c;
             }
         }
@@ -491,16 +474,25 @@ mod tests {
     #[test]
     fn fixed_width_kernel_matches_generic_at_every_width() {
         let mut r = XorShiftSource::new(0xF1CED);
-        for limbs in 1..=MAX_FIXED_LIMBS {
+        for limbs in 1..=MAX_PRIME_BITS / 64 {
             // Top bit set (R mod n = R - n) and clear (R mod n by
-            // doubling); one width-2 size takes the deterministic bases.
-            let mut sizes = vec![64 * limbs, 64 * limbs - 7];
+            // doubling); one width-2 size takes the deterministic bases. A
+            // schoolbook round costs ~13 ms at 1024 bits in the test
+            // profile, so widths above 8 limbs check one size each, two
+            // random candidates, and a full-width prime only at 16 limbs
+            // (the primes of a 2048-bit key).
+            let narrow = limbs <= 8;
+            let mut sizes = match (narrow, limbs % 2) {
+                (true, _) => vec![64 * limbs, 64 * limbs - 7],
+                (false, 0) => vec![64 * limbs],
+                (false, _) => vec![64 * limbs - 7],
+            };
             if limbs == 2 {
                 sizes.push(75);
             }
             for bits in sizes {
                 let mut tested = 0;
-                while tested < 6 {
+                while tested < if narrow { 6 } else { 2 } {
                     let c = random_odd(bits, &mut r);
                     let c_limbs = c.to_u64_limbs(limbs);
                     if trial_division(&c_limbs).is_none() {
@@ -510,8 +502,10 @@ mod tests {
                 }
                 // A prime runs every round; a product of two primes
                 // passes trial division and must still be caught.
-                let p = generic_prime(bits, &mut r);
-                assert!(assert_kernel_matches_generic(&p, r.next_u64()));
+                if narrow || limbs == 16 {
+                    let p = generic_prime(bits, &mut r);
+                    assert!(assert_kernel_matches_generic(&p, r.next_u64()));
+                }
                 let q =
                     generic_prime(bits / 2, &mut r).mul(&generic_prime(bits - bits / 2, &mut r));
                 if q.bits() == bits {
@@ -564,6 +558,12 @@ mod tests {
         for _ in 0..1000 {
             assert!(random_below(&bound, &mut r) < bound);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "prime size too large")]
+    fn gen_prime_rejects_primes_above_1024_bits() {
+        gen_prime(1025, &mut rng());
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! This backs the TPM's Endorsement Key (EK) and Attestation Identity Key
 //! (AIK): quotes are RSA signatures over a PCR composite and nonce, and
 //! the registrar's credential-activation challenge is RSA-encrypted to
-//! the EK. Key sizes are configurable; the simulated cloud defaults to
-//! 512-bit keys (`CloudConfig::tpm_key_bits`) to keep runs fast — the
-//! protocol logic is identical at 2048.
-
-use std::sync::{Arc, OnceLock};
+//! the EK. Key sizes are configurable up to 2048 bits; the simulated
+//! cloud defaults to 512-bit keys (`CloudConfig::tpm_key_bits`) to keep
+//! runs fast — the protocol logic is identical at 2048.
+//!
+//! Every exponentiation runs on the stack-only fixed-width Montgomery
+//! kernel (`montgomery::FixedMont`), with a context built per call:
+//! public-key operations over `n`, private-key operations as two CRT
+//! halves over `p` and `q`.
 
 use crate::bignum::BigUint;
-use crate::montgomery::{fixed_width, FixedMont, Montgomery, MAX_FIXED_LIMBS};
+use crate::montgomery::{fixed_modpow, fixed_width, limbs, limbs_of, FixedMont, MAX_FIXED_LIMBS};
 use crate::prime::{gen_prime, RandomSource};
 use crate::sha256::{sha256, Digest};
 
@@ -45,44 +48,22 @@ impl std::error::Error for RsaError {}
 
 /// An RSA public key `(n, e)`.
 ///
-/// Carries a lazily-built [`Montgomery`] context for the modulus, shared
-/// across clones (and threads) so repeated verifications against the same
-/// key — the fleet-attestation hot path — pay the context setup once.
-#[derive(Clone)]
+/// No Montgomery context is kept with it: each verification or
+/// encryption builds one on the stack, which costs less than the
+/// exponentiation by 65537 it serves.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     n: BigUint,
     e: BigUint,
     /// Modulus length in bytes.
     k: usize,
-    /// Cached Montgomery context for `n`; `None` inside if `n` is even
-    /// (never the case for real RSA moduli, but kept total).
-    mont: Arc<OnceLock<Option<Montgomery>>>,
 }
 
-impl PartialEq for PublicKey {
-    fn eq(&self, other: &Self) -> bool {
-        // The Montgomery cache is derived state and excluded on purpose.
-        self.n == other.n && self.e == other.e && self.k == other.k
-    }
-}
-
-impl Eq for PublicKey {}
-
-impl std::fmt::Debug for PublicKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PublicKey")
-            .field("n", &self.n)
-            .field("e", &self.e)
-            .field("k", &self.k)
-            .finish()
-    }
-}
-
-/// CRT acceleration parameters (RFC 8017 §3.2, second representation):
-/// the only source of the per-call fixed-width Montgomery contexts of
-/// [`PrivateKey::sign`] and [`PrivateKey::decrypt`]. No context is cached
-/// next to them: building both on the stack costs about as much as
-/// reading a cached one.
+/// CRT parameters (RFC 8017 §3.2, second representation): the private
+/// key's only exponent, and the only source of the per-call fixed-width
+/// Montgomery contexts of [`PrivateKey::sign`] and
+/// [`PrivateKey::decrypt`]. No context is cached next to them: building
+/// both on the stack costs about as much as reading a cached one.
 #[derive(Clone)]
 struct CrtParams {
     p: BigUint,
@@ -93,37 +74,19 @@ struct CrtParams {
 }
 
 impl CrtParams {
-    /// `m^d mod pq` on the fixed-width kernel, or `None` when `p` and `q`
-    /// differ in limb count or are wider than `MAX_FIXED_LIMBS`, or `m`
-    /// does not fit twice their width.
-    fn private_exp_fixed(&self, m: &BigUint) -> Option<BigUint> {
-        let limbs = self.p.bits().div_ceil(64);
-        if self.q.bits().div_ceil(64) != limbs || m.bits() > 128 * limbs {
-            return None;
-        }
-        Some(fixed_width!(limbs, crt_exp_fixed(self, m), return None))
-    }
-
-    /// Garner's recombination on the generic [`Montgomery`] path: a
-    /// context with two `BigUint` divisions per half, built per call.
-    fn private_exp_generic(&self, m: &BigUint) -> BigUint {
-        let m1 = m.modpow_montgomery(&self.dp, &self.p);
-        let m2 = m.modpow_montgomery(&self.dq, &self.q);
-        // h = qinv * (m1 - m2) mod p, computed over non-negative values.
-        let m2_mod_p = m2.rem(&self.p);
-        let diff = if m1 >= m2_mod_p {
-            m1.sub(&m2_mod_p)
-        } else {
-            m1.add(&self.p).sub(&m2_mod_p)
-        };
-        let h = self.qinv.mul_mod(&diff, &self.p);
-        m2.add(&self.q.mul(&h))
+    /// `m^d mod pq` for `m < pq`, with both primes at the wider one's
+    /// limb count: a 257-bit key's 128-bit `p` is zero-padded to the
+    /// three limbs of its 129-bit `q`.
+    fn private_exp(&self, m: &BigUint) -> BigUint {
+        let limbs = self.p.bits().max(self.q.bits()).div_ceil(64);
+        fixed_width!(limbs, crt_exp_fixed(self, m))
     }
 }
 
-/// One CRT private exponentiation with `N`-limb primes, entirely on the
-/// stack: `m` (at most `2N` limbs) enters each half's Montgomery domain
-/// by multiplication alone, and Garner's `h` is formed inside `p`'s.
+/// One CRT private exponentiation with primes of at most `N` limbs,
+/// entirely on the stack: `m` (below `pq`, so at most `2N` limbs) enters
+/// each half's Montgomery domain by multiplication alone, and Garner's
+/// `h` is formed inside `p`'s.
 fn crt_exp_fixed<const N: usize>(crt: &CrtParams, m: &BigUint) -> BigUint {
     let p = FixedMont::new(limbs::<N>(&crt.p));
     let q = FixedMont::new(limbs::<N>(&crt.q));
@@ -140,18 +103,6 @@ fn crt_exp_fixed<const N: usize>(crt: &CrtParams, m: &BigUint) -> BigUint {
     let mut s = [0u64; 2 * MAX_FIXED_LIMBS];
     mul_add_wide(q.modulus(), &h, &m2, &mut s[..2 * N]);
     BigUint::from_u64_limbs(&s[..2 * N])
-}
-
-/// `x` (which must fit `N` limbs) as an `N`-limb array.
-fn limbs<const N: usize>(x: &BigUint) -> [u64; N] {
-    limbs_of(&x.to_u64_limbs(N))
-}
-
-/// An `N`-limb slice as an array.
-fn limbs_of<const N: usize>(s: &[u64]) -> [u64; N] {
-    let mut out = [0u64; N];
-    out.copy_from_slice(s);
-    out
 }
 
 /// `out = a·b + c` by schoolbook multiplication into `2N` limbs, which
@@ -171,14 +122,13 @@ fn mul_add_wide<const N: usize>(a: &[u64; N], b: &[u64; N], c: &[u64; N], out: &
     }
 }
 
-/// An RSA private key.
+/// An RSA private key: its public half and its CRT parameters, which
+/// replace the private exponent `d` (two half-size exponentiations run
+/// ~3-4x faster than one full-size).
 #[derive(Clone)]
 pub struct PrivateKey {
     public: PublicKey,
-    d: BigUint,
-    /// CRT parameters; private exponentiation runs ~3-4x faster with
-    /// them (two half-size modpows instead of one full-size).
-    crt: Option<CrtParams>,
+    crt: CrtParams,
 }
 
 // `PrivateKey` (and therefore `KeyPair`) deliberately implements neither
@@ -194,13 +144,19 @@ pub struct KeyPair {
     pub private: PrivateKey,
 }
 
+/// Widest RSA modulus, in bits, that [`generate_keypair`] accepts (2048):
+/// the widest the fixed-width kernel is instantiated for.
+const MAX_KEY_BITS: usize = 64 * MAX_FIXED_LIMBS;
+
 /// Generates an RSA keypair with a modulus of `bits` bits.
 ///
 /// # Panics
 ///
-/// Panics if `bits < 128` (too small even for tests).
+/// Panics if `bits < 128` (too small even for tests) or
+/// `bits > 2048` (wider than the fixed-width kernel is built for).
 pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
     assert!(bits >= 128, "RSA modulus too small");
+    assert!(bits <= MAX_KEY_BITS, "RSA modulus too large");
     let e = BigUint::from_u64(65537);
     loop {
         let p = gen_prime(bits / 2, rng);
@@ -230,17 +186,11 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
             qinv,
         };
         let k = bits.div_ceil(8);
-        let public = PublicKey {
-            n: n.clone(),
-            e: e.clone(),
-            k,
-            mont: Arc::new(OnceLock::new()),
-        };
+        let public = PublicKey { n, e, k };
         return KeyPair {
             private: PrivateKey {
                 public: public.clone(),
-                d,
-                crt: Some(crt),
+                crt,
             },
             public,
         };
@@ -253,17 +203,9 @@ impl PublicKey {
         self.k
     }
 
-    /// The cached Montgomery context for `n`, built on first use.
-    fn mont_ctx(&self) -> Option<&Montgomery> {
-        self.mont.get_or_init(|| Montgomery::new(&self.n)).as_ref()
-    }
-
-    /// Public exponentiation `m^e mod n`.
+    /// Public exponentiation `m^e mod n` for `m < n`.
     fn public_exp(&self, m: &BigUint) -> BigUint {
-        match self.mont_ctx() {
-            Some(ctx) => ctx.pow(m, &self.e),
-            None => m.modpow(&self.e, &self.n),
-        }
+        fixed_modpow(m, &self.e, &self.n)
     }
 
     /// A stable fingerprint of the key (SHA-256 over `n || e`).
@@ -323,28 +265,12 @@ impl PrivateKey {
         &self.public
     }
 
-    /// Private exponentiation `m^d mod n`, via CRT when available.
-    ///
-    /// Primes of equal limb count, up to `MAX_FIXED_LIMBS` (which covers
-    /// 512-, 1024- and 2048-bit keys), take the stack-only fixed-width
-    /// kernel: no `BigUint` division and no context kept between calls.
-    /// Other prime pairs take the generic [`Montgomery`] CRT path. Both
-    /// compute the unique CRT representative below `n`, so the output
-    /// bytes do not depend on the path. Without CRT the full-size
-    /// exponentiation runs on [`Montgomery`] (RSA moduli are odd, so the
-    /// context exists).
+    /// Private exponentiation `m^d mod n` for `m < n`: Garner's CRT on
+    /// the stack-only fixed-width kernel, with no `BigUint` division and
+    /// no context kept between calls. The result is the unique
+    /// representative below `n`.
     fn private_exp(&self, m: &BigUint) -> BigUint {
-        let Some(crt) = &self.crt else {
-            return m.modpow_montgomery(&self.d, &self.public.n);
-        };
-        crt.private_exp_fixed(m)
-            .unwrap_or_else(|| crt.private_exp_generic(m))
-    }
-
-    /// Disables CRT acceleration (testing and benchmarking).
-    pub fn without_crt(mut self) -> PrivateKey {
-        self.crt = None;
-        self
+        self.crt.private_exp(m)
     }
 
     /// Signs `message` with PKCS#1 v1.5 / SHA-256.
@@ -553,30 +479,43 @@ mod crt_tests {
     use super::*;
     use crate::prime::{random_below, XorShiftSource};
 
+    /// The schoolbook reference for `m^d mod n`: `d` recomputed from `e`,
+    /// `p` and `q`, and `BigUint::modpow`, which shares no code with the
+    /// fixed-width kernel.
+    fn schoolbook_exp(kp: &KeyPair, m: &BigUint) -> BigUint {
+        let (crt, one) = (&kp.private.crt, BigUint::one());
+        let phi = crt.p.sub(&one).mul(&crt.q.sub(&one));
+        let d = kp.public.e.modinv(&phi).expect("e is a unit mod phi");
+        m.modpow(&d, &kp.public.n)
+    }
+
+    /// A PKCS#1 v1.5 / SHA-256 signature made by [`schoolbook_exp`].
+    fn schoolbook_sign(kp: &KeyPair, msg: &[u8]) -> Vec<u8> {
+        let em = emsa_pkcs1_v15(msg, kp.public.k).expect("key holds an EMSA encoding");
+        schoolbook_exp(kp, &BigUint::from_bytes_be(&em)).to_bytes_be_padded(kp.public.k)
+    }
+
     #[test]
     fn crt_and_plain_signatures_agree() {
         let kp = keypair_from_seed(512, 0xC47);
-        let plain = kp.private.clone().without_crt();
         for msg in [b"a".as_slice(), b"quote over pcrs", &[0u8; 100]] {
-            assert_eq!(kp.private.sign(msg), plain.sign(msg));
+            assert_eq!(kp.private.sign(msg), schoolbook_sign(&kp, msg));
         }
     }
 
     #[test]
     fn crt_and_plain_decryption_agree() {
         let kp = keypair_from_seed(512, 0xC48);
-        let plain = kp.private.clone().without_crt();
         let mut rng = XorShiftSource::new(3);
         let ct = kp.public.encrypt(b"payload", &mut rng).expect("encrypts");
-        assert_eq!(
-            kp.private.decrypt(&ct).expect("crt"),
-            plain.decrypt(&ct).expect("plain")
-        );
+        let c = BigUint::from_bytes_be(&ct);
+        assert_eq!(kp.private.private_exp(&c), schoolbook_exp(&kp, &c));
+        assert_eq!(kp.private.decrypt(&ct).expect("crt"), b"payload");
     }
 
-    /// `0, 1, 2, p, q, n - 1` and random values below `n`.
-    fn edge_and_random_inputs(kp: &KeyPair, seed: u64) -> Vec<BigUint> {
-        let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
+    /// `0, 1, 2, p, q, n - 1` and `random` values below `n`.
+    fn edge_and_random_inputs(kp: &KeyPair, seed: u64, random: usize) -> Vec<BigUint> {
+        let crt = &kp.private.crt;
         let n = &kp.public.n;
         let mut out = vec![
             BigUint::zero(),
@@ -587,46 +526,44 @@ mod crt_tests {
             n.sub(&BigUint::one()),
         ];
         let mut rng = XorShiftSource::new(seed);
-        out.extend((0..4).map(|_| random_below(n, &mut rng)));
+        out.extend((0..random).map(|_| random_below(n, &mut rng)));
         out
     }
 
-    /// The CRT path must agree with the plain exponentiation on
-    /// signatures, decryption and raw private exponentiation.
+    /// The CRT path must agree with the schoolbook reference on
+    /// signatures and raw private exponentiation, and its signatures and
+    /// decryptions must round-trip through the public key. Keys above
+    /// 1024 bits compare fewer random inputs: each schoolbook
+    /// exponentiation there costs tens of milliseconds in the test
+    /// profile.
     fn assert_crt_matches_plain(kp: &KeyPair, seed: u64) {
-        let plain = kp.private.clone().without_crt();
+        let wide = kp.public.n.bits() > 1024;
         // Keys below 496 bits cannot hold a SHA-256 EMSA encoding.
         if emsa_pkcs1_v15(b"", kp.public.k).is_ok() {
-            for msg in [b"".as_slice(), b"quote over pcrs", &[0xA5; 200]] {
-                assert_eq!(kp.private.sign(msg), plain.sign(msg), "sign, seed {seed}");
+            let msgs = [b"".as_slice(), b"quote over pcrs", &[0xA5; 200]];
+            for msg in &msgs[..if wide { 1 } else { 3 }] {
+                let sig = kp.private.sign(msg);
+                assert_eq!(sig, schoolbook_sign(kp, msg), "sign, seed {seed}");
+                assert!(kp.public.verify(msg, &sig), "verify, seed {seed}");
             }
         }
         let mut rng = XorShiftSource::new(seed);
         let ct = kp.public.encrypt(b"cred", &mut rng).expect("fits");
-        assert_eq!(kp.private.decrypt(&ct), plain.decrypt(&ct));
-        for c in edge_and_random_inputs(kp, seed) {
+        assert_eq!(kp.private.decrypt(&ct).expect("decrypts"), b"cred");
+        for c in edge_and_random_inputs(kp, seed, if wide { 1 } else { 4 }) {
             assert_eq!(
                 kp.private.private_exp(&c),
-                plain.private_exp(&c),
+                schoolbook_exp(kp, &c),
                 "{} bits, seed {seed}",
                 kp.public.n.bits()
             );
-            let bytes = c.to_bytes_be_padded(kp.public.k);
-            assert_eq!(kp.private.decrypt(&bytes), plain.decrypt(&bytes));
         }
-    }
-
-    /// Whether `kp` takes the fixed-width CRT path.
-    fn takes_fixed_path(kp: &KeyPair) -> bool {
-        let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
-        crt.private_exp_fixed(&BigUint::from_u64(2)).is_some()
     }
 
     #[test]
     fn fixed_crt_matches_plain_at_every_prime_width() {
-        for limbs in 1..=MAX_FIXED_LIMBS {
+        for limbs in 1..=MAX_KEY_BITS / 128 {
             let kp = keypair_from_seed(128 * limbs, limbs as u64);
-            assert!(takes_fixed_path(&kp), "{limbs}-limb primes");
             assert_crt_matches_plain(&kp, limbs as u64);
         }
     }
@@ -635,16 +572,17 @@ mod crt_tests {
     fn fixed_crt_matches_plain_when_primes_leave_top_limb_short() {
         for bits in [200, 520, 1000] {
             let kp = keypair_from_seed(bits, bits as u64);
-            assert!(takes_fixed_path(&kp), "{bits}-bit key");
             assert_crt_matches_plain(&kp, bits as u64);
         }
     }
 
     #[test]
-    fn primes_of_different_widths_take_the_generic_path() {
-        // 257 bits: a 128-bit (2-limb) p and a 129-bit (3-limb) q.
+    fn primes_of_different_widths_take_the_padded_path() {
+        // 257 bits: a 128-bit (2-limb) p, zero-padded to the three limbs
+        // of a 129-bit q.
         let kp = keypair_from_seed(257, 257);
-        assert!(!takes_fixed_path(&kp));
+        let crt = &kp.private.crt;
+        assert_eq!((crt.p.bits(), crt.q.bits()), (128, 129));
         assert_crt_matches_plain(&kp, 257);
     }
 
@@ -657,7 +595,7 @@ mod crt_tests {
                 let p = gen_prime(bits / 2, &mut probe);
                 let q = gen_prime(bits - bits / 2, &mut probe);
                 let kp = generate_keypair(bits, &mut rng);
-                let crt = kp.private.crt.as_ref().expect("generated keys carry CRT");
+                let crt = &kp.private.crt;
                 assert_eq!((&crt.p, &crt.q), (&p, &q), "{bits} bits, seed {seed}");
                 assert_eq!(kp.public.n.bits(), bits);
                 // Both primes lie in [3·2^(k−2), 2^k).
@@ -674,5 +612,68 @@ mod crt_tests {
         let kp = keypair_from_seed(1024, 0xC49);
         let sig = kp.private.sign(b"message");
         assert!(kp.public.verify(b"message", &sig));
+    }
+
+    #[test]
+    #[should_panic(expected = "RSA modulus too large")]
+    fn keygen_rejects_keys_above_2048_bits() {
+        keypair_from_seed(2049, 1);
+    }
+}
+
+#[cfg(test)]
+mod public_exp_tests {
+    use super::*;
+    use crate::prime::{random_below, RandomSource, XorShiftSource};
+
+    /// A random odd value of exactly `bits` bits.
+    fn random_odd(bits: usize, rng: &mut XorShiftSource) -> BigUint {
+        let mut buf = vec![0u8; bits.div_ceil(8)];
+        rng.fill_bytes(&mut buf);
+        let top = (bits - 1) % 8;
+        buf[0] &= ((1u16 << (top + 1)) - 1) as u8;
+        buf[0] |= 1 << top;
+        let last = buf.len() - 1;
+        buf[last] |= 1;
+        BigUint::from_bytes_be(&buf)
+    }
+
+    /// Public exponentiation at every modulus width the kernel covers,
+    /// with the top limb full and short, against schoolbook `modpow`.
+    /// Exponents of 64 bits or fewer take the square-and-multiply branch;
+    /// a longer one (where the width allows) takes the window branch.
+    #[test]
+    fn public_exp_matches_schoolbook_at_every_width() {
+        let mut rng = XorShiftSource::new(0x9B11C);
+        for limbs in 1..=MAX_FIXED_LIMBS {
+            for bits in [64 * limbs, 64 * limbs - 7] {
+                let n = random_odd(bits, &mut rng);
+                let mut exps = [1, 3, 65537, u64::MAX].map(BigUint::from_u64).to_vec();
+                if limbs > 1 {
+                    exps.push(random_odd(bits.min(131), &mut rng));
+                }
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    n.sub(&BigUint::one()),
+                    random_below(&n, &mut rng),
+                ];
+                for e in exps {
+                    let key = PublicKey {
+                        n: n.clone(),
+                        e: e.clone(),
+                        k: bits.div_ceil(8),
+                    };
+                    for m in &bases {
+                        assert_eq!(
+                            key.public_exp(m),
+                            m.modpow(&e, &n),
+                            "{bits}-bit modulus, {}-bit exponent",
+                            e.bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

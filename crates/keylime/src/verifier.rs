@@ -140,8 +140,9 @@ struct VerifierInner {
 }
 
 /// AIK→verified-key cache: repeated quotes from the same node skip the
-/// registrar lookup, and the cached [`PublicKey`] clones share one
-/// Montgomery context, so only the first verification pays setup.
+/// registrar lookup. The cached [`PublicKey`] is plain `(n, e)`: each
+/// verification builds its own fixed-width Montgomery context on the
+/// stack.
 ///
 /// Entries are invalidated on signature mismatch so a node that
 /// re-registers with a fresh AIK is re-fetched, not rejected. Under
