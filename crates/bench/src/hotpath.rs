@@ -261,16 +261,16 @@ fn sector_xor_streamed(key: &Key, nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
 }
 
 /// The prime search on schoolbook arithmetic, kept here as the keygen
-/// baseline: `BigUint` trial division, then Miller–Rabin on
-/// `BigUint::modpow` and `mul_mod`, with `n-1 = d·2^r` re-split on every
-/// round. It draws the same candidates (top two bits and low bit set)
-/// and bases, so it returns the same primes.
+/// baseline and as a second path to the production keys. It walks the
+/// same candidates as `gen_prime`: one random start with its top two
+/// bits and low bit set, then `start + 2`, `start + 4`, … below
+/// `2^bits`, redrawing past it. Each candidate is sieved by a `BigUint`
+/// remainder per odd prime below 2^11 (those below the range floor),
+/// and Miller–Rabin runs on `BigUint::modpow` and `mul_mod`, with
+/// `n-1 = d·2^r` re-split on every round and the production rounds per
+/// size. It draws the same starts and bases, so it returns the same
+/// primes.
 fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
-    const SMALL_PRIMES: [u64; 54] = [
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89,
-        97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
-        191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251,
-    ];
     fn sprp(n: &BigUint, a: &BigUint) -> bool {
         let one = BigUint::one();
         let n_minus_1 = n.sub(&one);
@@ -293,22 +293,33 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
         false
     }
     // Only the random-base branch: key primes are far above 81 bits.
-    fn is_prime(n: &BigUint, rng: &mut dyn RandomSource) -> bool {
-        for p in SMALL_PRIMES {
-            let pb = BigUint::from_u64(p);
-            if n == &pb {
-                return true;
-            }
-            if n.rem(&pb).is_zero() {
-                return false;
-            }
-        }
+    fn probable_prime(n: &BigUint, rounds: usize, rng: &mut dyn RandomSource) -> bool {
         let n_minus_3 = n.sub(&BigUint::from_u64(3));
-        (0..24).all(|_| {
+        (0..rounds).all(|_| {
             let a = random_below(&n_minus_3, rng).add(&BigUint::from_u64(2));
             sprp(n, &a)
         })
     }
+    let rounds = match bits {
+        1024.. => 5,
+        512.. => 6,
+        256.. => 12,
+        _ => 24,
+    };
+    let floor = BigUint::from_u64(3).shl(bits - 2);
+    let sieve: Vec<BigUint> = (3..2048u64)
+        .step_by(2)
+        .filter(|&p| {
+            (3..p)
+                .step_by(2)
+                .take_while(|d| d * d <= p)
+                .all(|d| !p.is_multiple_of(d))
+        })
+        .map(BigUint::from_u64)
+        .filter(|p| p < &floor)
+        .collect();
+    let top = BigUint::one().shl(bits);
+    let two = BigUint::from_u64(2);
     loop {
         let mut buf = vec![0u8; bits.div_ceil(8)];
         rng.fill_bytes(&mut buf);
@@ -322,9 +333,14 @@ fn gen_prime_generic(bits: usize, rng: &mut dyn RandomSource) -> BigUint {
         }
         let last = buf.len() - 1;
         buf[last] |= 1;
-        let candidate = BigUint::from_bytes_be(&buf);
-        if is_prime(&candidate, rng) {
-            return candidate;
+        let mut candidate = BigUint::from_bytes_be(&buf);
+        while candidate < top {
+            if sieve.iter().all(|p| !candidate.rem(p).is_zero())
+                && probable_prime(&candidate, rounds, rng)
+            {
+                return candidate;
+            }
+            candidate = candidate.add(&two);
         }
     }
 }
@@ -344,8 +360,10 @@ struct GenericCrtKey {
 
 impl GenericCrtKey {
     /// The key `keypair_from_seed(bits, seed)` returns, found with the
-    /// given prime search: the same prime draws, retry conditions,
-    /// `modinv` calls and CRT parameters as `generate_keypair`.
+    /// given prime search: the same prime draws, retry conditions and
+    /// CRT parameters as `generate_keypair`, with `d` and `qinv` both
+    /// from the extended-Euclid `modinv` (`generate_keypair` takes
+    /// `qinv` by Fermat on the fixed-width kernel).
     fn from_seed(
         bits: usize,
         seed: u64,
@@ -585,7 +603,7 @@ pub fn run(effort: Effort) -> Vec<Record> {
     // Per-key cost varies several-fold with how far the search walks,
     // so every batch covers the same seeds for both variants. Each key
     // is the whole `generate_keypair` loop: primes, length check,
-    // `modinv` and CRT parameters.
+    // inverses and CRT parameters.
     let keys = effort.pick(16u64, 8, 4);
     for seed in 1..=keys {
         assert_eq!(

@@ -13,7 +13,9 @@
 //! halves over `p` and `q`.
 
 use crate::bignum::BigUint;
-use crate::montgomery::{fixed_modpow, fixed_width, limbs, limbs_of, FixedMont, MAX_FIXED_LIMBS};
+use crate::montgomery::{
+    fixed_modpow, fixed_width, limbs, limbs_of, sub_wrapping, FixedMont, MAX_FIXED_LIMBS,
+};
 use crate::prime::{gen_prime, RandomSource};
 use crate::sha256::{sha256, Digest};
 
@@ -122,6 +124,31 @@ fn mul_add_wide<const N: usize>(a: &[u64; N], b: &[u64; N], c: &[u64; N], out: &
     }
 }
 
+/// `q^{-1} mod p` for a prime `p`, by Fermat's little theorem: `(q mod
+/// p)^{p−2}` on the fixed-width kernel at `p`'s limb count. `None` when
+/// the result fails the check `q·qinv ≡ 1 (mod p)`, which a composite
+/// `p` almost always makes it do.
+fn crt_inverse(q: &BigUint, p: &BigUint) -> Option<BigUint> {
+    fixed_width!(p.bits().div_ceil(64), crt_inverse_fixed(q, p))
+}
+
+/// [`crt_inverse`] for a `p` of `N` limbs. `q` may be one limb wider
+/// than `p` (a 257-bit key's 129-bit `q` over its 128-bit `p`), so it
+/// enters `p`'s Montgomery domain as a `2N`-limb value, which reduces it
+/// modulo `p` on the way in.
+fn crt_inverse_fixed<const N: usize>(q: &BigUint, p: &BigUint) -> Option<BigUint> {
+    let ctx = FixedMont::new(limbs::<N>(p));
+    let wide = q.to_u64_limbs(2 * N);
+    let q_mont = ctx.to_mont_wide(&limbs_of(&wide[..N]), &limbs_of(&wide[N..]));
+    let mut exp = *ctx.modulus();
+    let mut two = [0u64; N];
+    two[0] = 2;
+    sub_wrapping(&mut exp, &two);
+    let inv_mont = ctx.pow(&q_mont, &exp);
+    (&ctx.mul(&q_mont, &inv_mont) == ctx.one())
+        .then(|| BigUint::from_u64_limbs(&ctx.from_mont(&inv_mont)))
+}
+
 /// An RSA private key: its public half and its CRT parameters, which
 /// replace the private exponent `d` (two half-size exponentiations run
 /// ~3-4x faster than one full-size).
@@ -175,7 +202,7 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
         let Some(d) = e.modinv(&phi) else {
             continue;
         };
-        let Some(qinv) = q.modinv(&p) else {
+        let Some(qinv) = crt_inverse(&q, &p) else {
             continue;
         };
         let crt = CrtParams {
@@ -605,6 +632,32 @@ mod crt_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn crt_inverse_matches_extended_euclid() {
+        // Seeded prime pairs at the key sizes in use, and the 257-bit
+        // key's 129-bit q over its 128-bit p.
+        let mut pairs: Vec<(BigUint, BigUint)> = (1..=64u64)
+            .map(|seed| {
+                let mut rng = XorShiftSource::new(seed);
+                (gen_prime(256, &mut rng), gen_prime(256, &mut rng))
+            })
+            .collect();
+        for (bits, seed) in [(257, 257), (1024, 1), (2048, 1)] {
+            let crt = keypair_from_seed(bits, seed).private.crt;
+            pairs.push((crt.p, crt.q));
+        }
+        for (p, q) in &pairs {
+            let want = q.modinv(p).expect("distinct primes are coprime");
+            assert_eq!(crt_inverse(q, p), Some(want), "{} bits", p.bits());
+            if q.bits() == p.bits() {
+                assert_eq!(crt_inverse(p, q), p.modinv(q), "{} bits", q.bits());
+            }
+        }
+        // A composite modulus fails the check.
+        let (p, q) = &pairs[0];
+        assert_eq!(crt_inverse(&BigUint::from_u64(3), &p.mul(q)), None);
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! `keypair_from_seed`. The fleet, reconcile and scenario digests hash
 //! spans, metrics and outcomes, never key bytes, so these pins are what
 //! fix the exact primes the prime search returns. They hash the
-//! public-key fingerprints of a run of seeds; a change to the primality
-//! kernel, the candidate range or search, or the RNG consumption of the
-//! random Miller–Rabin bases shows up here.
+//! public-key fingerprints of a run of seeds. Pinned inputs include the
+//! candidate range, the candidate search order (one random start per
+//! walk, odd offsets stepped upward, a redraw at `2^bits`), the sieve
+//! table that decides which candidates reach Miller–Rabin, the rounds
+//! per prime size, and the RNG consumption of the random bases: a change
+//! to any of them, or to the primality kernel, shows up here.
 
 use bolted_crypto::{keypair_from_seed, sha256};
 
@@ -28,7 +31,7 @@ fn fingerprint_digest(bits: usize, seeds: std::ops::RangeInclusive<u64>) -> Stri
 fn keygen_512_fingerprints_are_pinned() {
     assert_eq!(
         fingerprint_digest(512, 1..=64),
-        "3f6e41198eebc564e9e126fa6cae1dd48c6943e0d9e56073b52d26ee19dca714"
+        "ff9bd9f121ce77237a3c1aba6bbd3e64d11f97d5fba28c9ee5fc050ed03e1639"
     );
 }
 
@@ -36,6 +39,6 @@ fn keygen_512_fingerprints_are_pinned() {
 fn keygen_1024_fingerprints_are_pinned() {
     assert_eq!(
         fingerprint_digest(1024, 1..=8),
-        "48b2639fea1a32dc28faa0a42845b03746188828d2120408984083322310a881"
+        "bd854c84fadcfb87aa290807b077ce35c7c3a5945f05a7d71a4de9406fbdea17"
     );
 }

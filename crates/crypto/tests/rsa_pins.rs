@@ -27,7 +27,7 @@ fn signature_digest(bits: usize, seeds: std::ops::RangeInclusive<u64>) -> String
 fn sign_512_is_pinned() {
     assert_eq!(
         signature_digest(512, 1..=64),
-        "c4b15ac5d685ef1eef749f0f67845fa8b1d6df2714fca004319f62770d47ffa2"
+        "d0ca9edd23c611986d196405ccab72e3df4c1e60fd66e26b122a86fac85b0ac9"
     );
 }
 
@@ -35,7 +35,7 @@ fn sign_512_is_pinned() {
 fn sign_1024_is_pinned() {
     assert_eq!(
         signature_digest(1024, 1..=8),
-        "17e59eb3d47b97534f9fdb9c37f2fa6bddc2b0e53dc3b0352807ab5e0ca0f1a2"
+        "5fd041cf687f92e021beefb59928c2df42e0556d75adbeabcce986885edeb748"
     );
 }
 
@@ -43,7 +43,7 @@ fn sign_1024_is_pinned() {
 fn sign_2048_is_pinned() {
     assert_eq!(
         signature_digest(2048, 1..=2),
-        "0447f995ed8fba1ac2aa46bcd58263db9679d70d82c68cd84d709fa6a1ed42e8"
+        "691a30a1b2ce2cd5137547a3a5f502351b4a6f57d3dcdfa0af3c3f7f8d329685"
     );
 }
 
@@ -64,6 +64,6 @@ fn decrypt_512_is_pinned() {
     }
     assert_eq!(
         sha256(&all).to_hex(),
-        "4b0c5cd7e8d5bb323cc5b4639b2b1458481cbf2d4aed1865e628282a6958b0a3"
+        "21c305f188b397fe96d21a12d4f221e814d0f22e0e91cfb44a9367eb00f46fc0"
     );
 }
