@@ -7,8 +7,12 @@
 //! switch: an intended change reruns the binary, updates the file by
 //! hand and says why in the change log.
 //!
-//! `phases` stays out (it writes `results/metrics_phases.json`), and so
-//! does `tab_tcb` (a line-count census of the working tree).
+//! The `phases` binary is not run, because it writes
+//! `results/metrics_phases.json`. That JSON is pinned without it: the
+//! library's `charlie_phase_breakdown().to_json()` must equal the
+//! committed file byte for byte. Its text table (`results/phases.txt`)
+//! is not pinned here, and neither is `tab_tcb` (a line-count census of
+//! the working tree).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -33,11 +37,15 @@ fn stdout_of(bin: &str, args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("stdout is UTF-8")
 }
 
-/// `bin`'s stdout must equal `results/<name>.txt` byte for byte; a
-/// mismatch reports the first line that differs.
+/// `bin`'s stdout must equal `results/<name>.txt` byte for byte.
 fn assert_matches_snapshot(name: &str, bin: &str) {
-    let want = read_result(&format!("{name}.txt"));
-    let got = stdout_of(bin, &[]);
+    assert_text_matches(&format!("{name}.txt"), &stdout_of(bin, &[]));
+}
+
+/// `got` must equal `results/<file>` byte for byte; a mismatch reports
+/// the first line that differs.
+fn assert_text_matches(file: &str, got: &str) {
+    let want = read_result(file);
     if got == want {
         return;
     }
@@ -47,7 +55,7 @@ fn assert_matches_snapshot(name: &str, bin: &str) {
         .find(|&i| got_lines.get(i) != want_lines.get(i))
         .expect("unequal texts differ in some line");
     panic!(
-        "{name}: stdout differs from results/{name}.txt at line {}\n  got:  {:?}\n  want: {:?}",
+        "output differs from results/{file} at line {}\n  got:  {:?}\n  want: {:?}",
         line + 1,
         got_lines.get(line),
         want_lines.get(line)
@@ -158,4 +166,10 @@ fn tab_revocation_snapshot() {
 #[test]
 fn ablations_snapshot() {
     assert_matches_snapshot("ablations", env!("CARGO_BIN_EXE_ablations"));
+}
+
+#[test]
+fn metrics_phases_json_snapshot() {
+    let json = bolted_bench::phases::charlie_phase_breakdown().to_json();
+    assert_text_matches("metrics_phases.json", &json);
 }

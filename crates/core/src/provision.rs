@@ -1115,39 +1115,13 @@ impl Tenant {
         // accessed over IPsec").
         {
             let phase = self.env.call.open_phase("tenant", "iscsi-attach", &cx.name);
-            let total = calib.boot_touched_bytes;
-            let req = calib.boot_io_request;
-            let mut off = 0u64;
-            while off < total {
-                let len = req.min(total - off);
-                let read = {
-                    let target = target.clone();
-                    move || {
-                        let target = target.clone();
-                        async move {
-                            match target.read_timed(off, len).await {
-                                // Only injected transient faults retry;
-                                // other read outcomes were (and are)
-                                // ignored by the boot loop.
-                                Err(ImageError::Transient) => Err(ImageError::Transient),
-                                _ => Ok(()),
-                            }
-                        }
-                    }
-                };
-                self.retry_or_abandon(
-                    "storage.read",
-                    &mut cx.retry_rng,
-                    cx.node,
-                    &cx.name,
-                    &mut cx.lc,
-                    Some(image),
-                    read,
-                    |e| matches!(e, ImageError::Transient),
-                )
-                .await?;
-                off += len;
-            }
+            self.boot_reads(
+                &target,
+                &cx.name,
+                &mut cx.retry_rng,
+                Some((cx.node, &mut cx.lc, image)),
+            )
+            .await?;
             self.env
                 .call
                 .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
@@ -1155,6 +1129,57 @@ impl Tenant {
         sim.sleep(calib.kernel_boot_cpu).await;
         cx.timer.mark("kernel-boot");
         cx.target = Some(target);
+        Ok(())
+    }
+
+    /// The boot's disk reads: `boot_touched_bytes` from `target` in
+    /// `boot_io_request` units, one `storage.read` retry per unit. With
+    /// `abandon` = `(node, lifecycle, image)` an exhausted read abandons
+    /// the node ([`Tenant::retry_or_abandon`]); without it the read only
+    /// retries ([`Tenant::retry_infra`]). The read closure borrows the
+    /// target, so a read costs no clone of it.
+    async fn boot_reads(
+        &self,
+        target: &IscsiTarget,
+        name: &str,
+        rng: &mut Rng,
+        mut abandon: Option<(NodeId, &mut Lifecycle, ImageId)>,
+    ) -> Result<(), ProvisionError> {
+        let total = self.env.calib.boot_touched_bytes;
+        let req = self.env.calib.boot_io_request;
+        let transient = |e: &ImageError| matches!(e, ImageError::Transient);
+        let mut off = 0u64;
+        while off < total {
+            let len = req.min(total - off);
+            let read = move || async move {
+                match target.read_timed(off, len).await {
+                    // Only injected transient faults retry; the boot
+                    // loop ignores every other read outcome.
+                    Err(ImageError::Transient) => Err(ImageError::Transient),
+                    _ => Ok(()),
+                }
+            };
+            match abandon.as_mut() {
+                Some((node, lc, image)) => {
+                    self.retry_or_abandon(
+                        "storage.read",
+                        rng,
+                        *node,
+                        name,
+                        lc,
+                        Some(*image),
+                        read,
+                        transient,
+                    )
+                    .await?
+                }
+                None => {
+                    self.retry_infra("storage.read", name, rng, read, transient)
+                        .await?
+                }
+            }
+            off += len;
+        }
         Ok(())
     }
 
@@ -1267,35 +1292,9 @@ impl Tenant {
         if profile.net_encryption {
             sim.sleep(calib.ipsec_setup).await;
         }
-        {
-            let total = calib.boot_touched_bytes;
-            let req = calib.boot_io_request;
-            let mut off = 0u64;
-            while off < total {
-                let len = req.min(total - off);
-                let read = {
-                    let target = pnode.target.clone();
-                    move || {
-                        let target = target.clone();
-                        async move {
-                            match target.read_timed(off, len).await {
-                                Err(ImageError::Transient) => Err(ImageError::Transient),
-                                _ => Ok(()),
-                            }
-                        }
-                    }
-                };
-                self.retry_infra(
-                    "storage.read",
-                    &pnode.report.node,
-                    &mut retry_rng,
-                    read,
-                    |e| matches!(e, ImageError::Transient),
-                )
-                .await?;
-                off += len;
-            }
-        }
+        // No abandon here either: the restart keeps the node.
+        self.boot_reads(&pnode.target, &pnode.report.node, &mut retry_rng, None)
+            .await?;
         sim.sleep(calib.kernel_boot_cpu).await;
         timer.mark("kernel-boot");
         Ok(ProvisionReport {

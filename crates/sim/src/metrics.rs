@@ -1,12 +1,19 @@
 //! A tiny labelled-metrics registry: counters, gauges, and fixed-bucket
 //! histograms.
 //!
-//! Every series is keyed by `(name, labels)` where labels are a small
-//! `&[(key, value)]` slice canonicalised to `k=v,k=v` (in the order the
-//! instrumentation passes them — call sites use a fixed order, so equal
-//! label sets always canonicalise equally). Storage is `BTreeMap`, so
-//! iteration, [`Metrics::snapshot`], and the JSON export are fully
-//! deterministic: two runs under the same seed serialise byte-identically.
+//! Every series is keyed by one flat string: `name{k=v,k=v}`, or the
+//! bare `name` when the label slice is empty. Labels are rendered in
+//! the order the instrumentation passes them — call sites use a fixed
+//! order, so equal label sets always render equally. Storage is one
+//! `BTreeMap<String, _>` per kind over exactly the keys
+//! [`MetricsSnapshot`] exports, so iteration, [`Metrics::snapshot`] (a
+//! clone of the maps), and the JSON export are fully deterministic: two
+//! runs under the same seed serialise byte-identically.
+//!
+//! The hot path does not allocate: an update renders its key with
+//! `push_str` into a scratch `String` kept inside the registry and
+//! looks the series up by `&str`; only the first update of a new series
+//! copies the key into the map.
 //!
 //! Histograms combine fixed bucket bounds (cumulative-style counts:
 //! bucket `i` counts observations `<= bounds[i]`, with one overflow
@@ -14,7 +21,7 @@
 //!
 //! Determinism: updating a metric never reads the clock, sleeps, or
 //! draws randomness. A disabled registry ([`Metrics::disabled`]) drops
-//! every update before building the canonical key.
+//! every update before rendering the key.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -29,15 +36,42 @@ use crate::time::SimDuration;
 /// scales from milliseconds to minutes.
 pub const DEFAULT_BUCKETS: &[f64] = &[0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0];
 
-fn canon(labels: &[(&str, &str)]) -> String {
-    let mut s = String::new();
+/// Renders the series key `name{k=v,...}` (bare `name` without labels)
+/// into `out`, replacing its contents.
+fn render_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
+    out.clear();
+    out.push_str(name);
+    if labels.is_empty() {
+        return;
+    }
+    out.push('{');
     for (i, (k, v)) in labels.iter().enumerate() {
         if i > 0 {
-            s.push(',');
+            out.push(',');
         }
-        let _ = write!(s, "{k}={v}");
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
     }
-    s
+    out.push('}');
+}
+
+/// Applies `f` to the series `key` in `map`. A new series starts from
+/// `init()` and is the only case that copies the key.
+fn update<V>(
+    map: &mut BTreeMap<String, V>,
+    key: &str,
+    init: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => {
+            let mut v = init();
+            f(&mut v);
+            map.insert(key.to_string(), v);
+        }
+    }
 }
 
 /// One fixed-bucket histogram series.
@@ -75,9 +109,12 @@ impl Histogram {
 #[derive(Default)]
 struct MetricsInner {
     enabled: bool,
-    counters: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<(String, String), f64>,
-    histograms: BTreeMap<(String, String), Histogram>,
+    /// Scratch buffer the update path renders series keys into, so a
+    /// hit on an existing series allocates nothing.
+    key: String,
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 /// A shared, clonable metrics registry.
@@ -106,12 +143,13 @@ impl Metrics {
 
     /// Adds `delta` to the counter `name{labels}`.
     pub fn add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let mut inner = lock(&self.inner);
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
         if !inner.enabled {
             return;
         }
-        let key = (name.to_string(), canon(labels));
-        *inner.counters.entry(key).or_insert(0) += delta;
+        render_key(&mut inner.key, name, labels);
+        update(&mut inner.counters, &inner.key, || 0, |c| *c += delta);
     }
 
     /// Increments the counter `name{labels}` by one.
@@ -121,12 +159,13 @@ impl Metrics {
 
     /// Sets the gauge `name{labels}`.
     pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let mut inner = lock(&self.inner);
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
         if !inner.enabled {
             return;
         }
-        let key = (name.to_string(), canon(labels));
-        inner.gauges.insert(key, value);
+        render_key(&mut inner.key, name, labels);
+        update(&mut inner.gauges, &inner.key, || value, |g| *g = value);
     }
 
     /// Observes `x` into the histogram `name{labels}` with
@@ -143,79 +182,71 @@ impl Metrics {
     /// [`Metrics::observe`] with explicit bucket bounds (used only when
     /// the series is created).
     pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], x: f64, bounds: &[f64]) {
-        let mut inner = lock(&self.inner);
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
         if !inner.enabled {
             return;
         }
-        let key = (name.to_string(), canon(labels));
-        inner
-            .histograms
-            .entry(key)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(x);
+        render_key(&mut inner.key, name, labels);
+        update(
+            &mut inner.histograms,
+            &inner.key,
+            || Histogram::new(bounds),
+            |h| h.observe(x),
+        );
     }
 
     /// Reads a counter; missing series read as 0.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).counters.get(&key).copied().unwrap_or(0)
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        render_key(&mut inner.key, name, labels);
+        inner.counters.get(&inner.key).copied().unwrap_or(0)
     }
 
-    /// Sum of a counter across all label sets.
+    /// Sum of a counter across all label sets: the bare `name` series
+    /// plus every `name{...}` series, and no other name it prefixes.
     pub fn counter_total(&self, name: &str) -> u64 {
         lock(&self.inner)
             .counters
             .iter()
-            .filter(|((n, _), _)| n == name)
+            .filter(|(k, _)| {
+                k.strip_prefix(name)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('{'))
+            })
             .map(|(_, v)| v)
             .sum()
     }
 
     /// Reads a gauge, if set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).gauges.get(&key).copied()
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        render_key(&mut inner.key, name, labels);
+        inner.gauges.get(&inner.key).copied()
     }
 
     /// Reads a histogram series, if any observations landed.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        let key = (name.to_string(), canon(labels));
-        lock(&self.inner).histograms.get(&key).cloned()
+        let mut guard = lock(&self.inner);
+        let inner = &mut *guard;
+        render_key(&mut inner.key, name, labels);
+        inner.histograms.get(&inner.key).cloned()
     }
 
     /// A stable point-in-time copy of every series.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = lock(&self.inner);
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|((n, l), v)| (series_key(n, l), *v))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|((n, l), v)| (series_key(n, l), *v))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|((n, l), h)| (series_key(n, l), h.clone()))
-                .collect(),
+            counters: inner.counters.clone(),
+            gauges: inner.gauges.clone(),
+            histograms: inner.histograms.clone(),
         }
     }
 
     /// Shorthand: `snapshot().to_json()`.
     pub fn to_json(&self) -> String {
         self.snapshot().to_json()
-    }
-}
-
-fn series_key(name: &str, labels: &str) -> String {
-    if labels.is_empty() {
-        name.to_string()
-    } else {
-        format!("{name}{{{labels}}}")
     }
 }
 
@@ -374,12 +405,72 @@ mod tests {
     fn disabled_registry_records_nothing() {
         let m = Metrics::disabled();
         m.inc("c", &[]);
+        m.add("c", &[("k", "v")], 3);
         m.set_gauge("g", &[], 1.0);
         m.observe("h", &[], 0.5);
         let snap = m.snapshot();
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
+        // Updates return before rendering, so the scratch key stays empty.
+        assert!(lock(&m.inner).key.is_empty());
+    }
+
+    #[test]
+    fn counter_total_matches_whole_names_only() {
+        let m = Metrics::new();
+        m.add("storage_read", &[("target", "a")], 2);
+        m.add("storage_read_ops", &[("target", "a")], 5);
+        m.add("storage_read_bytes", &[], 7);
+        assert_eq!(m.counter_total("storage_read"), 2);
+        assert_eq!(m.counter_total("storage_read_ops"), 5);
+        assert_eq!(m.counter_total("storage"), 0);
+        m.add("a", &[], 1);
+        m.add("a", &[("x", "1")], 10);
+        m.add("ab", &[("x", "1")], 100);
+        assert_eq!(m.counter_total("a"), 11);
+    }
+
+    /// Pins the exported JSON byte for byte over a mixed update
+    /// sequence: bare and labelled series, two labels kept in call
+    /// order, names that prefix other names (`_` sorts before `{`), an
+    /// overwritten gauge, and histogram bounds fixed at creation.
+    #[test]
+    fn json_export_is_pinned() {
+        let m = Metrics::new();
+        m.inc("storage_read_ops", &[("target", "img-a")]);
+        m.add("storage_read", &[], 5);
+        m.add("storage_read_bytes", &[("target", "img-a")], 4096);
+        m.add("storage_read", &[("target", "img-b"), ("op", "x")], 2);
+        m.inc("storage_read_ops", &[("target", "img-a")]);
+        m.set_gauge("free_nodes", &[("pool", "p1")], 3.5);
+        m.set_gauge("free_nodes", &[("pool", "p1")], 2.0);
+        m.set_gauge("free", &[], 0.25);
+        m.observe_with("phase_seconds", &[("phase", "boot")], 0.2, &[0.1, 1.0]);
+        m.observe_with("phase_seconds", &[("phase", "boot")], 5.0, &[0.5]);
+        m.observe("phase", &[], 0.05);
+        let expected = r#"{
+  "counters": {
+    "storage_read": 5,
+    "storage_read_bytes{target=img-a}": 4096,
+    "storage_read_ops{target=img-a}": 2,
+    "storage_read{target=img-b,op=x}": 2
+  },
+  "gauges": {
+    "free": 0.25,
+    "free_nodes{pool=p1}": 2.0
+  },
+  "histograms": {
+    "phase": {"count": 1, "mean": 0.05, "min": 0.05, "max": 0.05, "bounds": [0.01, 0.1, 0.5, 1.0, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0], "counts": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]},
+    "phase_seconds{phase=boot}": {"count": 2, "mean": 2.6, "min": 0.2, "max": 5.0, "bounds": [0.1, 1.0], "counts": [0, 1, 1]}
+  }
+}"#;
+        assert_eq!(m.to_json(), expected);
+        // Labels are keyed in call order, not sorted.
+        assert_eq!(
+            m.counter("storage_read", &[("op", "x"), ("target", "img-b")]),
+            0
+        );
     }
 
     #[test]

@@ -293,7 +293,6 @@ impl IscsiTarget {
         }
         // Top up the prefetch pipeline behind the current window.
         if self.transport.pipeline_depth > 1 {
-            let image_size = self.store.size(self.image)?;
             loop {
                 let next_start = {
                     let st = lock(&self.state);
