@@ -2,10 +2,10 @@
 
 use bolted_bench::{banner, f, print_table};
 use bolted_crypto::CipherSuite;
-use bolted_sim::Sim;
+use bolted_sim::{OpGate, Sim};
 use bolted_storage::{
     Backing, Cluster, Gateway, ImageStore, IscsiTarget, Transport, DEFAULT_READ_AHEAD,
-    TUNED_READ_AHEAD,
+    TGT_VM_BANDWIDTH_BPS, TUNED_READ_AHEAD,
 };
 use bolted_workloads::{dd_iscsi, DdOp, LuksCost};
 
@@ -16,7 +16,7 @@ fn run(luks: Option<LuksCost>, ipsec: bool, read_ahead: u64, op: DdOp) -> f64 {
     let img = store
         .create("dd-volume", 8 << 30, Backing::Zero)
         .expect("image");
-    let gateway = Gateway::new(&sim);
+    let gateway = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
     let transport = if ipsec {
         Transport::ipsec_10g(CipherSuite::AesNi.default_cost())
     } else {

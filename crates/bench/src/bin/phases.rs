@@ -3,42 +3,16 @@
 //! — the same breakdown as Figure 4, but reconstructed entirely from
 //! spans and metrics rather than the orchestration's own stopwatch.
 //!
-//! Prints the table (snapshot: `results/phases.txt`) and writes the
-//! machine-readable report to `results/metrics_phases.json`.
+//! Writes the machine-readable report to `results/metrics_phases.json`,
+//! then prints the table (snapshot: `results/phases.txt`).
 
-use bolted_bench::phases::charlie_phase_breakdown;
-use bolted_bench::{banner, f, print_table};
+use bolted_bench::phases::{charlie_phase_breakdown, JSON_PATH};
 
 fn main() {
-    banner(
-        "Provisioning phase breakdown from spans",
-        "Figure 4's decomposition, measured by the observability layer",
-    );
     let bd = charlie_phase_breakdown();
-    println!("node {} [{}]\n", bd.node, bd.profile);
-    let rows: Vec<Vec<String>> = bd
-        .phases
-        .iter()
-        .map(|(phase, secs)| {
-            vec![
-                phase.clone(),
-                f(*secs, 2),
-                f(secs / bd.total_seconds * 100.0, 1),
-            ]
-        })
-        .collect();
-    print_table(&["phase", "seconds", "% of total"], &rows);
-    let accounted: f64 = bd.phases.iter().map(|(_, s)| s).sum();
-    println!(
-        "total {:.2}s ({:.1}% accounted by the six phases;",
-        bd.total_seconds,
-        accounted / bd.total_seconds * 100.0
-    );
-    println!("the rest is downloads, airlock dwell and kernel-boot CPU)");
-
-    let json = bd.to_json();
-    match std::fs::write("results/metrics_phases.json", &json) {
-        Ok(()) => println!("\nwrote results/metrics_phases.json"),
-        Err(e) => println!("\ncould not write results/metrics_phases.json: {e}"),
+    if let Err(e) = std::fs::write(JSON_PATH, bd.to_json()) {
+        eprintln!("could not write {JSON_PATH}: {e}");
+        std::process::exit(1);
     }
+    print!("{}", bd.to_text());
 }

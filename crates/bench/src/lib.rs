@@ -11,14 +11,22 @@ pub mod phases;
 
 /// Prints a figure banner with the paper reference.
 pub fn banner(title: &str, paper_ref: &str) {
-    println!("==============================================================");
-    println!("{title}");
-    println!("(reproduces {paper_ref})");
-    println!("==============================================================");
+    print!("{}", banner_text(title, paper_ref));
+}
+
+/// The banner [`banner`] prints.
+pub fn banner_text(title: &str, paper_ref: &str) -> String {
+    let rule = "=".repeat(62);
+    format!("{rule}\n{title}\n(reproduces {paper_ref})\n{rule}\n")
 }
 
 /// Prints an aligned table: headers + rows of strings.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+    print!("{}", table(headers, rows));
+}
+
+/// The table [`print_table`] prints, ending in a blank line.
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -27,19 +35,22 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
             }
         }
     }
-    let line = |cells: Vec<String>| {
+    let mut out = String::new();
+    let mut line = |cells: Vec<String>| {
         let mut s = String::new();
         for (i, c) in cells.iter().enumerate() {
             s.push_str(&format!("{:<w$}  ", c, w = widths[i]));
         }
-        println!("{}", s.trim_end());
+        out.push_str(s.trim_end());
+        out.push('\n');
     };
     line(headers.iter().map(|h| h.to_string()).collect());
     line(widths.iter().map(|w| "-".repeat(*w)).collect());
     for row in rows {
         line(row.clone());
     }
-    println!();
+    out.push('\n');
+    out
 }
 
 /// Formats a float with fixed precision.

@@ -7,6 +7,12 @@ use bolted_core::{Cloud, CloudConfig, SecurityProfile, Tenant};
 use bolted_firmware::{FirmwareKind, KernelImage};
 use bolted_sim::{Sim, Spans};
 
+use crate::{banner_text, f, table};
+
+/// Where the `phases` binary writes [`PhaseBreakdown::to_json`],
+/// relative to the workspace root.
+pub const JSON_PATH: &str = "results/metrics_phases.json";
+
 /// The six instrumented phases of an attested provision, in pipeline
 /// order. `quote-verify` is recorded by the verifier, everything else
 /// by the tenant orchestration — the span tree stitches them together.
@@ -94,6 +100,38 @@ pub fn charlie_phase_breakdown() -> PhaseBreakdown {
 }
 
 impl PhaseBreakdown {
+    /// Renders the phase table the `phases` binary prints once it has
+    /// written the JSON report to [`JSON_PATH`] (snapshot:
+    /// `results/phases.txt`).
+    pub fn to_text(&self) -> String {
+        let mut out = banner_text(
+            "Provisioning phase breakdown from spans",
+            "Figure 4's decomposition, measured by the observability layer",
+        );
+        out.push_str(&format!("node {} [{}]\n\n", self.node, self.profile));
+        let rows: Vec<Vec<String>> = self
+            .phases
+            .iter()
+            .map(|(phase, secs)| {
+                vec![
+                    phase.clone(),
+                    f(*secs, 2),
+                    f(secs / self.total_seconds * 100.0, 1),
+                ]
+            })
+            .collect();
+        out.push_str(&table(&["phase", "seconds", "% of total"], &rows));
+        let accounted: f64 = self.phases.iter().map(|(_, s)| s).sum();
+        out.push_str(&format!(
+            "total {:.2}s ({:.1}% accounted by the six phases;\n",
+            self.total_seconds,
+            accounted / self.total_seconds * 100.0
+        ));
+        out.push_str("the rest is downloads, airlock dwell and kernel-boot CPU)\n");
+        out.push_str(&format!("\nwrote {JSON_PATH}\n"));
+        out
+    }
+
     /// Renders the breakdown (plus metrics) as the JSON the phase
     /// report writes to `results/metrics_phases.json`.
     pub fn to_json(&self) -> String {

@@ -8,11 +8,11 @@
 //! hand and says why in the change log.
 //!
 //! The `phases` binary is not run, because it writes
-//! `results/metrics_phases.json`. That JSON is pinned without it: the
-//! library's `charlie_phase_breakdown().to_json()` must equal the
-//! committed file byte for byte. Its text table (`results/phases.txt`)
-//! is not pinned here, and neither is `tab_tcb` (a line-count census of
-//! the working tree).
+//! `results/metrics_phases.json`. Both of its outputs are pinned without
+//! it: the library's `charlie_phase_breakdown()` must render
+//! `to_json()` equal to that file and `to_text()` equal to
+//! `results/phases.txt`, each byte for byte. `tab_tcb` (a line-count
+//! census of the working tree) is not pinned.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -172,4 +172,10 @@ fn ablations_snapshot() {
 fn metrics_phases_json_snapshot() {
     let json = bolted_bench::phases::charlie_phase_breakdown().to_json();
     assert_text_matches("metrics_phases.json", &json);
+}
+
+#[test]
+fn phases_text_snapshot() {
+    let text = bolted_bench::phases::charlie_phase_breakdown().to_text();
+    assert_text_matches("phases.txt", &text);
 }

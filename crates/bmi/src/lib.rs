@@ -87,26 +87,21 @@ pub struct Bmi {
     sim: Sim,
     store: ImageStore,
     gateway: Gateway,
+    /// Counts every operation as `bmi_ops{op=..}` and lets chaos plans
+    /// target the `bmi.*` ops.
     gate: OpGate,
 }
 
 impl Bmi {
-    /// Creates a BMI instance over an image store and iSCSI gateway.
-    pub fn new(sim: &Sim, store: &ImageStore, gateway: &Gateway) -> Self {
+    /// Creates a BMI instance over an image store and iSCSI gateway,
+    /// instrumented by `gate`.
+    pub fn new(sim: &Sim, store: &ImageStore, gateway: &Gateway, gate: &OpGate) -> Self {
         Bmi {
             sim: sim.clone(),
             store: store.clone(),
             gateway: gateway.clone(),
-            gate: OpGate::disabled(),
+            gate: gate.clone(),
         }
-    }
-
-    /// The service-side instrumentation gate. The datacenter wires a
-    /// fault handle into it so chaos plans can target `bmi.*` ops;
-    /// metrics stay opt-in (tests install their own registry) so default
-    /// runs publish an unchanged counter set.
-    pub fn gate(&self) -> &OpGate {
-        &self.gate
     }
 
     /// The underlying image store.
@@ -148,7 +143,8 @@ impl Bmi {
         golden: ImageId,
         server_name: &str,
     ) -> Result<ImageId, BmiError> {
-        self.gate.tap("bmi_ops", ops::BMI_CLONE, server_name)?;
+        self.gate
+            .tap("bmi_ops", &[("op", "clone")], ops::BMI_CLONE, server_name)?;
         Ok(self
             .store
             .clone_image(golden, format!("{server_name}-root"))?)
@@ -159,10 +155,13 @@ impl Bmi {
     /// and command line "so that they could be passed to a booting server
     /// in a secure way via Keylime".
     pub fn extract_boot_info(&self, image: ImageId) -> Result<(KernelImage, String), BmiError> {
-        if self.gate.is_live() {
-            self.gate
-                .tap("bmi_ops", ops::BMI_BOOT_INFO, &format!("img-{}", image.0))?;
-        }
+        let target = format!("img-{}", image.0);
+        self.gate.tap(
+            "bmi_ops",
+            &[("op", "boot_info")],
+            ops::BMI_BOOT_INFO,
+            &target,
+        )?;
         let name = self
             .store
             .manifest(image, manifest_keys::KERNEL_NAME)
@@ -192,7 +191,7 @@ impl Bmi {
         transport: Transport,
         read_ahead: u64,
     ) -> IscsiTarget {
-        self.gate.count("bmi_ops", "op", "boot_target");
+        self.gate.metrics().inc("bmi_ops", &[("op", "boot_target")]);
         IscsiTarget::new(
             &self.sim,
             &self.store,
@@ -207,10 +206,9 @@ impl Bmi {
     /// later restart on any compatible node ("saving and/or deleting the
     /// servers' persistent state when a server is released").
     pub fn release(&self, image: ImageId, keep: bool) -> Result<(), BmiError> {
-        if self.gate.is_live() {
-            self.gate
-                .tap("bmi_ops", ops::BMI_RELEASE, &format!("img-{}", image.0))?;
-        }
+        let target = format!("img-{}", image.0);
+        self.gate
+            .tap("bmi_ops", &[("op", "release")], ops::BMI_RELEASE, &target)?;
         if keep {
             Ok(())
         } else {
@@ -222,14 +220,18 @@ impl Bmi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bolted_storage::{Cluster, TUNED_READ_AHEAD};
+    use bolted_storage::{Cluster, TGT_VM_BANDWIDTH_BPS, TUNED_READ_AHEAD};
 
     fn setup() -> (Sim, Bmi) {
+        setup_gated(&OpGate::disabled())
+    }
+
+    fn setup_gated(gate: &OpGate) -> (Sim, Bmi) {
         let sim = Sim::new();
         let cluster = Cluster::paper_default(&sim);
         let store = ImageStore::new(&cluster);
-        let gateway = Gateway::new(&sim);
-        let bmi = Bmi::new(&sim, &store, &gateway);
+        let gateway = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
+        let bmi = Bmi::new(&sim, &store, &gateway, gate);
         (sim, bmi)
     }
 
@@ -299,18 +301,16 @@ mod tests {
     #[test]
     fn gate_injects_faults_and_counts_ops() {
         use bolted_sim::{FaultPlan, FaultSpec, Faults, Metrics};
-        let (_sim, bmi) = setup();
+        // Clones are permanently unavailable; every op is counted.
+        let metrics = Metrics::new();
+        let faults = Faults::new(
+            FaultPlan::seeded(7).with(ops::BMI_CLONE, FaultSpec::permanent()),
+            &metrics,
+        );
+        let (_sim, bmi) = setup_gated(&OpGate::new(&faults, &metrics));
         let golden = bmi
             .create_golden("fedora28", 8 << 30, 7, &kernel(), "")
             .expect("creates");
-
-        // Opt the gate into a private metrics registry (the datacenter
-        // deliberately leaves metrics off) and a chaos plan that makes
-        // clone_for_server permanently unavailable.
-        let metrics = Metrics::new();
-        let faults = Faults::new(FaultPlan::seeded(7).with(ops::BMI_CLONE, FaultSpec::permanent()));
-        bmi.gate().set_metrics(&metrics);
-        bmi.gate().set_faults(&faults);
 
         let err = bmi.clone_for_server(golden, "node-1").unwrap_err();
         match err {
@@ -322,17 +322,17 @@ mod tests {
         }
         assert!(!err.to_string().is_empty());
 
-        // Untargeted ops still succeed and land in the opt-in registry.
+        // Untargeted ops still succeed and land in the registry.
         let (k, _) = bmi.extract_boot_info(golden).expect("extracts");
         assert_eq!(k.digest, kernel().digest);
+        bmi.boot_target(golden, Transport::plain_10g(), TUNED_READ_AHEAD);
         bmi.release(golden, true).expect("keeps");
-        // `tap` counts attempts per target: one against node-1 (the
-        // injected clone), two against the golden image (boot-info probe
-        // plus release).
-        let img = format!("img-{}", golden.0);
-        assert_eq!(metrics.counter("bmi_ops", &[("target", "node-1")]), 1);
-        assert_eq!(metrics.counter("bmi_ops", &[("target", &img)]), 2);
-        assert_eq!(metrics.counter_total("bmi_ops"), 3);
+        // Every row names its op. `tap` counts attempts, so the injected
+        // clone is counted too.
+        for op in ["clone", "boot_info", "boot_target", "release"] {
+            assert_eq!(metrics.counter("bmi_ops", &[("op", op)]), 1, "{op}");
+        }
+        assert_eq!(metrics.counter_total("bmi_ops"), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use bolted_net::{Fabric, LinkModel, SwitchId};
 use bolted_sim::fault::{ops, FaultPlan, Faults};
 use bolted_sim::lock;
 use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans};
-use bolted_storage::{Cluster, Gateway, ImageStore};
+use bolted_storage::{Cluster, Gateway, ImageStore, TGT_VM_BANDWIDTH_BPS};
 use std::sync::{Arc, Mutex};
 
 use crate::calib::Calibration;
@@ -95,7 +95,12 @@ impl MachineBmc {
     /// the machine, via the shared per-attempt gate discipline.
     fn gate(&self) -> Result<(), BmcError> {
         self.gate
-            .tap("bmc_power_ops", ops::BMC_POWER, &self.name)
+            .tap(
+                "bmc_power_ops",
+                &[("target", &self.name)],
+                ops::BMC_POWER,
+                &self.name,
+            )
             .map_err(|_| BmcError::Unreachable)
     }
 }
@@ -158,27 +163,17 @@ pub struct Cloud {
 impl Cloud {
     /// Builds a datacenter per `config`.
     pub fn build(sim: &Sim, config: CloudConfig) -> Cloud {
-        let fabric = Fabric::new(sim);
-        let switch = fabric.add_switch("tor-1", config.nodes.max(8) * 2);
-        let hil = Hil::new(&fabric);
-        let cluster = Cluster::paper_default(sim);
-        let store = ImageStore::new(&cluster);
-        let gateway = Gateway::new(sim);
-        let bmi = Bmi::new(sim, &store, &gateway);
         let spans = Spans::new();
         let metrics = Metrics::new();
-        let faults = Faults::new(config.faults.clone());
-        faults.set_metrics(&metrics);
-        fabric.set_faults(&faults);
-        fabric.set_metrics(&metrics);
-        gateway.set_faults(&faults);
-        gateway.set_metrics(&metrics);
-        hil.set_metrics(&metrics);
-        // Faults only: installing metrics here would add `bmi_ops` rows to
-        // the registry dump behind `results/metrics_phases.json`, which is
-        // pinned byte-for-byte. Tests that count BMI ops install their own
-        // registry on the gate.
-        bmi.gate().set_faults(&faults);
+        let faults = Faults::new(config.faults.clone(), &metrics);
+        let gate = OpGate::new(&faults, &metrics);
+        let fabric = Fabric::new(sim, &gate);
+        let switch = fabric.add_switch("tor-1", config.nodes.max(8) * 2);
+        let hil = Hil::new(&fabric, &metrics);
+        let cluster = Cluster::paper_default(sim);
+        let store = ImageStore::new(&cluster);
+        let gateway = Gateway::new(sim, TGT_VM_BANDWIDTH_BPS, &gate);
+        let bmi = Bmi::new(sim, &store, &gateway, &gate);
         let flash = match config.firmware {
             FirmwareKind::LinuxBoot => linuxboot_source().build(),
             FirmwareKind::Uefi => uefi_source().build(),
@@ -206,7 +201,7 @@ impl Cloud {
                 Some(Arc::new(MachineBmc {
                     machine: machine.clone(),
                     name: name.clone(),
-                    gate: OpGate::with(&faults, &metrics),
+                    gate: gate.clone(),
                 })),
             );
             // Provider publishes TPM identity + platform whitelist.

@@ -510,7 +510,7 @@ impl Tenant {
     }
 
     /// The tenant's metrics handle (shared with its call envelope).
-    pub(crate) fn metrics(&self) -> Metrics {
+    pub(crate) fn metrics(&self) -> &Metrics {
         self.env.call.metrics()
     }
 

@@ -315,7 +315,7 @@ impl TenantReconciler {
         desired: DesiredState,
         config: &ReconcilerConfig,
     ) -> TenantReconciler {
-        let queue = BoundedQueue::new(&tenant.project, config.queue_capacity, &tenant.metrics());
+        let queue = BoundedQueue::new(&tenant.project, config.queue_capacity, tenant.metrics());
         let bucket = TokenBucket::new(config.churn_rate_per_sec, config.churn_burst);
         TenantReconciler {
             tenant,

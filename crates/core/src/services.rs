@@ -298,11 +298,9 @@ impl KeylimeAttestation {
     /// Stands up a registrar and verifier wired into the cloud's fault
     /// plan and observability sinks.
     pub fn new(cloud: &Cloud, config: VerifierConfig) -> Self {
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&cloud.sim, &registrar, config);
-        registrar.set_faults(&cloud.faults);
-        verifier.set_faults(&cloud.faults);
-        verifier.set_observability(&cloud.spans, &cloud.metrics);
+        let registrar = Registrar::new(&cloud.faults);
+        let env = CallEnv::new(&cloud.sim, &cloud.faults, &cloud.spans, &cloud.metrics);
+        let verifier = Verifier::new(&env, &registrar, config);
         KeylimeAttestation {
             sim: cloud.sim.clone(),
             registrar,
@@ -412,12 +410,9 @@ impl TenantEnv {
     /// Captures a cloud's environment: the call envelope inherits the
     /// cloud's fault plan, spans and metrics.
     pub fn of_cloud(cloud: &Cloud) -> TenantEnv {
-        let call = CallEnv::new(&cloud.sim);
-        call.set_faults(&cloud.faults);
-        call.set_observability(&cloud.spans, &cloud.metrics);
         TenantEnv {
             calib: cloud.calib.clone(),
-            call,
+            call: CallEnv::new(&cloud.sim, &cloud.faults, &cloud.spans, &cloud.metrics),
             http: cloud.http.clone(),
             airlock: cloud.airlock.clone(),
         }

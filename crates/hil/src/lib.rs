@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
 use bolted_net::{Fabric, HostId, NetError, SwitchId, VlanId};
-use bolted_sim::{Metrics, OpGate};
+use bolted_sim::Metrics;
 
 /// A tenant project (HIL's unit of ownership).
 pub type Project = String;
@@ -166,39 +166,34 @@ struct HilInner {
     /// historical behaviour).
     network_quota: Option<usize>,
     audit: Vec<String>,
-    /// Optional counters/gauges: HIL is sim-free (minimal TCB), so it
-    /// only uses the gate's synchronous counting side — never timings.
-    gate: OpGate,
 }
 
 /// The Hardware Isolation Layer service.
 #[derive(Clone)]
 pub struct Hil {
     fabric: Fabric,
+    /// Counters and gauges only: HIL is sim-free (minimal TCB), so it
+    /// never records timings.
+    metrics: Metrics,
     inner: Arc<Mutex<HilInner>>,
 }
 
 impl Hil {
-    /// Creates a HIL instance managing `fabric`, with a VLAN pool.
-    pub fn new(fabric: &Fabric) -> Self {
+    /// Creates a HIL instance managing `fabric`, with a VLAN pool. Every
+    /// audited operation is counted into `metrics` as `hil_ops{op=..}`
+    /// and the free pool is mirrored into the `hil_free_nodes` gauge.
+    pub fn new(fabric: &Fabric, metrics: &Metrics) -> Self {
         Hil {
             fabric: fabric.clone(),
+            metrics: metrics.clone(),
             inner: Arc::new(Mutex::new(HilInner {
                 nodes: Vec::new(),
                 networks: Vec::new(),
                 vlan_pool: (100..1100).rev().collect(),
                 network_quota: None,
                 audit: Vec::new(),
-                gate: OpGate::disabled(),
             })),
         }
-    }
-
-    /// Attaches a metrics registry; every audited operation is counted
-    /// as `hil_ops{op=..}` and the free pool is mirrored into the
-    /// `hil_free_nodes` gauge.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        lock(&self.inner).gate.set_metrics(metrics);
     }
 
     fn log(&self, entry: String) {
@@ -208,18 +203,16 @@ impl Hil {
     /// Counts one completed operation (called next to the audit log, so
     /// counters and log always agree).
     fn count(&self, op: &str) {
-        let gate = lock(&self.inner).gate.clone();
-        gate.count("hil_ops", "op", op);
+        self.metrics.inc("hil_ops", &[("op", op)]);
     }
 
     fn update_free_gauge(&self) {
-        let inner = lock(&self.inner);
-        let metrics = inner.gate.metrics();
-        if !metrics.is_enabled() {
+        if !self.metrics.is_enabled() {
             return;
         }
+        let inner = lock(&self.inner);
         let free = inner.nodes.iter().filter(|n| n.owner.is_none()).count();
-        metrics.set_gauge("hil_free_nodes", &[], free as f64);
+        self.metrics.set_gauge("hil_free_nodes", &[], free as f64);
     }
 
     /// The audit log (every privileged operation, in order).
@@ -525,13 +518,13 @@ impl Hil {
 mod tests {
     use super::*;
     use bolted_net::LinkModel;
-    use bolted_sim::Sim;
+    use bolted_sim::{OpGate, Sim};
 
     fn setup() -> (Sim, Fabric, Hil, NodeId, NodeId) {
         let sim = Sim::new();
-        let fabric = Fabric::new(&sim);
+        let fabric = Fabric::new(&sim, &OpGate::disabled());
         let sw = fabric.add_switch("tor", 48);
-        let hil = Hil::new(&fabric);
+        let hil = Hil::new(&fabric, &Metrics::disabled());
         let h1 = fabric.add_host("n1", LinkModel::ten_gbe());
         let h2 = fabric.add_host("n2", LinkModel::ten_gbe());
         fabric.attach(h1, sw, 0).expect("attach");

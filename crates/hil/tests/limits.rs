@@ -2,13 +2,13 @@
 
 use bolted_hil::{Hil, HilError};
 use bolted_net::{Fabric, LinkModel};
-use bolted_sim::Sim;
+use bolted_sim::{Metrics, OpGate, Sim};
 
 #[test]
 fn vlan_pool_exhaustion_and_recycling() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
-    let hil = Hil::new(&fabric);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
+    let hil = Hil::new(&fabric, &Metrics::disabled());
     // Drain the whole pool (1000 VLANs).
     let mut nets = Vec::new();
     for i in 0..1000 {
@@ -29,9 +29,9 @@ fn vlan_pool_exhaustion_and_recycling() {
 #[test]
 fn double_free_and_foreign_ops_rejected() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("tor", 4);
-    let hil = Hil::new(&fabric);
+    let hil = Hil::new(&fabric, &Metrics::disabled());
     let h = fabric.add_host("n1", LinkModel::ten_gbe());
     fabric.attach(h, sw, 0).expect("attach");
     let node = hil.register_node("n1", h, sw, 0, None);
@@ -52,9 +52,9 @@ fn double_free_and_foreign_ops_rejected() {
 #[test]
 fn network_delete_while_nodes_attached_keeps_ports_consistent() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("tor", 4);
-    let hil = Hil::new(&fabric);
+    let hil = Hil::new(&fabric, &Metrics::disabled());
     let h = fabric.add_host("n1", LinkModel::ten_gbe());
     fabric.attach(h, sw, 0).expect("attach");
     let node = hil.register_node("n1", h, sw, 0, None);

@@ -292,6 +292,7 @@ mod tests {
     use bolted_crypto::secret::Secret;
     use bolted_crypto::sha256::sha256;
     use bolted_firmware::{FirmwareKind, FirmwareSource};
+    use bolted_sim::Faults;
     use bolted_tpm::index;
 
     fn machine() -> Machine {
@@ -350,7 +351,7 @@ mod tests {
     fn registration_against_registrar() {
         let sim = Sim::new();
         let m = machine();
-        let registrar = Registrar::new();
+        let registrar = Registrar::new(&Faults::disabled());
         let ok = sim.block_on({
             let (sim2, m, reg) = (sim.clone(), m.clone(), registrar.clone());
             async move {

@@ -7,7 +7,8 @@
 //! challenge to the node's EK, bound to the claimed AIK; only a TPM
 //! holding both keys can return the matching proof.
 
-use bolted_sim::lock;
+use bolted_sim::fault::ops;
+use bolted_sim::{lock, FaultDecision, Faults};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -52,22 +53,21 @@ struct Entry {
 }
 
 /// The registrar service (tenant-deployable).
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Registrar {
     inner: Arc<Mutex<HashMap<String, Entry>>>,
-    faults: Arc<Mutex<bolted_sim::Faults>>,
+    /// Consulted on every registration round-trip.
+    faults: Faults,
 }
 
 impl Registrar {
-    /// Creates an empty registrar.
-    pub fn new() -> Self {
-        Registrar::default()
-    }
-
-    /// Installs a fault-injection handle; registration round-trips
-    /// consult it (existing clones of this registrar see it too).
-    pub fn set_faults(&self, faults: &bolted_sim::Faults) {
-        *lock(&self.faults) = faults.clone();
+    /// Creates an empty registrar whose registration round-trips
+    /// consult `faults`.
+    pub fn new(faults: &Faults) -> Self {
+        Registrar {
+            inner: Arc::default(),
+            faults: faults.clone(),
+        }
     }
 
     /// Computes the activation proof for a recovered challenge secret.
@@ -91,14 +91,10 @@ impl Registrar {
     ) -> Result<CredentialBlob, RegistrarError> {
         // Model a dropped registration round-trip. Safe to retry: the
         // request never reached the registrar, so no state changed.
+        if self.faults.enabled()
+            && self.faults.decide(ops::REGISTRAR_REGISTER, agent_id) == FaultDecision::Fail
         {
-            let faults = lock(&self.faults);
-            if faults.enabled()
-                && faults.decide(bolted_sim::fault::ops::REGISTRAR_REGISTER, agent_id)
-                    == bolted_sim::FaultDecision::Fail
-            {
-                return Err(RegistrarError::Unavailable);
-            }
+            return Err(RegistrarError::Unavailable);
         }
         let mut inner = lock(&self.inner);
         // Re-registration after a reboot is normal (fresh AIK, same EK).
@@ -166,7 +162,7 @@ mod tests {
     #[test]
     fn full_registration_flow() {
         let (t, aik) = tpm_with_aik(1);
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         let mut rng = XorShiftSource::new(5);
         let blob = reg
             .register("node-1", t.ek_pub().clone(), aik.clone(), &mut rng)
@@ -188,7 +184,7 @@ mod tests {
     fn wrong_tpm_cannot_activate() {
         let (t1, aik1) = tpm_with_aik(1);
         let (t2, _aik2) = tpm_with_aik(2);
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         let mut rng = XorShiftSource::new(5);
         let blob = reg
             .register("node-1", t1.ek_pub().clone(), aik1, &mut rng)
@@ -200,7 +196,7 @@ mod tests {
     #[test]
     fn forged_proof_rejected() {
         let (t, aik) = tpm_with_aik(1);
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         let mut rng = XorShiftSource::new(5);
         reg.register("node-1", t.ek_pub().clone(), aik, &mut rng)
             .expect("registers");
@@ -219,7 +215,7 @@ mod tests {
         // AIK, so certification can never complete.
         let (victim, _victim_aik) = tpm_with_aik(1);
         let (_attacker, attacker_aik) = tpm_with_aik(2);
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         let mut rng = XorShiftSource::new(5);
         let blob = reg
             .register("node-1", victim.ek_pub().clone(), attacker_aik, &mut rng)
@@ -229,7 +225,7 @@ mod tests {
 
     #[test]
     fn unknown_agent_errors() {
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         assert_eq!(
             reg.activate("ghost", &bolted_crypto::sha256(b"x")),
             Err(RegistrarError::Unknown)
@@ -241,7 +237,7 @@ mod tests {
     #[test]
     fn reregistration_blocked_once_active() {
         let (t, aik) = tpm_with_aik(1);
-        let reg = Registrar::new();
+        let reg = Registrar::new(&Faults::disabled());
         let mut rng = XorShiftSource::new(5);
         let blob = reg
             .register("node-1", t.ek_pub().clone(), aik.clone(), &mut rng)

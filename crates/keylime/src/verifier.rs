@@ -16,9 +16,11 @@ use bolted_sim::lock;
 
 use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
-use bolted_sim::fault::{mix_seed, ops, Faults};
+use bolted_sim::fault::{mix_seed, ops};
 use bolted_sim::{channel, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimDuration, SimTime};
-use bolted_sim::{CallEnv, Metrics, RetryError, RetryPolicy, Spans};
+use bolted_sim::{CallEnv, RetryError, RetryPolicy};
+#[cfg(test)]
+use bolted_sim::{Faults, Metrics, Spans};
 use bolted_tpm::{index, PcrBank, TpmError};
 
 use crate::agent::{Agent, AttestationEvidence};
@@ -211,7 +213,10 @@ pub struct Verifier {
     registrar: Registrar,
     config: VerifierConfig,
     /// The shared instrumented call path: clock, fault handle, span
-    /// recorder and metrics registry behind one install point.
+    /// recorder and metrics registry. Each attestation round records a
+    /// `keylime/quote-verify` span that closes when the verdict lands —
+    /// *before* any key material moves — plus quote retry/verdict
+    /// counters; quote round-trips consult the fault plan.
     env: CallEnv,
     inner: Arc<Mutex<VerifierInner>>,
     aik_cache: Arc<AikCache>,
@@ -221,13 +226,16 @@ pub struct Verifier {
 }
 
 impl Verifier {
-    /// Creates a verifier bound to a registrar.
-    pub fn new(sim: &Sim, registrar: &Registrar, config: VerifierConfig) -> Self {
+    /// Creates a verifier bound to a registrar, running on `env`'s clock,
+    /// fault plan, spans and metrics.
+    pub fn new(env: &CallEnv, registrar: &Registrar, config: VerifierConfig) -> Self {
         Verifier {
             registrar: registrar.clone(),
-            verify_slots: config.verify_slots.map(|n| Resource::new(sim, n.max(1))),
+            verify_slots: config
+                .verify_slots
+                .map(|n| Resource::new(env.sim(), n.max(1))),
             config,
-            env: CallEnv::new(sim),
+            env: env.clone(),
             inner: Arc::new(Mutex::new(VerifierInner {
                 nodes: HashMap::new(),
                 subscribers: Vec::new(),
@@ -239,20 +247,6 @@ impl Verifier {
 
     fn sim(&self) -> &Sim {
         self.env.sim()
-    }
-
-    /// Installs a fault-injection handle; quote round-trips consult it
-    /// (existing clones of this verifier see it too).
-    pub fn set_faults(&self, faults: &Faults) {
-        self.env.set_faults(faults);
-    }
-
-    /// Installs span/metrics recorders (existing clones see them too).
-    /// Each attestation round records a `keylime/quote-verify` span that
-    /// closes when the verdict lands — *before* any key material moves —
-    /// plus quote retry/verdict counters.
-    pub fn set_observability(&self, spans: &Spans, metrics: &Metrics) {
-        self.env.set_observability(spans, metrics);
     }
 
     /// The active configuration.
@@ -631,6 +625,17 @@ impl Verifier {
     }
 }
 
+/// A call envelope on `sim` that injects nothing and records nothing.
+#[cfg(test)]
+fn quiet_env(sim: &Sim) -> CallEnv {
+    CallEnv::new(
+        sim,
+        &Faults::disabled(),
+        &Spans::disabled(),
+        &Metrics::disabled(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -650,12 +655,17 @@ mod tests {
     }
 
     fn rig() -> Rig {
+        rig_faulted(&Faults::disabled())
+    }
+
+    fn rig_faulted(faults: &Faults) -> Rig {
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
         let machine = Machine::new("node-1", fw.clone(), 7, 512, 64);
         machine.power_on();
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
+        let registrar = Registrar::new(&Faults::disabled());
+        let env = CallEnv::new(&sim, faults, &Spans::disabled(), &Metrics::disabled());
+        let verifier = Verifier::new(&env, &registrar, VerifierConfig::default());
         let mut boot_whitelist = HashSet::new();
         boot_whitelist.insert(fw.build_id);
         boot_whitelist.insert(agent_binary_digest());
@@ -714,8 +724,8 @@ mod tests {
         let evil_fw = fw.tampered(b"bootkit");
         let machine = Machine::new("node-1", evil_fw, 7, 512, 64);
         machine.power_on();
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
+        let registrar = Registrar::new(&Faults::disabled());
+        let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
         let mut wl = HashSet::new();
         wl.insert(fw.build_id); // tenant approves only the clean build
         wl.insert(agent_binary_digest());
@@ -967,13 +977,11 @@ mod tests {
     #[test]
     fn transient_quote_drops_retried_to_trusted() {
         use bolted_sim::fault::{FaultPlan, FaultSpec};
-        let r = rig();
-        let faults = Faults::new(FaultPlan::seeded(7).with_target(
-            ops::VERIFIER_QUOTE,
-            "node-1",
-            FaultSpec::flaky(2),
-        ));
-        r.verifier.set_faults(&faults);
+        let faults = Faults::new(
+            FaultPlan::seeded(7).with_target(ops::VERIFIER_QUOTE, "node-1", FaultSpec::flaky(2)),
+            &Metrics::disabled(),
+        );
+        let r = rig_faulted(&faults);
         let outcome = r.sim.block_on({
             let sim = r.sim.clone();
             let m = r.machine.clone();
@@ -1002,13 +1010,11 @@ mod tests {
     #[test]
     fn exhausted_quote_rpc_fails_without_revocation() {
         use bolted_sim::fault::{FaultPlan, FaultSpec};
-        let r = rig();
-        let faults = Faults::new(FaultPlan::seeded(7).with_target(
-            ops::VERIFIER_QUOTE,
-            "node-1",
-            FaultSpec::permanent(),
-        ));
-        r.verifier.set_faults(&faults);
+        let faults = Faults::new(
+            FaultPlan::seeded(7).with_target(ops::VERIFIER_QUOTE, "node-1", FaultSpec::permanent()),
+            &Metrics::disabled(),
+        );
+        let r = rig_faulted(&faults);
         let (outcome, revocation) = r.sim.block_on({
             let sim = r.sim.clone();
             let m = r.machine.clone();
@@ -1105,8 +1111,8 @@ mod delivery_tests {
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "v", b"src").build();
         let machine = Machine::new("node-1", fw.clone(), 7, 512, 64);
         machine.power_on();
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
+        let registrar = Registrar::new(&Faults::disabled());
+        let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
         let mut wl = HashSet::new();
         wl.insert(fw.build_id);
         wl.insert(agent_binary_digest());
@@ -1181,11 +1187,11 @@ mod fleet_tests {
     #[test]
     fn unknown_nodes_fail_without_a_verdict() {
         let sim = Sim::new();
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
+        let registrar = Registrar::new(&Faults::disabled());
         let spans = Spans::new();
         let metrics = Metrics::new();
-        verifier.set_observability(&spans, &metrics);
+        let env = CallEnv::new(&sim, &Faults::disabled(), &spans, &metrics);
+        let verifier = Verifier::new(&env, &registrar, VerifierConfig::default());
         let outcomes = sim.block_on(async move {
             vec![
                 verifier.attest_once("ghost-1", false).await,
@@ -1213,8 +1219,8 @@ mod fleet_tests {
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
         let machine = Machine::new("node-0", fw.clone(), 7, 512, 64);
         machine.power_on();
-        let registrar = Registrar::new();
-        let verifier = Verifier::new(&sim, &registrar, VerifierConfig::default());
+        let registrar = Registrar::new(&Faults::disabled());
+        let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
         let mut wl = HashSet::new();
         wl.insert(fw.build_id);
         wl.insert(agent_binary_digest());

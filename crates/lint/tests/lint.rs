@@ -548,3 +548,38 @@ fn no_crate_declares_cargo_features() {
         "manifests declaring [features]: {with_features:?}"
     );
 }
+
+/// No component grows a late-install setter next to its constructor.
+/// Fault plans, spans and metrics are handed to a component when it is
+/// built, and a plan swapped at run time goes through the one shared
+/// `Faults::install`; a setter would be a second wiring mechanism.
+#[test]
+fn no_crate_defines_late_install_setters() {
+    fn scan(dir: &std::path::Path, scanned: &mut usize, hits: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                scan(&path, scanned, hits);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                *scanned += 1;
+                let text = std::fs::read_to_string(&path).expect("source reads");
+                for setter in ["fn set_faults", "fn set_metrics", "fn set_observability"] {
+                    if text.contains(setter) {
+                        hits.push(format!("{}: {setter}", path.display()));
+                    }
+                }
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let (mut scanned, mut hits) = (0, Vec::new());
+    for entry in std::fs::read_dir(&crates).expect("crates dir lists") {
+        let src = entry.expect("crates entry").path().join("src");
+        scan(&src, &mut scanned, &mut hits);
+    }
+    assert!(
+        scanned > 50,
+        "expected every crate's sources, got {scanned}"
+    );
+    assert!(hits.is_empty(), "late-install setters: {hits:?}");
+}

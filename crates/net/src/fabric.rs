@@ -17,8 +17,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::cost::CipherCost;
-use bolted_sim::fault::{ops, Faults};
-use bolted_sim::{Metrics, OpGate, Resource, Sim, SimDuration};
+use bolted_sim::fault::ops;
+use bolted_sim::{OpGate, Resource, Sim, SimDuration};
 
 use crate::link::{LinkModel, ESP_OVERHEAD_BYTES};
 
@@ -157,23 +157,27 @@ struct FabricInner {
     taps: HashMap<VlanId, Vec<Vec<u8>>>,
     tap_enabled: bool,
     violations: u64,
-    gate: OpGate,
 }
 
 /// The shared network fabric.
 #[derive(Clone)]
 pub struct Fabric {
     sim: Sim,
+    /// Counts VLAN programming as `switch_vlan_sets{target=<attached
+    /// host>}` and consults the fault plan before each one.
+    gate: OpGate,
     inner: Arc<Mutex<FabricInner>>,
     tx_locks: Arc<Mutex<Vec<Resource>>>,
     rx_locks: Arc<Mutex<Vec<Resource>>>,
 }
 
 impl Fabric {
-    /// Creates an empty fabric on the given simulation.
-    pub fn new(sim: &Sim) -> Self {
+    /// Creates an empty fabric on the given simulation whose switch
+    /// management plane is instrumented by `gate`.
+    pub fn new(sim: &Sim, gate: &OpGate) -> Self {
         Fabric {
             sim: sim.clone(),
+            gate: gate.clone(),
             inner: Arc::new(Mutex::new(FabricInner {
                 switches: Vec::new(),
                 hosts: Vec::new(),
@@ -181,7 +185,6 @@ impl Fabric {
                 taps: HashMap::new(),
                 tap_enabled: false,
                 violations: 0,
-                gate: OpGate::disabled(),
             })),
             tx_locks: Arc::new(Mutex::new(Vec::new())),
             rx_locks: Arc::new(Mutex::new(Vec::new())),
@@ -248,18 +251,6 @@ impl Fabric {
         }
     }
 
-    /// Installs a fault-injection handle; subsequent control-plane calls
-    /// (VLAN programming) consult it.
-    pub fn set_faults(&self, faults: &Faults) {
-        lock(&self.inner).gate.set_faults(faults);
-    }
-
-    /// Attaches a metrics registry; VLAN programming is counted as
-    /// `switch_vlan_sets{target=<attached host>}`.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        lock(&self.inner).gate.set_metrics(metrics);
-    }
-
     /// Sets (or clears) the access VLAN of a switch port.
     /// This is HIL's core privileged operation.
     pub fn set_port_vlan(
@@ -269,21 +260,23 @@ impl Fabric {
         vlan: Option<VlanId>,
     ) -> Result<(), NetError> {
         let mut inner = lock(&self.inner);
-        if inner.gate.is_live() {
-            // Key the fault stream by the attached host's name so chaos
-            // plans can target "that node's switch port" symbolically.
-            let target = inner
-                .switches
-                .get(switch.0)
-                .and_then(|sw| sw.ports.get(port))
-                .and_then(|p| p.host)
-                .map(|h| inner.hosts[h].name.clone())
-                .unwrap_or_else(|| format!("sw{}:p{}", switch.0, port));
-            inner
-                .gate
-                .tap("switch_vlan_sets", ops::SWITCH_SET_VLAN, &target)
-                .map_err(|_| NetError::SwitchUnreachable)?;
-        }
+        // Key the fault stream by the attached host's name so chaos plans
+        // can target "that node's switch port" symbolically.
+        let target = inner
+            .switches
+            .get(switch.0)
+            .and_then(|sw| sw.ports.get(port))
+            .and_then(|p| p.host)
+            .map(|h| inner.hosts[h].name.clone())
+            .unwrap_or_else(|| format!("sw{}:p{}", switch.0, port));
+        self.gate
+            .tap(
+                "switch_vlan_sets",
+                &[("target", &target)],
+                ops::SWITCH_SET_VLAN,
+                &target,
+            )
+            .map_err(|_| NetError::SwitchUnreachable)?;
         let sw = inner
             .switches
             .get_mut(switch.0)
@@ -524,8 +517,12 @@ mod tests {
     use super::*;
 
     fn setup() -> (Sim, Fabric, HostId, HostId) {
+        setup_gated(&OpGate::disabled())
+    }
+
+    fn setup_gated(gate: &OpGate) -> (Sim, Fabric, HostId, HostId) {
         let sim = Sim::new();
-        let fabric = Fabric::new(&sim);
+        let fabric = Fabric::new(&sim, gate);
         let sw = fabric.add_switch("tor-1", 48);
         let a = fabric.add_host("node-a", LinkModel::ten_gbe());
         let b = fabric.add_host("node-b", LinkModel::ten_gbe());
@@ -590,7 +587,7 @@ mod tests {
     #[test]
     fn trunked_switches_route_same_vlan() {
         let sim = Sim::new();
-        let fabric = Fabric::new(&sim);
+        let fabric = Fabric::new(&sim, &OpGate::disabled());
         let s1 = fabric.add_switch("tor-1", 4);
         let s2 = fabric.add_switch("tor-2", 4);
         let s3 = fabric.add_switch("spine", 4);
@@ -604,7 +601,7 @@ mod tests {
         fabric.set_host_vlan(b, Some(7)).expect("vlan");
         assert_eq!(fabric.path(a, b), Ok(7));
         // Remove trunks: no route.
-        let fabric2 = Fabric::new(&sim);
+        let fabric2 = Fabric::new(&sim, &OpGate::disabled());
         let s1 = fabric2.add_switch("tor-1", 4);
         let s2 = fabric2.add_switch("tor-2", 4);
         let a = fabric2.add_host("a", LinkModel::ten_gbe());
@@ -618,14 +615,13 @@ mod tests {
 
     #[test]
     fn vlan_programming_respects_fault_plan() {
-        use bolted_sim::fault::{ops, FaultPlan, FaultSpec, Faults};
-        let (_sim, fabric, a, b) = setup();
-        let faults = Faults::new(FaultPlan::seeded(1).with_target(
-            ops::SWITCH_SET_VLAN,
-            "node-a",
-            FaultSpec::flaky(2),
-        ));
-        fabric.set_faults(&faults);
+        use bolted_sim::fault::{FaultPlan, FaultSpec, Faults};
+        use bolted_sim::Metrics;
+        let faults = Faults::new(
+            FaultPlan::seeded(1).with_target(ops::SWITCH_SET_VLAN, "node-a", FaultSpec::flaky(2)),
+            &Metrics::disabled(),
+        );
+        let (_sim, fabric, a, b) = setup_gated(&OpGate::new(&faults, &Metrics::disabled()));
         // node-a's port flaps twice, then recovers.
         assert_eq!(
             fabric.set_host_vlan(a, Some(100)),
@@ -644,7 +640,7 @@ mod tests {
     #[test]
     fn port_conflicts_rejected() {
         let sim = Sim::new();
-        let fabric = Fabric::new(&sim);
+        let fabric = Fabric::new(&sim, &OpGate::disabled());
         let sw = fabric.add_switch("tor", 1);
         let a = fabric.add_host("a", LinkModel::ten_gbe());
         let b = fabric.add_host("b", LinkModel::ten_gbe());
@@ -785,7 +781,7 @@ mod shaping_tests {
 
     fn setup() -> (Sim, Fabric, HostId, HostId) {
         let sim = Sim::new();
-        let fabric = Fabric::new(&sim);
+        let fabric = Fabric::new(&sim, &OpGate::disabled());
         let sw = fabric.add_switch("tor", 4);
         let a = fabric.add_host("a", crate::link::LinkModel::ten_gbe());
         let b = fabric.add_host("b", crate::link::LinkModel::ten_gbe());

@@ -5,7 +5,7 @@
 // error in this file, not a runtime condition)
 
 use bolted_crypto::cost::CipherSuite;
-use bolted_sim::Sim;
+use bolted_sim::{OpGate, Sim};
 
 use crate::fabric::{Fabric, HostId, NetError, TransferSpec};
 use crate::link::ESP_OVERHEAD_BYTES;
@@ -51,7 +51,7 @@ pub fn iperf_standalone(
     suite: CipherSuite,
 ) -> IperfResult {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("sw", 2);
     let a = fabric.add_host("iperf-client", link);
     let b = fabric.add_host("iperf-server", link);

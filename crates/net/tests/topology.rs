@@ -1,7 +1,7 @@
 //! Multi-switch topology tests: trunk chains, rings, and partitions.
 
 use bolted_net::{Fabric, LinkModel, TransferSpec};
-use bolted_sim::Sim;
+use bolted_sim::{OpGate, Sim};
 
 fn host_on(
     fabric: &Fabric,
@@ -18,7 +18,7 @@ fn host_on(
 #[test]
 fn long_trunk_chain_routes() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let switches: Vec<_> = (0..6)
         .map(|i| fabric.add_switch(format!("sw{i}"), 4))
         .collect();
@@ -40,7 +40,7 @@ fn long_trunk_chain_routes() {
 #[test]
 fn trunk_ring_does_not_loop_forever() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let switches: Vec<_> = (0..4)
         .map(|i| fabric.add_switch(format!("sw{i}"), 4))
         .collect();
@@ -56,7 +56,7 @@ fn trunk_ring_does_not_loop_forever() {
 #[test]
 fn partitioned_fabric_has_no_route() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let s1 = fabric.add_switch("island-1", 4);
     let s2 = fabric.add_switch("island-2", 4);
     // No trunk between them.
@@ -68,7 +68,7 @@ fn partitioned_fabric_has_no_route() {
 #[test]
 fn same_switch_different_vlans_still_isolated() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("tor", 8);
     let a = host_on(&fabric, sw, 0, 1);
     let b = host_on(&fabric, sw, 1, 2);
@@ -81,7 +81,7 @@ fn same_switch_different_vlans_still_isolated() {
 #[test]
 fn vlan_change_takes_effect_immediately() {
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("tor", 8);
     let a = host_on(&fabric, sw, 0, 1);
     let b = host_on(&fabric, sw, 1, 2);
@@ -97,7 +97,7 @@ fn bidirectional_flows_do_not_deadlock() {
     // A->B and B->A simultaneously: full-duplex tx/rx resources must not
     // produce a lock cycle.
     let sim = Sim::new();
-    let fabric = Fabric::new(&sim);
+    let fabric = Fabric::new(&sim, &OpGate::disabled());
     let sw = fabric.add_switch("tor", 4);
     let a = host_on(&fabric, sw, 0, 5);
     let b = host_on(&fabric, sw, 1, 5);

@@ -1,31 +1,24 @@
 //! The single instrumented call path shared by every service boundary.
 //!
-//! Fault injection, op counters, retry accounting and span windows used
-//! to be hand-threaded through each call site — the BMC adapter, the
-//! switch management plane, the iSCSI gateway and the Keylime verifier
-//! each carried their own `Arc<Mutex<Faults>>`/`Metrics` pair plus the
-//! same install/clone/consult boilerplate. This module folds that
-//! plumbing into two small shared handles:
+//! Fault injection, op counters, retry accounting and span windows reach
+//! every call site through two small handles:
 //!
-//! * [`OpGate`] sits on the *service* side of a boundary. It owns the
-//!   late-installable fault + metrics handles and applies the canonical
-//!   per-attempt discipline: count the attempt, then consult the fault
-//!   plan.
+//! * [`OpGate`] sits on the *service* side of a boundary. It holds the
+//!   fault + metrics handles and applies the canonical per-attempt
+//!   discipline: count the attempt, then consult the fault plan.
 //! * [`CallEnv`] sits on the *orchestration* side (a tenant script, the
 //!   verifier). It bundles the clock with fault/span/metrics handles and
 //!   fronts [`retry_if_observed`] so retried service calls are uniformly
 //!   counted and backed off, and phase spans open and close in one place.
 //!
-//! Both are cheap to clone and use double indirection (`Arc<Mutex<…>>`)
-//! so a handle installed *after* a component was cloned into its
-//! consumers is still seen by every clone. With nothing installed, both
-//! are free: no RNG draws, no allocation, no timers.
+//! Both are plain bundles of shared handles (`Faults`, `Metrics` and
+//! `Spans` each sit behind one `Arc`) that a component takes when it is
+//! built. A plan swapped at run time through [`Faults::install`] reaches
+//! every holder. With nothing enabled, both are free: no RNG draws, no
+//! allocation, no timers.
 
 use std::future::Future;
 
-use std::sync::{Arc, Mutex};
-
-use crate::executor::lock;
 use crate::executor::Sim;
 use crate::fault::{FaultDecision, FaultInjected, Faults};
 use crate::metrics::Metrics;
@@ -33,11 +26,6 @@ use crate::retry::{retry_if_observed, RetryError, RetryPolicy};
 use crate::rng::Rng;
 use crate::span::{SpanId, Spans};
 use crate::time::SimTime;
-
-struct GateInner {
-    faults: Faults,
-    metrics: Metrics,
-}
 
 /// The service-side half of the instrumented call path: one handle per
 /// gated component, replacing its hand-rolled fault + metrics pair.
@@ -47,68 +35,42 @@ struct GateInner {
 /// [`OpGate::pass`] — the async latency-injecting gate — takes a [`Sim`].
 #[derive(Clone)]
 pub struct OpGate {
-    inner: Arc<Mutex<GateInner>>,
+    faults: Faults,
+    metrics: Metrics,
 }
 
 impl OpGate {
-    /// A gate with nothing installed: counts nowhere, injects nothing.
+    /// A gate that counts nowhere and injects nothing.
     pub fn disabled() -> Self {
+        Self::new(&Faults::disabled(), &Metrics::disabled())
+    }
+
+    /// A gate consulting `faults` and counting into `metrics`.
+    pub fn new(faults: &Faults, metrics: &Metrics) -> Self {
         OpGate {
-            inner: Arc::new(Mutex::new(GateInner {
-                faults: Faults::disabled(),
-                metrics: Metrics::disabled(),
-            })),
+            faults: faults.clone(),
+            metrics: metrics.clone(),
         }
     }
 
-    /// A gate with fault and metrics handles installed up front.
-    pub fn with(faults: &Faults, metrics: &Metrics) -> Self {
-        let gate = Self::disabled();
-        gate.set_faults(faults);
-        gate.set_metrics(metrics);
-        gate
+    /// The metrics registry this gate counts into.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
-    /// Installs a fault-injection handle; every clone of this gate
-    /// (including ones taken before this call) consults it.
-    pub fn set_faults(&self, faults: &Faults) {
-        lock(&self.inner).faults = faults.clone();
-    }
-
-    /// Attaches a metrics registry; every clone of this gate sees it.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        lock(&self.inner).metrics = metrics.clone();
-    }
-
-    /// The installed fault handle (a cheap shared clone).
-    pub fn faults(&self) -> Faults {
-        lock(&self.inner).faults.clone()
-    }
-
-    /// The installed metrics registry (a cheap shared clone).
-    pub fn metrics(&self) -> Metrics {
-        lock(&self.inner).metrics.clone()
-    }
-
-    /// True when counting or injecting would observe anything. Sync call
-    /// sites that must build a target string per call check this first so
-    /// the disabled path allocates nothing.
-    pub fn is_live(&self) -> bool {
-        let inner = lock(&self.inner);
-        inner.faults.enabled() || inner.metrics.is_enabled()
-    }
-
-    /// One attempt of a synchronous operation: bumps
-    /// `counter{target=..}`, then consults the fault plan. `Delay`
+    /// One attempt of a synchronous operation: bumps `counter{labels}`,
+    /// then consults the fault plan for `op` against `target`. `Delay`
     /// degrades to `Allow` — a synchronous request/response cannot
     /// stretch virtual time — so only `Fail` is observable.
-    pub fn tap(&self, counter: &str, op: &str, target: &str) -> Result<(), FaultInjected> {
-        let (faults, metrics) = {
-            let inner = lock(&self.inner);
-            (inner.faults.clone(), inner.metrics.clone())
-        };
-        metrics.inc(counter, &[("target", target)]);
-        if faults.enabled() && faults.decide(op, target) == FaultDecision::Fail {
+    pub fn tap(
+        &self,
+        counter: &str,
+        labels: &[(&str, &str)],
+        op: &str,
+        target: &str,
+    ) -> Result<(), FaultInjected> {
+        self.metrics.inc(counter, labels);
+        if self.faults.enabled() && self.faults.decide(op, target) == FaultDecision::Fail {
             return Err(FaultInjected {
                 op: op.to_string(),
                 target: target.to_string(),
@@ -121,20 +83,8 @@ impl OpGate {
     /// plan, sleeping out injected latency spikes. Counting is left to
     /// the caller — async paths count completed work, not attempts.
     pub async fn pass(&self, sim: &Sim, op: &str, target: &str) -> Result<(), FaultInjected> {
-        let faults = self.faults();
-        faults.gate(sim, op, target).await
+        self.faults.gate(sim, op, target).await
     }
-
-    /// Bumps `counter{key=value}` in the installed registry.
-    pub fn count(&self, counter: &str, key: &str, value: &str) {
-        self.metrics().inc(counter, &[(key, value)]);
-    }
-}
-
-struct EnvInner {
-    faults: Faults,
-    spans: Spans,
-    metrics: Metrics,
 }
 
 /// An open phase window: the span plus its start time, returned by
@@ -152,24 +102,24 @@ pub struct PhaseHandle {
 }
 
 /// The orchestration-side half of the instrumented call path: the clock
-/// plus fault/span/metrics handles, behind one install point.
+/// plus the fault/span/metrics handles it was built with.
 #[derive(Clone)]
 pub struct CallEnv {
     sim: Sim,
-    inner: Arc<Mutex<EnvInner>>,
+    faults: Faults,
+    spans: Spans,
+    metrics: Metrics,
 }
 
 impl CallEnv {
-    /// An environment with nothing installed (spans and metrics are
-    /// no-ops, the fault plan is empty).
-    pub fn new(sim: &Sim) -> Self {
+    /// An environment on `sim` consulting `faults` and recording into
+    /// `spans` and `metrics` (pass the `disabled()` handles for none).
+    pub fn new(sim: &Sim, faults: &Faults, spans: &Spans, metrics: &Metrics) -> Self {
         CallEnv {
             sim: sim.clone(),
-            inner: Arc::new(Mutex::new(EnvInner {
-                faults: Faults::disabled(),
-                spans: Spans::disabled(),
-                metrics: Metrics::disabled(),
-            })),
+            faults: faults.clone(),
+            spans: spans.clone(),
+            metrics: metrics.clone(),
         }
     }
 
@@ -178,31 +128,19 @@ impl CallEnv {
         &self.sim
     }
 
-    /// Installs a fault-injection handle (seen by every clone).
-    pub fn set_faults(&self, faults: &Faults) {
-        lock(&self.inner).faults = faults.clone();
+    /// The fault handle.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
-    /// Installs span + metrics recorders (seen by every clone).
-    pub fn set_observability(&self, spans: &Spans, metrics: &Metrics) {
-        let mut inner = lock(&self.inner);
-        inner.spans = spans.clone();
-        inner.metrics = metrics.clone();
+    /// The span recorder.
+    pub fn spans(&self) -> &Spans {
+        &self.spans
     }
 
-    /// The installed fault handle (a cheap shared clone).
-    pub fn faults(&self) -> Faults {
-        lock(&self.inner).faults.clone()
-    }
-
-    /// The installed span recorder (a cheap shared clone).
-    pub fn spans(&self) -> Spans {
-        lock(&self.inner).spans.clone()
-    }
-
-    /// The installed metrics registry (a cheap shared clone).
-    pub fn metrics(&self) -> Metrics {
-        lock(&self.inner).metrics.clone()
+    /// The metrics registry.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     /// Runs `op` under `policy`, retrying only errors `is_transient`
@@ -224,12 +162,11 @@ impl CallEnv {
         Fut: Future<Output = Result<T, E>>,
         P: Fn(&E) -> bool,
     {
-        let metrics = self.metrics();
         retry_if_observed(
             &self.sim,
             policy,
             rng,
-            &metrics,
+            &self.metrics,
             op_name,
             target,
             op,
@@ -246,7 +183,7 @@ impl CallEnv {
         target: &str,
     ) -> PhaseHandle {
         let started = self.sim.now();
-        let span = self.spans().begin(&self.sim, category, name, target);
+        let span = self.spans.begin(&self.sim, category, name, target);
         PhaseHandle { span, started }
     }
 
@@ -254,8 +191,8 @@ impl CallEnv {
     /// duration. Call only on success — error paths drop the handle so
     /// the open span marks where the run stopped.
     pub fn close_phase(&self, handle: PhaseHandle, histogram: &str, name: &str) {
-        self.spans().end(&self.sim, handle.span);
-        self.metrics().observe_duration(
+        self.spans.end(&self.sim, handle.span);
+        self.metrics.observe_duration(
             histogram,
             &[("phase", name)],
             self.sim.now().since(handle.started),
@@ -266,47 +203,39 @@ impl CallEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::lock;
     use crate::fault::{ops, FaultPlan, FaultSpec};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn disabled_gate_counts_nothing_and_allows_everything() {
         let gate = OpGate::disabled();
-        assert!(!gate.is_live());
-        assert!(gate.tap("ops", ops::BMC_POWER, "m1").is_ok());
+        assert!(gate
+            .tap("ops", &[("target", "m1")], ops::BMC_POWER, "m1")
+            .is_ok());
     }
 
     #[test]
     fn tap_counts_before_the_fault_decision() {
         let metrics = Metrics::new();
-        let faults = Faults::new(FaultPlan::seeded(1).with_target(
-            ops::BMC_POWER,
-            "m1",
-            FaultSpec::permanent(),
-        ));
-        let gate = OpGate::with(&faults, &metrics);
-        assert!(gate.is_live());
-        let err = gate.tap("bmc_power_ops", ops::BMC_POWER, "m1").unwrap_err();
+        let faults = Faults::new(
+            FaultPlan::seeded(1).with_target(ops::BMC_POWER, "m1", FaultSpec::permanent()),
+            &Metrics::disabled(),
+        );
+        let gate = OpGate::new(&faults, &metrics);
+        let err = gate
+            .tap("bmc_power_ops", &[("target", "m1")], ops::BMC_POWER, "m1")
+            .unwrap_err();
         assert_eq!(err.op, ops::BMC_POWER);
         // The attempt was counted even though it failed.
         assert_eq!(metrics.counter("bmc_power_ops", &[("target", "m1")]), 1);
     }
 
     #[test]
-    fn late_install_reaches_existing_clones() {
-        let gate = OpGate::disabled();
-        let taken_early = gate.clone();
-        let metrics = Metrics::new();
-        gate.set_metrics(&metrics);
-        taken_early.count("hil_ops", "op", "allocate");
-        assert_eq!(metrics.counter("hil_ops", &[("op", "allocate")]), 1);
-    }
-
-    #[test]
     fn env_call_retries_through_the_uniform_envelope() {
         let sim = Sim::new();
-        let env = CallEnv::new(&sim);
         let metrics = Metrics::new();
-        env.set_observability(&Spans::disabled(), &metrics);
+        let env = CallEnv::new(&sim, &Faults::disabled(), &Spans::disabled(), &metrics);
         let policy = RetryPolicy::default();
         let result: Result<u32, RetryError<&str>> = sim.block_on({
             let env = env.clone();
@@ -345,10 +274,9 @@ mod tests {
     #[test]
     fn phase_window_records_span_and_histogram_on_close() {
         let sim = Sim::new();
-        let env = CallEnv::new(&sim);
         let spans = Spans::new();
         let metrics = Metrics::new();
-        env.set_observability(&spans, &metrics);
+        let env = CallEnv::new(&sim, &Faults::disabled(), &spans, &metrics);
         let handle = env.open_phase("tenant", "firmware", "m1");
         env.close_phase(handle, "provision_phase_seconds", "firmware");
         let record = spans.find("firmware", "m1").expect("span recorded");

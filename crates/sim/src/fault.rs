@@ -228,15 +228,15 @@ struct FaultsInner {
     streams: HashMap<(String, String), Rng>,
     attempts: HashMap<(String, String), u64>,
     injected: HashMap<String, u64>,
-    /// Optional registry receiving `faults_injected{op,target}` counts.
+    /// Registry receiving `faults_injected{op,target}` counts.
     metrics: Metrics,
 }
 
 /// A shared handle that evaluates a [`FaultPlan`] at call sites.
 ///
-/// Cheap to clone (`Rc` inside); every clone shares the same streams and
-/// counters, so a plan installed on the cloud is visible to every layer
-/// it was threaded through.
+/// Cheap to clone (one `Arc` inside); every clone shares the same plan,
+/// streams and counters, so a plan installed on the cloud is visible to
+/// every layer it was threaded through.
 #[derive(Clone, Default)]
 pub struct Faults {
     inner: Arc<Mutex<FaultsInner>>,
@@ -248,19 +248,22 @@ impl Faults {
         Faults::default()
     }
 
-    /// A handle evaluating `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
+    /// A handle evaluating `plan`. Every injected failure is also
+    /// counted into `metrics` as `faults_injected{op=.., target=..}`, in
+    /// addition to the built-in per-op tallies.
+    pub fn new(plan: FaultPlan, metrics: &Metrics) -> Self {
         Faults {
             inner: Arc::new(Mutex::new(FaultsInner {
                 plan,
+                metrics: metrics.clone(),
                 ..FaultsInner::default()
             })),
         }
     }
 
     /// Replaces the plan in place (all clones see it) and resets the
-    /// per-key streams, attempt counters and injection tallies. An
-    /// attached metrics registry survives the reset.
+    /// per-key streams, attempt counters and injection tallies. The
+    /// metrics registry survives the reset.
     pub fn install(&self, plan: FaultPlan) {
         let mut inner = lock(&self.inner);
         let metrics = inner.metrics.clone();
@@ -269,13 +272,6 @@ impl Faults {
             metrics,
             ..FaultsInner::default()
         };
-    }
-
-    /// Attaches a metrics registry: every injected failure is counted as
-    /// `faults_injected{op=.., target=..}` in addition to the built-in
-    /// per-op tallies.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        lock(&self.inner).metrics = metrics.clone();
     }
 
     /// True when any rule is installed (fast path check for sync sites
@@ -355,6 +351,11 @@ impl Faults {
 mod tests {
     use super::*;
 
+    /// A handle evaluating `plan` that counts into no registry.
+    fn faults(plan: FaultPlan) -> Faults {
+        Faults::new(plan, &Metrics::disabled())
+    }
+
     #[test]
     fn empty_plan_always_allows_and_samples_nothing() {
         let f = Faults::disabled();
@@ -370,7 +371,7 @@ mod tests {
 
     #[test]
     fn flap_fails_first_n_then_recovers() {
-        let f = Faults::new(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)));
+        let f = faults(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)));
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Allow);
@@ -381,7 +382,7 @@ mod tests {
 
     #[test]
     fn permanent_never_recovers() {
-        let f = Faults::new(FaultPlan::seeded(1).with_target(
+        let f = faults(FaultPlan::seeded(1).with_target(
             ops::SWITCH_SET_VLAN,
             "n3",
             FaultSpec::permanent(),
@@ -395,7 +396,7 @@ mod tests {
 
     #[test]
     fn target_rule_overrides_blanket_rule() {
-        let f = Faults::new(
+        let f = faults(
             FaultPlan::seeded(1)
                 .with(ops::STORAGE_READ, FaultSpec::none())
                 .with_target(ops::STORAGE_READ, "img", FaultSpec::permanent()),
@@ -407,7 +408,7 @@ mod tests {
     #[test]
     fn decisions_are_deterministic_per_seed_and_key() {
         let run = |seed: u64| -> Vec<FaultDecision> {
-            let f = Faults::new(FaultPlan::seeded(seed).with(
+            let f = faults(FaultPlan::seeded(seed).with(
                 ops::STORAGE_READ,
                 FaultSpec::transient(0.3).with_spike(0.2, SimDuration::from_millis(50)),
             ));
@@ -422,11 +423,11 @@ mod tests {
     #[test]
     fn interleaving_other_targets_does_not_perturb_a_stream() {
         let plan = FaultPlan::seeded(9).with(ops::STORAGE_READ, FaultSpec::transient(0.5));
-        let solo = Faults::new(plan.clone());
+        let solo = faults(plan.clone());
         let solo_seq: Vec<_> = (0..32)
             .map(|_| solo.decide(ops::STORAGE_READ, "a"))
             .collect();
-        let mixed = Faults::new(plan);
+        let mixed = faults(plan);
         let mixed_seq: Vec<_> = (0..32)
             .map(|_| {
                 // Noise on a different target between every draw.
@@ -439,7 +440,7 @@ mod tests {
 
     #[test]
     fn spikes_are_delays_not_failures() {
-        let f = Faults::new(FaultPlan::seeded(3).with(
+        let f = faults(FaultPlan::seeded(3).with(
             ops::VERIFIER_QUOTE,
             FaultSpec::none().with_spike(1.0, SimDuration::from_secs(2)),
         ));
@@ -453,7 +454,7 @@ mod tests {
     #[test]
     fn gate_sleeps_through_spikes_and_errors_on_failures() {
         let sim = Sim::new();
-        let f = Faults::new(
+        let f = faults(
             FaultPlan::seeded(3)
                 .with(
                     ops::VERIFIER_QUOTE,
@@ -478,7 +479,7 @@ mod tests {
 
     #[test]
     fn install_resets_counters() {
-        let f = Faults::new(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(1)));
+        let f = faults(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(1)));
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         f.install(FaultPlan::none());
         assert!(!f.enabled());
@@ -488,9 +489,11 @@ mod tests {
 
     #[test]
     fn attached_metrics_count_per_op_and_target() {
-        let f = Faults::new(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)));
         let m = Metrics::new();
-        f.set_metrics(&m);
+        let f = Faults::new(
+            FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)),
+            &m,
+        );
         for _ in 0..3 {
             let _ = f.decide(ops::BMC_POWER, "n1");
         }
@@ -510,7 +513,7 @@ mod tests {
             1
         );
         assert_eq!(m.counter_total("faults_injected"), f.total_injected());
-        // install() resets fault state but keeps the registry attached.
+        // install() resets fault state but keeps the registry.
         f.install(FaultPlan::seeded(2).with(ops::BMC_POWER, FaultSpec::flaky(1)));
         let _ = f.decide(ops::BMC_POWER, "n1");
         assert_eq!(

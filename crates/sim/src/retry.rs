@@ -9,10 +9,13 @@
 //! and a structured [`RetryError`] distinguishing "gave up" from "this
 //! error is not retryable".
 //!
+//! [`retry_if_observed`] is the one loop; service calls reach it through
+//! [`crate::CallEnv::call`].
+//!
 //! Determinism: on the happy path (first attempt succeeds) the loop
 //! performs no sleeps and draws nothing from the RNG, so wrapping an
-//! operation in [`retry`] does not shift virtual time or RNG streams in
-//! a fault-free simulation.
+//! operation in it does not shift virtual time or RNG streams in a
+//! fault-free simulation.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -55,26 +58,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries (one attempt, no backoff).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sets the number of attempts.
-    pub fn attempts(mut self, n: u32) -> Self {
-        self.max_attempts = n.max(1);
-        self
-    }
-
-    /// Sets the per-attempt timeout.
-    pub fn with_timeout(mut self, t: SimDuration) -> Self {
-        self.timeout = Some(t);
-        self
-    }
-
     /// Backoff before attempt `n + 2` (0-based index of completed
     /// failures), before jitter: `base * 2^n`, capped at `max_backoff`.
     fn backoff_for(&self, failures: u32) -> SimDuration {
@@ -151,11 +134,7 @@ impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for RetryError<E>
 /// Races `fut` against a virtual-time deadline. Returns `None` when the
 /// deadline fires first. The losing future is dropped, which cancels it
 /// (simulated work is all cooperative).
-pub async fn with_timeout<T>(
-    sim: &Sim,
-    limit: SimDuration,
-    fut: impl Future<Output = T>,
-) -> Option<T> {
+async fn with_timeout<T>(sim: &Sim, limit: SimDuration, fut: impl Future<Output = T>) -> Option<T> {
     let mut fut = Box::pin(fut);
     let mut deadline = Box::pin(sim.sleep(limit));
     std::future::poll_fn(move |cx| {
@@ -177,26 +156,12 @@ pub async fn with_timeout<T>(
 /// time (clone your handles into an `async move` block). Jitter is drawn
 /// from `rng` only when a backoff actually happens, so the fault-free
 /// path costs zero draws and zero sleeps.
-pub async fn retry_if<T, E, F, Fut, P>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    op: F,
-    is_transient: P,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: FnMut(&E) -> bool,
-{
-    retry_if_inner(sim, policy, rng, op, is_transient, None).await
-}
-
-/// [`retry_if`] that also accounts each re-attempt into `metrics` as
+///
+/// Each re-attempt is counted into `metrics` as
 /// `retry_attempts{op=.., target=..}` — one increment per attempt
 /// *beyond the first*, stamped when the loop decides to go around again
-/// (so a happy first try leaves the counter untouched, matching the
-/// zero-cost guarantee above).
+/// (so a happy first try leaves the counter untouched). Pass
+/// [`Metrics::disabled`] to count nowhere.
 #[allow(clippy::too_many_arguments)]
 pub async fn retry_if_observed<T, E, F, Fut, P>(
     sim: &Sim,
@@ -205,32 +170,8 @@ pub async fn retry_if_observed<T, E, F, Fut, P>(
     metrics: &Metrics,
     op_name: &str,
     target: &str,
-    op: F,
-    is_transient: P,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-    P: FnMut(&E) -> bool,
-{
-    retry_if_inner(
-        sim,
-        policy,
-        rng,
-        op,
-        is_transient,
-        Some((metrics, op_name, target)),
-    )
-    .await
-}
-
-async fn retry_if_inner<T, E, F, Fut, P>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
     mut op: F,
     mut is_transient: P,
-    obs: Option<(&Metrics, &str, &str)>,
 ) -> Result<T, RetryError<E>>
 where
     F: FnMut() -> Fut,
@@ -269,9 +210,7 @@ where
                 }
             }
         }
-        if let Some((metrics, op_name, target)) = obs {
-            metrics.inc("retry_attempts", &[("op", op_name), ("target", target)]);
-        }
+        metrics.inc("retry_attempts", &[("op", op_name), ("target", target)]);
         let mut backoff = policy.backoff_for(failures);
         if policy.jitter_cv > 0.0 {
             backoff = backoff.mul_f64(rng.jitter(policy.jitter_cv));
@@ -283,25 +222,26 @@ where
     }
 }
 
-/// [`retry_if`] with every error treated as transient.
-pub async fn retry<T, E, F, Fut>(
-    sim: &Sim,
-    policy: &RetryPolicy,
-    rng: &mut Rng,
-    op: F,
-) -> Result<T, RetryError<E>>
-where
-    F: FnMut() -> Fut,
-    Fut: Future<Output = Result<T, E>>,
-{
-    retry_if(sim, policy, rng, op, |_| true).await
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+
+    /// The loop with every error transient, counting nowhere.
+    async fn retry_all<T, E, F, Fut>(
+        sim: &Sim,
+        policy: &RetryPolicy,
+        rng: &mut Rng,
+        op: F,
+    ) -> Result<T, RetryError<E>>
+    where
+        F: FnMut() -> Fut,
+        Fut: Future<Output = Result<T, E>>,
+    {
+        let metrics = Metrics::disabled();
+        retry_if_observed(sim, policy, rng, &metrics, "op", "t", op, |_| true).await
+    }
 
     fn flaky_op(
         sim: &Sim,
@@ -336,7 +276,7 @@ mod tests {
         let got = sim.block_on({
             let sim2 = sim.clone();
             let mut rng2 = rng.clone();
-            async move { retry(&sim2, &RetryPolicy::default(), &mut rng2, op).await }
+            async move { retry_all(&sim2, &RetryPolicy::default(), &mut rng2, op).await }
         });
         assert_eq!(got, Ok(1));
         assert_eq!(sim.now().as_nanos(), 0, "no backoff, no timers");
@@ -376,7 +316,7 @@ mod tests {
             let sim2 = sim.clone();
             async move {
                 let mut rng = Rng::seed_from_u64(1);
-                retry(&sim2, &policy, &mut rng, op).await
+                retry_all(&sim2, &policy, &mut rng, op).await
             }
         });
         assert_eq!(got, Ok(3));
@@ -391,13 +331,16 @@ mod tests {
     fn exhaustion_reports_attempts_and_last_error() {
         let sim = Sim::new();
         let calls = Arc::new(AtomicU32::new(0));
-        let policy = RetryPolicy::default().attempts(3);
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        };
         let op = flaky_op(&sim, &calls, 99, SimDuration::ZERO);
         let got = sim.block_on({
             let sim2 = sim.clone();
             async move {
                 let mut rng = Rng::seed_from_u64(1);
-                retry(&sim2, &policy, &mut rng, op).await
+                retry_all(&sim2, &policy, &mut rng, op).await
             }
         });
         match got {
@@ -419,10 +362,13 @@ mod tests {
             let calls2 = calls.clone();
             async move {
                 let mut rng = Rng::seed_from_u64(1);
-                retry_if(
+                retry_if_observed(
                     &sim2,
                     &RetryPolicy::default(),
                     &mut rng,
+                    &Metrics::disabled(),
+                    "op",
+                    "t",
                     move || {
                         let calls3 = calls2.clone();
                         async move {
@@ -467,7 +413,7 @@ mod tests {
             let sim2 = sim.clone();
             async move {
                 let mut rng = Rng::seed_from_u64(1);
-                let r = retry(&sim2, &policy, &mut rng, op).await;
+                let r = retry_all(&sim2, &policy, &mut rng, op).await;
                 (r, sim2.now())
             }
         });

@@ -22,8 +22,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::cost::CipherCost;
-use bolted_sim::fault::{ops, Faults};
-use bolted_sim::{JoinHandle, Metrics, OpGate, Resource, Sim, SimDuration};
+use bolted_sim::fault::ops;
+use bolted_sim::{JoinHandle, OpGate, Resource, Sim, SimDuration};
 
 use crate::cluster::ImageId;
 use crate::image::{ImageError, ImageStore};
@@ -34,6 +34,10 @@ pub const DEFAULT_READ_AHEAD: u64 = 128 * 1024;
 /// The paper's tuned read-ahead (8 MiB).
 pub const TUNED_READ_AHEAD: u64 = 8 * 1024 * 1024;
 
+/// Sustained iSCSI payload throughput of the paper's TGT VM (8 vCPUs,
+/// 10 Gbit network), bytes per second.
+pub const TGT_VM_BANDWIDTH_BPS: f64 = 420e6;
+
 /// The shared iSCSI gateway server (the TGT VM).
 #[derive(Clone)]
 pub struct Gateway {
@@ -41,40 +45,22 @@ pub struct Gateway {
     service: Resource,
     /// Gateway processing + NIC throughput, bytes per second.
     bandwidth_bps: f64,
-    /// Fault + metrics gate consulted on every read path. The gate's own
-    /// indirection means a handle installed after targets were opened
-    /// (and the gateway cloned into them) is still seen by all of them.
+    /// Fault + metrics gate consulted on every read path of every target
+    /// opened from this gateway: reads count
+    /// `storage_read_ops`/`storage_read_bytes` per image and consult the
+    /// fault plan, including a plan installed after the target opened.
     gate: OpGate,
 }
 
 impl Gateway {
-    /// Creates a gateway calibrated to the paper's TGT VM (8 vCPUs,
-    /// 10 Gbit network): ~420 MB/s of sustained iSCSI payload.
-    pub fn new(sim: &Sim) -> Self {
-        Self::with_bandwidth(sim, 420e6)
-    }
-
-    /// Creates a gateway with explicit throughput.
-    pub fn with_bandwidth(sim: &Sim, bandwidth_bps: f64) -> Self {
+    /// Creates a gateway serving `bandwidth_bps` of payload
+    /// ([`TGT_VM_BANDWIDTH_BPS`] for the paper's), instrumented by `gate`.
+    pub fn new(sim: &Sim, bandwidth_bps: f64, gate: &OpGate) -> Self {
         Gateway {
             service: Resource::new(sim, 1),
             bandwidth_bps,
-            gate: OpGate::disabled(),
+            gate: gate.clone(),
         }
-    }
-
-    /// Installs a fault-injection handle; targets opened from this
-    /// gateway (including ones opened before this call) consult it on
-    /// every read.
-    pub fn set_faults(&self, faults: &Faults) {
-        self.gate.set_faults(faults);
-    }
-
-    /// Attaches a metrics registry; reads through any target opened from
-    /// this gateway count `storage_read_ops`/`storage_read_bytes` per
-    /// image.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        self.gate.set_metrics(metrics);
     }
 
     async fn charge(&self, bytes: u64) {
@@ -403,13 +389,17 @@ mod tests {
     use crate::cluster::{Backing, Cluster};
 
     fn setup(read_ahead: u64) -> (Sim, ImageStore, IscsiTarget) {
+        setup_gated(read_ahead, &OpGate::disabled())
+    }
+
+    fn setup_gated(read_ahead: u64, gate: &OpGate) -> (Sim, ImageStore, IscsiTarget) {
         let sim = Sim::new();
         let cluster = Cluster::paper_default(&sim);
         let store = ImageStore::new(&cluster);
         let img = store
             .create("root", 256 << 20, Backing::Pattern(9))
             .expect("creates");
-        let gw = Gateway::new(&sim);
+        let gw = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, gate);
         let t = IscsiTarget::new(&sim, &store, img, &gw, Transport::plain_10g(), read_ahead);
         (sim, store, t)
     }
@@ -421,7 +411,7 @@ mod tests {
         let img = store
             .create("root", total * 2, Backing::Zero)
             .expect("creates");
-        let gw = Gateway::new(&sim);
+        let gw = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
         let t = IscsiTarget::new(&sim, &store, img, &gw, transport, read_ahead);
         sim.block_on(async move {
             let mut off = 0u64;
@@ -547,8 +537,13 @@ mod tests {
     #[test]
     fn reads_respect_fault_plan() {
         use bolted_sim::fault::{FaultPlan, FaultSpec};
-        let (sim, _store, t) = setup(DEFAULT_READ_AHEAD);
-        let faults = Faults::new(
+        use bolted_sim::{Faults, Metrics};
+        // Installed after the target opened: the gate holds the shared
+        // handle, so the swapped-in plan still reaches the read path.
+        let faults = Faults::disabled();
+        let gate = OpGate::new(&faults, &Metrics::disabled());
+        let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &gate);
+        faults.install(
             FaultPlan::seeded(4)
                 .with_target(ops::STORAGE_READ, "root", FaultSpec::flaky(1))
                 .with_target(
@@ -557,7 +552,6 @@ mod tests {
                     FaultSpec::none().with_spike(1.0, SimDuration::from_secs(1)),
                 ),
         );
-        t.gateway.set_faults(&faults);
         sim.block_on({
             let t = t.clone();
             async move {
@@ -571,15 +565,19 @@ mod tests {
     #[test]
     fn fault_spikes_stretch_read_time() {
         use bolted_sim::fault::{FaultPlan, FaultSpec};
+        use bolted_sim::{Faults, Metrics};
         let elapsed = |spiked: bool| {
-            let (sim, _store, t) = setup(DEFAULT_READ_AHEAD);
-            if spiked {
-                let faults = Faults::new(FaultPlan::seeded(4).with(
+            let plan = if spiked {
+                FaultPlan::seeded(4).with(
                     ops::STORAGE_READ,
                     FaultSpec::none().with_spike(1.0, SimDuration::from_secs(1)),
-                ));
-                t.gateway.set_faults(&faults);
-            }
+                )
+            } else {
+                FaultPlan::none()
+            };
+            let faults = Faults::new(plan, &Metrics::disabled());
+            let gate = OpGate::new(&faults, &Metrics::disabled());
+            let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &gate);
             sim.block_on({
                 let t = t.clone();
                 async move { t.read_timed(0, 4096).await.expect("reads") }
@@ -600,7 +598,7 @@ mod tests {
         let sim = Sim::new();
         let cluster = Cluster::paper_default(&sim);
         let store = ImageStore::new(&cluster);
-        let gw = Gateway::with_bandwidth(&sim, 200e6); // slow gateway
+        let gw = Gateway::new(&sim, 200e6, &OpGate::disabled()); // slow gateway
         for i in 0..4 {
             let img = store
                 .create(format!("root-{i}"), 64 << 20, Backing::Zero)

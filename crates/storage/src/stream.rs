@@ -127,9 +127,9 @@ mod tests {
     use super::*;
     use crate::cluster::{Backing, Cluster};
     use crate::image::ImageStore;
-    use crate::iscsi::{Gateway, Transport, TUNED_READ_AHEAD};
+    use crate::iscsi::{Gateway, Transport, TGT_VM_BANDWIDTH_BPS, TUNED_READ_AHEAD};
     use bolted_crypto::Key;
-    use bolted_sim::Sim;
+    use bolted_sim::{OpGate, Sim};
 
     fn setup(encrypted: bool) -> (Sim, ImageStore, SectorStream) {
         let sim = Sim::new();
@@ -138,7 +138,7 @@ mod tests {
         let img = store
             .create("root", 16 << 20, Backing::Zero)
             .expect("creates");
-        let gw = Gateway::new(&sim);
+        let gw = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
         let target = IscsiTarget::new(
             &sim,
             &store,
@@ -240,7 +240,7 @@ mod tests {
         let img = store
             .create("root", 16 << 20, Backing::Zero)
             .expect("creates");
-        let gw = Gateway::new(&sim);
+        let gw = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
         let target = |sim: &Sim| {
             IscsiTarget::new(
                 sim,

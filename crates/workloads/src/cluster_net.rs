@@ -7,7 +7,7 @@
 
 use bolted_crypto::cost::CipherCost;
 use bolted_net::{Fabric, HostId, NetError, TransferSpec};
-use bolted_sim::{join_all, Resource, Sim, SimDuration};
+use bolted_sim::{join_all, OpGate, Resource, Sim, SimDuration};
 
 /// A group of workload nodes on the fabric, with optional IPsec.
 pub struct CommGroup {
@@ -178,7 +178,7 @@ impl CommGroup {
 
 /// Builds a standalone test/bench fabric with `n` hosts on one VLAN.
 pub fn standalone_group(sim: &Sim, n: usize, cipher: Option<CipherCost>) -> (Fabric, CommGroup) {
-    let fabric = Fabric::new(sim);
+    let fabric = Fabric::new(sim, &OpGate::disabled());
     let sw = fabric.add_switch("wl", n);
     let hosts: Vec<HostId> = (0..n)
         .map(|i| {

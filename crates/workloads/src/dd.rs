@@ -260,8 +260,10 @@ mod tests {
 #[cfg(test)]
 mod iscsi_dd_tests {
     use super::*;
+    use bolted_sim::OpGate;
     use bolted_storage::{
-        Backing, Cluster, Gateway, ImageStore, IscsiTarget, Transport, TUNED_READ_AHEAD,
+        Backing, Cluster, Gateway, ImageStore, IscsiTarget, Transport, TGT_VM_BANDWIDTH_BPS,
+        TUNED_READ_AHEAD,
     };
 
     fn target(sim: &Sim) -> IscsiTarget {
@@ -270,7 +272,7 @@ mod iscsi_dd_tests {
         let img = store
             .create("vol", 4 << 30, Backing::Zero)
             .expect("creates");
-        let gw = Gateway::new(sim);
+        let gw = Gateway::new(sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
         IscsiTarget::new(
             sim,
             &store,

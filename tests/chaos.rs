@@ -8,6 +8,10 @@
 //!    the fleet call.
 //! 3. Everything is deterministic under a seed, and an empty fault plan
 //!    is entirely free — timings match a run with no plan at all.
+//!
+//! Every gated layer takes the cloud's one `Faults` handle when it is
+//! built, so a plan swapped in later through `Faults::install` reaches
+//! all of them.
 
 mod common;
 
@@ -143,4 +147,37 @@ fn empty_fault_plan_is_entirely_free() {
         (p.report.total().as_nanos(), sim.now().as_nanos())
     };
     assert_eq!(run(FaultPlan::none()), run(FaultPlan::seeded(0x5EED)));
+}
+
+#[test]
+fn plan_installed_after_build_reaches_every_gated_layer() {
+    // The cloud and the tenant's Keylime pair exist before the plan does.
+    let (sim, cloud, golden) = world().nodes(5).build();
+    let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
+    let layers = [
+        (ops::BMC_POWER, "m620-01"),
+        (ops::SWITCH_SET_VLAN, "m620-02"),
+        (ops::REGISTRAR_REGISTER, "m620-03"),
+        (ops::VERIFIER_QUOTE, "m620-04"),
+        (ops::BMI_CLONE, "m620-05"),
+        (ops::STORAGE_READ, "m620-01-root"),
+    ];
+    let plan = layers
+        .iter()
+        .fold(FaultPlan::seeded(0x1A7E), |plan, (op, target)| {
+            plan.with_target(op, target, FaultSpec::flaky(1))
+        });
+    cloud.faults.install(plan);
+    let nodes = cloud.nodes();
+    let report = sim.block_on(async move {
+        tenant
+            .provision_fleet_report(&nodes, &SecurityProfile::charlie(), golden)
+            .await
+    });
+    for (op, _) in layers {
+        assert_eq!(cloud.faults.injected(op), 1, "{op} missed the plan");
+    }
+    // A BMI clone is not retried: only its node fails.
+    let failed: Vec<&str> = report.failed.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(failed, ["m620-05"]);
 }

@@ -5,7 +5,9 @@
 
 mod common;
 
-use bolted::core::{provision_fleet_parallel, Cloud, FleetSpec, ProvisionError};
+use bolted::core::{
+    provision_fleet_parallel, Cloud, FleetSpec, ProvisionError, SecurityProfile, Tenant,
+};
 use bolted::sim::fault::{ops, FaultPlan, FaultSpec};
 use bolted::sim::Sim;
 use bolted::storage::ImageId;
@@ -176,6 +178,29 @@ fn empty_fault_plan_means_zero_retry_and_fault_counters() {
         ),
         2
     );
+}
+
+#[test]
+fn bmi_counts_every_op_into_the_cloud_registry() {
+    // BMI is built with the cloud's gate like every other service, so a
+    // provision-and-release round trip leaves one row per BMI op.
+    let (sim, cloud, golden) = world().build();
+    let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
+    let node = cloud.nodes()[0];
+    sim.block_on(async move {
+        let p = tenant
+            .provision(node, &SecurityProfile::charlie(), golden)
+            .await
+            .expect("provisions");
+        tenant.release(p, false).await.expect("releases");
+    });
+    for op in ["clone", "boot_info", "boot_target", "release"] {
+        assert_eq!(
+            cloud.metrics.counter("bmi_ops", &[("op", op)]),
+            1,
+            "bmi_ops{{op={op}}}"
+        );
+    }
 }
 
 #[test]

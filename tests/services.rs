@@ -24,9 +24,9 @@ use bolted::hil::{HilError, NetworkId, NodeId, NodeMetadata};
 use bolted::keylime::{Agent, AttestOutcome, ImaWhitelist, KeyShare, RegisterError};
 use bolted::keylime::{Registrar, Verifier, VerifierConfig};
 use bolted::net::NetError;
-use bolted::sim::{CallEnv, Resource, Sim};
-use bolted::storage::Gateway;
+use bolted::sim::{CallEnv, Faults, Metrics, OpGate, Resource, Sim, Spans};
 use bolted::storage::{Cluster, ImageId, ImageStore, IscsiTarget, Transport};
+use bolted::storage::{Gateway, TGT_VM_BANDWIDTH_BPS};
 use common::world;
 
 // ---------------------------------------------------------------------------
@@ -276,15 +276,21 @@ fn mock_backend_provisions_end_to_end_through_trait_objects() {
     let ek = machine.with_tpm(|t| t.ek_pub().clone());
     let cluster = Cluster::paper_default(&sim);
     let store = ImageStore::new(&cluster);
-    let gateway = Gateway::new(&sim);
-    let bmi = Bmi::new(&sim, &store, &gateway);
+    let gateway = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &OpGate::disabled());
+    let bmi = Bmi::new(&sim, &store, &gateway, &OpGate::disabled());
     let kernel = KernelImage::from_bytes("fedora28", b"vmlinuz");
     let golden = bmi
         .create_golden("fedora28", 8 << 30, 7, &kernel, "root=/dev/sda")
         .expect("golden");
+    let call = CallEnv::new(
+        &sim,
+        &Faults::disabled(),
+        &Spans::disabled(),
+        &Metrics::disabled(),
+    );
     let env = TenantEnv {
         calib: Calibration::default(),
-        call: CallEnv::new(&sim),
+        call: call.clone(),
         http: Resource::new(&sim, 1),
         airlock: Resource::new(&sim, 1),
     };
@@ -303,7 +309,8 @@ fn mock_backend_provisions_end_to_end_through_trait_objects() {
     };
     // The verifier is unused by the mock path; a fresh one satisfies
     // the continuous-attestation surface of the Tenant API.
-    let verifier = Verifier::new(&sim, &Registrar::new(), VerifierConfig::default());
+    let registrar = Registrar::new(&Faults::disabled());
+    let verifier = Verifier::new(&call, &registrar, VerifierConfig::default());
     let tenant = Tenant::with_backend("charlie", env, services, verifier).expect("tenant");
     let p = sim
         .block_on(async move {
