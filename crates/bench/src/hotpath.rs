@@ -1,23 +1,21 @@
 //! Dependency-free micro-benchmarks for the attestation hot path.
 //!
 //! Measures the optimised kernels — RSA verification, SHA-256
-//! compression, multi-buffer SHA-256, LUKS sector encryption, RSA key
-//! generation and RSA CRT signing — each against an in-repo "before"
-//! reference (a rolled SHA-256 compression loop, single-stream hashing,
-//! the single-stream ChaCha20 sector path, and for every RSA row the
-//! schoolbook `BigUint::modpow`, the one reference the fixed-width
-//! Montgomery kernel is checked against), so the speedup is recorded
-//! next to the code that earned it. Plain `std::time::Instant`,
-//! JSON-lines output, no external crates: it runs in the offline build
-//! where criterion cannot.
+//! compression, LUKS sector encryption, RSA key generation and RSA CRT
+//! signing — each against an in-repo "before" reference (a rolled
+//! SHA-256 compression loop, the single-stream ChaCha20 sector path,
+//! and for every RSA row the schoolbook `BigUint::modpow`, the one
+//! reference the fixed-width Montgomery kernel is checked against), so
+//! the speedup is recorded next to the code that earned it. Plain
+//! `std::time::Instant`, JSON-lines output, no external crates: it runs
+//! in the offline build where criterion cannot.
 
 use std::time::Instant;
 
 use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
 use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::{
-    keypair_from_seed, sha256_many, BigUint, RandomSource, SectorCipher, XorShiftSource,
-    SECTOR_SIZE,
+    keypair_from_seed, BigUint, RandomSource, SectorCipher, XorShiftSource, SECTOR_SIZE,
 };
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -507,48 +505,6 @@ pub fn run(effort: Effort) -> Vec<Record> {
         Some(buf_len as u64),
     );
 
-    // --- multi-buffer SHA-256 ---------------------------------------
-    // 16 independent messages (an IMA measurement burst): single-stream
-    // hashing walks them one by one; the multi-buffer kernel interleaves
-    // all 16 through one SoA compression sweep.
-    let msg_len = effort.pick(64 << 10, 8 << 10, 2 << 10);
-    let msgs: Vec<Vec<u8>> = (0..16)
-        .map(|_| {
-            let mut m = vec![0u8; msg_len];
-            rng.fill_bytes(&mut m);
-            m
-        })
-        .collect();
-    let views: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-    {
-        let serial: Vec<_> = views.iter().map(|m| bolted_crypto::sha256(m)).collect();
-        assert_eq!(serial, sha256_many(&views), "multi-buffer cross-check");
-    }
-    // Many short interleaved rounds: on a shared vCPU a noise burst then
-    // lands on a sliver of both variants instead of one whole batch.
-    let (rounds, iters) = effort.pick((64, 2), (2, 2), (1, 1));
-    let ns = time_pair(
-        rounds,
-        iters,
-        iters,
-        || {
-            for m in &views {
-                std::hint::black_box(bolted_crypto::sha256(m));
-            }
-        },
-        || {
-            std::hint::black_box(sha256_many(&views));
-        },
-    );
-    record_pair(
-        &mut records,
-        "sha256_mb",
-        ("single_stream", "multibuffer_x16"),
-        (rounds * iters, rounds * iters),
-        ns,
-        Some((16 * msg_len) as u64),
-    );
-
     // --- LUKS sector encryption --------------------------------------
     let mut key_bytes = [0u8; 32];
     rng.fill_bytes(&mut key_bytes);
@@ -570,7 +526,8 @@ pub fn run(effort: Effort) -> Vec<Record> {
         scipher.xor_sectors(0, &mut b);
         assert_eq!(a, b, "sector keystream cross-check");
     }
-    // Same fine-grained interleave as sha256_mb, for the same reason.
+    // Many short interleaved rounds: on a shared vCPU a noise burst then
+    // lands on a sliver of both variants instead of one whole batch.
     let (rounds, iters) = effort.pick((64, 2), (2, 2), (1, 1));
     // Each closure owns its copy of the disk so both can borrow mutably.
     let mut disk_a = disk.clone();

@@ -46,11 +46,6 @@ pub struct CloudConfig {
     pub nodes: usize,
     /// What's in each server's SPI flash.
     pub firmware: FirmwareKind,
-    /// TPM RSA key size (512 keeps simulations fast; the protocol is
-    /// identical at 2048).
-    pub tpm_key_bits: usize,
-    /// Server RAM (M620s: 64 GiB).
-    pub ram_gib: u64,
     /// Number of concurrent airlocks. The paper's prototype supports
     /// exactly one ("we only support a single airlock at a time;
     /// attestation for provisioning is currently serialized", §7.3).
@@ -70,8 +65,6 @@ impl Default for CloudConfig {
         CloudConfig {
             nodes: 16,
             firmware: FirmwareKind::LinuxBoot,
-            tpm_key_bits: 512,
-            ram_gib: 64,
             airlocks: 1,
             seed: 42,
             calib: Calibration::default(),
@@ -186,8 +179,6 @@ impl Cloud {
                 &name,
                 flash.clone(),
                 config.seed.wrapping_mul(1000).wrapping_add(i as u64),
-                config.tpm_key_bits,
-                config.ram_gib,
             );
             let host = fabric.add_host(&name, LinkModel::ten_gbe_jumbo());
             // lint: allow(L1-panic: build-time topology construction; the

@@ -6,9 +6,10 @@
 // all sized at formation; an out-of-range member index is a caller bug the
 // same way an out-of-range Vec index is)
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use bolted_keylime::verifier;
 use bolted_net::{HostId, IpsecError, IpsecTunnel, NetError, TransferSpec};
 use bolted_sim::{join_all, lock, SimDuration, SimTime};
 
@@ -27,7 +28,7 @@ pub struct Enclave {
     /// Whether enclave traffic is IPsec-protected.
     pub encrypted: bool,
     /// Paired tunnel endpoints per (i, j) with i < j.
-    tunnels: Mutex<HashMap<(usize, usize), TunnelPair>>,
+    tunnels: Mutex<BTreeMap<(usize, usize), TunnelPair>>,
     banned: Mutex<Vec<bool>>,
 }
 
@@ -42,7 +43,7 @@ impl Enclave {
             .map(|m| cloud.hil.node_host(m.node).expect("member registered"))
             .collect();
         let encrypted = members.first().is_some_and(|m| !m.psk.is_empty());
-        let tunnels = Mutex::new(HashMap::new());
+        let tunnels = Mutex::new(BTreeMap::new());
         if encrypted {
             let mut map = lock(&tunnels);
             for i in 0..members.len() {
@@ -223,14 +224,13 @@ pub async fn revocation_experiment(
     let event = rx.recv().await.expect("revocation broadcast");
     let detected_at = event.detected_at;
     // Every other member applies the revocation in parallel.
-    let rtt = tenant.verifier.config().rtt;
     let apply = cloud.calib.revocation_apply;
     let handles: Vec<_> = (0..enclave.len())
         .filter(|&i| i != victim)
         .map(|_| {
             let sim2 = sim.clone();
             sim.spawn(async move {
-                sim2.sleep(rtt + apply).await;
+                sim2.sleep(verifier::RTT + apply).await;
             })
         })
         .collect();

@@ -7,8 +7,8 @@
 //! system: the orchestrator holds a [`Services`] bundle of object-safe
 //! traits (isolation, attestation, provisioning, boot) plus a
 //! [`TenantEnv`] of ambient context, and never reaches into backend
-//! internals. Provisioning itself is a declarative [`PIPELINE`] of
-//! phases; faults, retries, spans and counters all flow through the one
+//! internals. Provisioning itself is a fixed sequence of phase
+//! methods; faults, retries, spans and counters all flow through the one
 //! instrumented call envelope in `bolted_sim::call`.
 
 use bolted_sim::lock;
@@ -35,7 +35,7 @@ use bolted_storage::{ImageError, ImageId, IscsiTarget, SectorStream};
 use crate::cloud::{heads_runtime_digest, ipxe_digest, Cloud};
 use crate::lifecycle::{InvalidTransition, Lifecycle, NodeState};
 use crate::profile::{AttestationMode, SecurityProfile};
-use crate::services::{BoxFuture, KeylimeAttestation, Services, TenantEnv};
+use crate::services::{KeylimeAttestation, Services, TenantEnv};
 
 /// Errors from provisioning.
 #[derive(Debug)]
@@ -281,10 +281,10 @@ impl ProvisionedNode {
     }
 }
 
-/// The mutable state one provisioning run threads through the
-/// [`PIPELINE`]. Early phases fill the `Option` fields; later phases
-/// consume them (a `None` where a value is expected is a pipeline
-/// ordering bug and panics).
+/// The mutable state one provisioning run threads through its phases.
+/// Early phases fill the `Option` fields; later phases consume them (a
+/// `None` where a value is expected is a phase ordering bug, reported as
+/// [`ProvisionError::Internal`]).
 struct Ctx {
     node: NodeId,
     profile: SecurityProfile,
@@ -305,100 +305,6 @@ struct Ctx {
     target: Option<IscsiTarget>,
 }
 
-/// One Figure-1 step as data: its name, the span the driver wraps it in
-/// (feeding the Figure-4 `provision_phase_seconds` histogram), and the
-/// service calls it makes.
-struct PhaseDef {
-    #[allow(dead_code)] // documents the table; spans carry the runtime name
-    name: &'static str,
-    span: Option<&'static str>,
-    run: for<'a> fn(&'a Tenant, &'a mut Ctx) -> BoxFuture<'a, Result<(), ProvisionError>>,
-}
-
-/// Figure 1's provisioning steps, in order. The driver in
-/// `provision_impl` walks this table; each entry only speaks to the
-/// four service traits. Phases whose spans are conditional (registrar,
-/// luks-unlock, iscsi-attach) open them inside their body.
-const PIPELINE: &[PhaseDef] = &[
-    PhaseDef {
-        name: "allocate",
-        span: None,
-        run: run_allocate,
-    },
-    PhaseDef {
-        name: "power-cycle",
-        span: Some("power-cycle"),
-        run: run_power_cycle,
-    },
-    PhaseDef {
-        name: "firmware",
-        span: Some("firmware"),
-        run: run_firmware,
-    },
-    PhaseDef {
-        name: "chain-load",
-        span: None,
-        run: run_chain_load,
-    },
-    PhaseDef {
-        name: "image-clone",
-        span: None,
-        run: run_image_clone,
-    },
-    PhaseDef {
-        name: "attestation",
-        span: None,
-        run: run_attestation,
-    },
-    PhaseDef {
-        name: "enclave-join",
-        span: None,
-        run: run_enclave_join,
-    },
-    PhaseDef {
-        name: "boot",
-        span: None,
-        run: run_boot,
-    },
-];
-
-fn run_allocate<'a>(t: &'a Tenant, cx: &'a mut Ctx) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_allocate(cx))
-}
-fn run_power_cycle<'a>(
-    t: &'a Tenant,
-    cx: &'a mut Ctx,
-) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_power_cycle(cx))
-}
-fn run_firmware<'a>(t: &'a Tenant, cx: &'a mut Ctx) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_firmware(cx))
-}
-fn run_chain_load<'a>(t: &'a Tenant, cx: &'a mut Ctx) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_chain_load(cx))
-}
-fn run_image_clone<'a>(
-    t: &'a Tenant,
-    cx: &'a mut Ctx,
-) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_image_clone(cx))
-}
-fn run_attestation<'a>(
-    t: &'a Tenant,
-    cx: &'a mut Ctx,
-) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_attestation(cx))
-}
-fn run_enclave_join<'a>(
-    t: &'a Tenant,
-    cx: &'a mut Ctx,
-) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_enclave_join(cx))
-}
-fn run_boot<'a>(t: &'a Tenant, cx: &'a mut Ctx) -> BoxFuture<'a, Result<(), ProvisionError>> {
-    Box::pin(t.phase_boot(cx))
-}
-
 /// A tenant session: project, enclave networks, attestation services.
 ///
 /// For Charlie these services are tenant-deployed; for Bob the *same*
@@ -416,7 +322,6 @@ pub struct Tenant {
     airlock_net: NetworkId,
     ima_whitelist: Arc<Mutex<ImaWhitelist>>,
     rng: Arc<Mutex<Rng>>,
-    retry: RetryPolicy,
 }
 
 impl Tenant {
@@ -467,19 +372,7 @@ impl Tenant {
             rng: Arc::new(Mutex::new(Rng::seed_from_u64(
                 0xB01Du64 ^ project.len() as u64,
             ))),
-            retry: RetryPolicy::default(),
         })
-    }
-
-    /// Replaces the retry policy used for infrastructure operations
-    /// (BMC power, switch programming, registration, boot I/O).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The tenant's enclave network.
-    pub fn enclave_network(&self) -> NetworkId {
-        self.enclave
     }
 
     /// The simulation this tenant's backend runs on.
@@ -585,7 +478,7 @@ impl Tenant {
         spans.attr(id, "cause", cause);
     }
 
-    /// Runs `op` under the tenant's retry policy, retrying only errors
+    /// Runs `op` under [`RetryPolicy::default`], retrying only errors
     /// `transient` accepts. A non-transient error propagates unchanged;
     /// exhaustion/timeout becomes [`ProvisionError::Exhausted`]. Every
     /// re-attempt bumps `retry_attempts{op,target}` via the call
@@ -608,7 +501,7 @@ impl Tenant {
         match self
             .env
             .call
-            .call(&self.retry, rng, op_name, target, op, transient)
+            .call(&RetryPolicy::default(), rng, op_name, target, op, transient)
             .await
         {
             Ok(v) => Ok(v),
@@ -694,10 +587,13 @@ impl Tenant {
         result
     }
 
-    /// Walks the [`PIPELINE`]: each phase runs against the service
-    /// traits; the driver owns span open/close (a failing phase leaves
-    /// its span open for the root close to pop — the error path is
-    /// visible in the trace).
+    /// Runs Figure 1's steps in order, each against the service traits
+    /// only. The power-cycle and firmware spans (feeding the Figure-4
+    /// `provision_phase_seconds` histogram) open and close here; phases
+    /// whose spans are conditional (registrar, luks-unlock, iscsi-attach)
+    /// open them inside their body. A failing phase leaves its span open
+    /// for the root close to pop, so the error path is visible in the
+    /// trace.
     async fn provision_impl(
         &self,
         node: NodeId,
@@ -725,18 +621,22 @@ impl Tenant {
         };
         let started = sim.now();
 
-        for def in PIPELINE {
-            match def.span {
-                Some(span) => {
-                    let handle = self.env.call.open_phase("tenant", span, &cx.name);
-                    (def.run)(self, &mut cx).await?;
-                    self.env
-                        .call
-                        .close_phase(handle, "provision_phase_seconds", span);
-                }
-                None => (def.run)(self, &mut cx).await?,
-            }
-        }
+        self.phase_allocate(&mut cx).await?;
+        let span = self.env.call.open_phase("tenant", "power-cycle", &cx.name);
+        self.phase_power_cycle(&mut cx).await?;
+        self.env
+            .call
+            .close_phase(span, "provision_phase_seconds", "power-cycle");
+        let span = self.env.call.open_phase("tenant", "firmware", &cx.name);
+        self.phase_firmware(&mut cx).await?;
+        self.env
+            .call
+            .close_phase(span, "provision_phase_seconds", "firmware");
+        self.phase_chain_load(&mut cx).await?;
+        self.phase_image_clone(&mut cx).await?;
+        self.phase_attestation(&mut cx).await?;
+        self.phase_enclave_join(&mut cx).await?;
+        self.phase_boot(&mut cx).await?;
 
         let finished = sim.now();
         Ok(ProvisionedNode {

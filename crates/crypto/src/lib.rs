@@ -38,4 +38,4 @@ pub use luks::{BlockDevice, BlockError, LuksDevice, RamDisk, SectorCipher, SECTO
 pub use prime::{RandomSource, XorShiftSource};
 pub use rsa::{generate_keypair, keypair_from_seed, KeyPair, PrivateKey, PublicKey, RsaError};
 pub use secret::{Secret, Zeroize};
-pub use sha256::{sha256, sha256_concat, sha256_many, Digest, Sha256};
+pub use sha256::{sha256, sha256_concat, Digest, Sha256};

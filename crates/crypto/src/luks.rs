@@ -92,11 +92,6 @@ impl RamDisk {
         }
     }
 
-    /// Creates a RAM disk sized in whole mebibytes.
-    pub fn with_mib(mib: u64) -> Self {
-        Self::new(mib * 1024 * 1024 / SECTOR_SIZE as u64)
-    }
-
     /// Number of sectors actually backed by memory (diagnostics).
     pub fn resident_sectors(&self) -> usize {
         self.sectors.len()

@@ -3,8 +3,8 @@
 //! This backs the TPM's Endorsement Key (EK) and Attestation Identity Key
 //! (AIK): quotes are RSA signatures over a PCR composite and nonce, and
 //! the registrar's credential-activation challenge is RSA-encrypted to
-//! the EK. Key sizes are configurable up to 2048 bits; the simulated
-//! cloud defaults to 512-bit keys (`CloudConfig::tpm_key_bits`) to keep
+//! the EK. Key sizes are configurable up to 2048 bits; every simulated
+//! machine uses 512-bit keys (`TPM_KEY_BITS` in `bolted-firmware`) to keep
 //! runs fast — the protocol logic is identical at 2048.
 //!
 //! Every exponentiation runs on the stack-only fixed-width Montgomery

@@ -12,11 +12,8 @@
 //!
 //! Exposure accounting is deliberately crypto-local: this crate has no
 //! dependencies, so instead of linking the simulator's metrics registry
-//! we keep a thread-local `label -> count` table plus an optional
-//! observer hook. The sim side (or a test) installs a hook with
-//! [`set_expose_hook`] to mirror exposures into `sim::metrics`; with no
-//! hook installed an exposure is two thread-local bumps and nothing
-//! else.
+//! we keep a thread-local `label -> count` table; an exposure is one
+//! thread-local bump and nothing else.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -63,21 +60,6 @@ impl Zeroize for String {
 thread_local! {
     static EXPOSE_COUNTS: RefCell<BTreeMap<&'static str, u64>> =
         const { RefCell::new(BTreeMap::new()) };
-    #[allow(clippy::type_complexity)]
-    static EXPOSE_HOOK: RefCell<Option<Box<dyn Fn(&'static str)>>> =
-        const { RefCell::new(None) };
-}
-
-/// Installs an observer called on every [`Secret::expose`] with the
-/// secret's label. Used to mirror exposure counts into the simulator's
-/// metrics registry. Replaces any previous hook.
-pub fn set_expose_hook(hook: impl Fn(&'static str) + 'static) {
-    EXPOSE_HOOK.with(|h| *h.borrow_mut() = Some(Box::new(hook)));
-}
-
-/// Removes the exposure observer installed by [`set_expose_hook`].
-pub fn clear_expose_hook() {
-    EXPOSE_HOOK.with(|h| *h.borrow_mut() = None);
 }
 
 /// Number of times secrets with `label` have been exposed on this
@@ -86,19 +68,8 @@ pub fn expose_count(label: &str) -> u64 {
     EXPOSE_COUNTS.with(|c| c.borrow().get(label).copied().unwrap_or(0))
 }
 
-/// All (label, count) exposure pairs recorded on this thread, sorted by
-/// label.
-pub fn expose_counts() -> Vec<(&'static str, u64)> {
-    EXPOSE_COUNTS.with(|c| c.borrow().iter().map(|(k, v)| (*k, *v)).collect())
-}
-
 fn record_expose(label: &'static str) {
     EXPOSE_COUNTS.with(|c| *c.borrow_mut().entry(label).or_insert(0) += 1);
-    EXPOSE_HOOK.with(|h| {
-        if let Some(hook) = h.borrow().as_ref() {
-            hook(label);
-        }
-    });
 }
 
 /// A secret value that zeroizes on drop and only yields its contents
@@ -131,9 +102,9 @@ impl<T: Zeroize> Secret<T> {
 
     /// Grants read access to the inner value, recording the exposure.
     ///
-    /// Every call bumps the thread-local count for this secret's label
-    /// (and notifies the hook installed with [`set_expose_hook`]), so
-    /// tests can assert *how often* secret material was actually read.
+    /// Every call bumps the thread-local count for this secret's label,
+    /// so tests can assert *how often* secret material was actually
+    /// read.
     pub fn expose(&self) -> &T {
         record_expose(self.label);
         &self.value
@@ -176,25 +147,6 @@ mod tests {
         assert_eq!(s.expose(), &[1u8, 2, 3]);
         assert_eq!(s.expose().len(), 3);
         assert_eq!(expose_count("test_label_a") - before, 2);
-    }
-
-    #[test]
-    fn hook_observes_exposures() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let seen = Rc::new(Cell::new(0u32));
-        let seen2 = seen.clone();
-        set_expose_hook(move |label| {
-            if label == "test_label_hook" {
-                seen2.set(seen2.get() + 1);
-            }
-        });
-        let s = Secret::named("test_label_hook", [9u8; 4]);
-        s.expose();
-        s.expose();
-        clear_expose_hook();
-        s.expose();
-        assert_eq!(seen.get(), 2);
     }
 
     #[test]

@@ -240,257 +240,6 @@ fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// The multi-buffer compression function: folds one 64-byte block into
-/// each of `N` independent hash states per pass.
-///
-/// All arithmetic is laid out structure-of-arrays — every working
-/// variable is a `[u32; N]` lane vector and each operation is a
-/// lane-parallel loop — so the autovectorizer lowers the whole round
-/// function to SIMD. Unlike single-stream SIMD SHA-256 (which fights the
-/// serial dependency chain inside one message), lanes here are fully
-/// independent, so every vector ALU slot does useful work.
-// Index-based lane loops are load-bearing here: this exact shape is what
-// LLVM recognises and lowers to one vector op per lane array (iterator
-// chains over zipped 2D arrays do not).
-#[allow(clippy::needless_range_loop)]
-fn compress_wide<const N: usize>(states: &mut [[u32; 8]; N], blocks: &[[u8; 64]; N]) {
-    let mut w = [[0u32; N]; 64];
-    for i in 0..16 {
-        for l in 0..N {
-            let o = 4 * i;
-            w[i][l] = u32::from_be_bytes([
-                blocks[l][o],
-                blocks[l][o + 1],
-                blocks[l][o + 2],
-                blocks[l][o + 3],
-            ]);
-        }
-    }
-    for i in 16..64 {
-        for l in 0..N {
-            let w15 = w[i - 15][l];
-            let w2 = w[i - 2][l];
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            w[i][l] = w[i - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-    let mut a = [0u32; N];
-    let mut b = [0u32; N];
-    let mut c = [0u32; N];
-    let mut d = [0u32; N];
-    let mut e = [0u32; N];
-    let mut f = [0u32; N];
-    let mut g = [0u32; N];
-    let mut h = [0u32; N];
-    for l in 0..N {
-        a[l] = states[l][0];
-        b[l] = states[l][1];
-        c[l] = states[l][2];
-        d[l] = states[l][3];
-        e[l] = states[l][4];
-        f[l] = states[l][5];
-        g[l] = states[l][6];
-        h[l] = states[l][7];
-    }
-    macro_rules! round {
-        ($a:ident, $b:ident, $c:ident, $d:ident,
-         $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
-            for l in 0..N {
-                let s1 = $e[l].rotate_right(6) ^ $e[l].rotate_right(11) ^ $e[l].rotate_right(25);
-                let ch = ($e[l] & $f[l]) ^ (!$e[l] & $g[l]);
-                let temp1 = $h[l]
-                    .wrapping_add(s1)
-                    .wrapping_add(ch)
-                    .wrapping_add(K[$i])
-                    .wrapping_add(w[$i][l]);
-                let s0 = $a[l].rotate_right(2) ^ $a[l].rotate_right(13) ^ $a[l].rotate_right(22);
-                let maj = ($a[l] & $b[l]) ^ ($a[l] & $c[l]) ^ ($b[l] & $c[l]);
-                $d[l] = $d[l].wrapping_add(temp1);
-                $h[l] = temp1.wrapping_add(s0.wrapping_add(maj));
-            }
-        };
-    }
-    macro_rules! rounds8 {
-        ($i:expr) => {
-            round!(a, b, c, d, e, f, g, h, $i);
-            round!(h, a, b, c, d, e, f, g, $i + 1);
-            round!(g, h, a, b, c, d, e, f, $i + 2);
-            round!(f, g, h, a, b, c, d, e, $i + 3);
-            round!(e, f, g, h, a, b, c, d, $i + 4);
-            round!(d, e, f, g, h, a, b, c, $i + 5);
-            round!(c, d, e, f, g, h, a, b, $i + 6);
-            round!(b, c, d, e, f, g, h, a, $i + 7);
-        };
-    }
-    rounds8!(0);
-    rounds8!(8);
-    rounds8!(16);
-    rounds8!(24);
-    rounds8!(32);
-    rounds8!(40);
-    rounds8!(48);
-    rounds8!(56);
-    for l in 0..N {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-        states[l][5] = states[l][5].wrapping_add(f[l]);
-        states[l][6] = states[l][6].wrapping_add(g[l]);
-        states[l][7] = states[l][7].wrapping_add(h[l]);
-    }
-}
-
-/// One message occupying one lane of the multi-buffer hasher: its whole
-/// blocks come straight off the input slice, then one or two precomputed
-/// padding blocks finish it.
-struct Lane<'a> {
-    /// Whole-block prefix of the message (length a multiple of 64).
-    data: &'a [u8],
-    /// Byte position within `data`.
-    pos: usize,
-    /// Final padded block(s): ragged tail + 0x80 + zeros + bit length.
-    tail: [u8; 128],
-    /// 64 or 128.
-    tail_len: usize,
-    /// Byte position within `tail`.
-    tail_pos: usize,
-    state: [u32; 8],
-    /// Index of this message in the caller's batch.
-    out: usize,
-}
-
-impl<'a> Lane<'a> {
-    fn new(msg: &'a [u8], out: usize) -> Self {
-        let full = msg.len() / 64 * 64;
-        let rem = msg.len() - full;
-        let mut tail = [0u8; 128];
-        tail[..rem].copy_from_slice(&msg[full..]);
-        tail[rem] = 0x80;
-        let tail_len = if rem < 56 { 64 } else { 128 };
-        let bits = (msg.len() as u64).wrapping_mul(8);
-        tail[tail_len - 8..tail_len].copy_from_slice(&bits.to_be_bytes());
-        Lane {
-            data: &msg[..full],
-            pos: 0,
-            tail,
-            tail_len,
-            tail_pos: 0,
-            state: H0,
-            out,
-        }
-    }
-
-    /// Blocks this lane still has to offer (always ≥ 1 until finished).
-    fn blocks_left(&self) -> usize {
-        (self.data.len() - self.pos + self.tail_len - self.tail_pos) / 64
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.data.len() && self.tail_pos == self.tail_len
-    }
-
-    /// Copies the lane's next 64-byte block into `out` and advances.
-    fn next_block(&mut self, out: &mut [u8; 64]) {
-        if self.pos < self.data.len() {
-            out.copy_from_slice(&self.data[self.pos..self.pos + 64]);
-            self.pos += 64;
-        } else {
-            out.copy_from_slice(&self.tail[self.tail_pos..self.tail_pos + 64]);
-            self.tail_pos += 64;
-        }
-    }
-}
-
-/// Runs full `N`-lane passes over the first `N` of `lanes` until at
-/// least one of them finishes its message, then drains finished lanes
-/// into `out`. The inner run length is the minimum blocks-left across
-/// the pass, so equal-length batches pay the scheduling checks once, not
-/// per block.
-fn drain_round<const N: usize>(lanes: &mut Vec<Lane<'_>>, out: &mut [Digest]) {
-    debug_assert!(lanes.len() >= N);
-    let run = lanes
-        .iter()
-        .take(N)
-        .map(Lane::blocks_left)
-        .min()
-        .unwrap_or(0);
-    let mut states = [[0u32; 8]; N];
-    for (s, lane) in states.iter_mut().zip(lanes.iter()) {
-        *s = lane.state;
-    }
-    let mut blocks = [[0u8; 64]; N];
-    for _ in 0..run {
-        for (b, lane) in blocks.iter_mut().zip(lanes.iter_mut()) {
-            lane.next_block(b);
-        }
-        compress_wide::<N>(&mut states, &blocks);
-    }
-    for (s, lane) in states.iter().zip(lanes.iter_mut()) {
-        lane.state = *s;
-    }
-    lanes.retain(|lane| {
-        if lane.finished() {
-            out[lane.out] = digest_from_state(&lane.state);
-            false
-        } else {
-            true
-        }
-    });
-}
-
-/// SHA-256 over many independent messages, multi-buffer style.
-///
-/// Messages are scheduled onto 16 interleaved lanes — one u32 per lane
-/// fills a full 512-bit vector register per working variable — falling
-/// back to 4 lanes, then scalar, as the batch drains. The
-/// compression cost of up to 16 messages is paid per pass instead of per
-/// message. Digests come back in input order and are byte-identical to
-/// [`sha256`] per message.
-pub fn sha256_many(msgs: &[&[u8]]) -> Vec<Digest> {
-    let mut out = vec![Digest::ZERO; msgs.len()];
-    let mut next = 0usize;
-    let mut lanes: Vec<Lane<'_>> = Vec::with_capacity(16);
-    loop {
-        while lanes.len() < 16 && next < msgs.len() {
-            lanes.push(Lane::new(msgs[next], next));
-            next += 1;
-        }
-        if lanes.len() < 16 {
-            break;
-        }
-        drain_round::<16>(&mut lanes, &mut out);
-    }
-    // No 8-lane tier: on 512-bit-vector machines LLVM packs two 8-lane
-    // arrays into one register with cross-lane permutes, which costs
-    // more than two clean 4-lane passes.
-    loop {
-        while lanes.len() < 4 && next < msgs.len() {
-            lanes.push(Lane::new(msgs[next], next));
-            next += 1;
-        }
-        if lanes.len() < 4 {
-            break;
-        }
-        drain_round::<4>(&mut lanes, &mut out);
-    }
-    // Scalar drain of the last (< 4) stragglers.
-    for lane in &mut lanes {
-        let mut block = [0u8; 64];
-        while !lane.finished() {
-            lane.next_block(&mut block);
-            compress(&mut lane.state, &block);
-        }
-        out[lane.out] = digest_from_state(&lane.state);
-    }
-    out
-}
-
 /// One-shot SHA-256 of `data`.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -600,75 +349,6 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         *state
-    }
-
-    #[test]
-    fn nist_vectors_through_batch_api() {
-        // The official vectors must survive the multi-buffer path at any
-        // lane position, including a batch wide enough to use 8 lanes.
-        let msgs: Vec<&[u8]> = vec![
-            b"",
-            b"abc",
-            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-            b"abc",
-            b"",
-            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-            b"abc",
-            b"",
-            b"abc",
-        ];
-        let digests = sha256_many(&msgs);
-        assert_eq!(
-            digests[0].to_hex(),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            digests[1].to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            digests[2].to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(digests[i], sha256(m), "index {i}");
-        }
-    }
-
-    #[test]
-    fn batch_equals_scalar_random_ragged_lengths() {
-        // Equivalence property: every batch size (scalar drain, 4-lane,
-        // 8-lane and refill paths) over lengths straddling block and
-        // padding boundaries must match the one-shot API byte for byte.
-        let mut seed = 0x5EED_CAFE_u64;
-        for batch in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 23] {
-            let msgs: Vec<Vec<u8>> = (0..batch)
-                .map(|_| {
-                    let len = (xorshift(&mut seed) % 300) as usize;
-                    (0..len).map(|_| xorshift(&mut seed) as u8).collect()
-                })
-                .collect();
-            let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-            let batch_digests = sha256_many(&refs);
-            for (i, m) in msgs.iter().enumerate() {
-                assert_eq!(batch_digests[i], sha256(m), "batch={batch} index={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_handles_boundary_lengths() {
-        // 55/56/63/64/65 are the classic padding edges; run all of them
-        // through the same 8-lane pass.
-        let msgs: Vec<Vec<u8>> = [0usize, 55, 56, 63, 64, 65, 119, 128]
-            .iter()
-            .map(|&len| vec![0xC3; len])
-            .collect();
-        let refs: Vec<&[u8]> = msgs.iter().map(Vec::as_slice).collect();
-        let digests = sha256_many(&refs);
-        for (i, m) in msgs.iter().enumerate() {
-            assert_eq!(digests[i], sha256(m), "len={}", m.len());
-        }
     }
 
     #[test]

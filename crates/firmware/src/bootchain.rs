@@ -140,7 +140,7 @@ mod tests {
         use bolted_sim::Sim;
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "v1", b"src").build();
-        let m = Machine::new("n", fw, 1, 512, 64);
+        let m = Machine::new("n", fw, 1);
         m.power_on();
         sim.block_on({
             let (m, sim2) = (m.clone(), sim.clone());

@@ -13,13 +13,20 @@
 //! * kexec measures the target kernel before jumping into it, keeping
 //!   the chain of trust unbroken (SRTM).
 
-use bolted_crypto::sha256::{sha256, Digest};
+use bolted_crypto::sha256::Digest;
 use bolted_sim::lock;
 use bolted_sim::{Sim, SimDuration};
 use bolted_tpm::{index, Tpm};
 use std::sync::{Arc, Mutex};
 
 use crate::image::{FirmwareImage, FirmwareKind, KernelImage};
+
+/// TPM RSA key size of every machine: 512 keeps simulations fast; the
+/// protocol is identical at 2048.
+const TPM_KEY_BITS: usize = 512;
+
+/// Server RAM in GiB (M620s: 64 GiB); drives scrub timing.
+const RAM_GIB: u64 = 64;
 
 /// Machine power state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +77,6 @@ struct MachineInner {
     firmware_ran: bool,
     booted_kernel: Option<KernelImage>,
     console: Vec<String>,
-    ram_gib: u64,
 }
 
 /// A simulated physical server. Clonable handle with shared state, so it
@@ -84,24 +90,17 @@ pub struct Machine {
 impl Machine {
     /// Builds a machine with the given flash contents and a TPM seeded
     /// deterministically from `tpm_seed`.
-    pub fn new(
-        name: impl Into<String>,
-        flash: FirmwareImage,
-        tpm_seed: u64,
-        tpm_key_bits: usize,
-        ram_gib: u64,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, flash: FirmwareImage, tpm_seed: u64) -> Self {
         Machine {
             inner: Arc::new(Mutex::new(MachineInner {
                 name: name.into(),
                 power: PowerState::Off,
                 flash,
-                tpm: Tpm::new(tpm_seed, tpm_key_bits),
+                tpm: Tpm::new(tpm_seed, TPM_KEY_BITS),
                 ram_residue: None,
                 firmware_ran: false,
                 booted_kernel: None,
                 console: Vec::new(),
-                ram_gib,
             })),
         }
     }
@@ -114,11 +113,6 @@ impl Machine {
     /// Current power state.
     pub fn power(&self) -> PowerState {
         lock(&self.inner).power
-    }
-
-    /// RAM size in GiB (drives scrub timing).
-    pub fn ram_gib(&self) -> u64 {
-        lock(&self.inner).ram_gib
     }
 
     /// Access the TPM with a closure (shared-handle-safe).
@@ -193,7 +187,7 @@ impl Machine {
             let scrub = if inner.flash.kind.scrubs_memory() {
                 // Scrubbing overlaps POST hardware init in Heads; charge a
                 // modest serial cost proportional to RAM (~25 GiB/s zeroing).
-                SimDuration::from_secs_f64(inner.ram_gib as f64 / 25.0)
+                SimDuration::from_secs_f64(RAM_GIB as f64 / 25.0)
             } else {
                 SimDuration::ZERO
             };
@@ -283,17 +277,13 @@ impl Machine {
     pub fn scrub_memory(&self) {
         lock(&self.inner).ram_residue = None;
     }
-
-    /// Digest identifying this machine for logs.
-    pub fn identity_digest(&self) -> Digest {
-        sha256(lock(&self.inner).name.as_bytes())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::FirmwareSource;
+    use bolted_crypto::sha256::sha256;
     use bolted_tpm::NUM_PCRS;
 
     fn linuxboot() -> FirmwareImage {
@@ -305,7 +295,7 @@ mod tests {
     }
 
     fn machine(img: FirmwareImage) -> Machine {
-        Machine::new("m620-01", img, 1, 512, 64)
+        Machine::new("m620-01", img, 1)
     }
 
     #[test]

@@ -190,13 +190,6 @@ impl Agent {
         self.machine.with_tpm(|t| log.measure(t, path, content));
     }
 
-    /// The node's kernel reports an IMA-measurable access by digest.
-    pub fn ima_measure_digest(&self, path: &str, digest: Digest) {
-        let mut log = lock(&self.ima);
-        self.machine
-            .with_tpm(|t| log.measure_digest(t, path, digest));
-    }
-
     /// Tenant-side delivery of the U key share (over the tenant's own
     /// secure channel, before the node is trusted).
     pub fn deliver_u(&self, u: KeyShare) {
@@ -297,7 +290,7 @@ mod tests {
 
     fn machine() -> Machine {
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let m = Machine::new("node-1", fw, 7, 512, 64);
+        let m = Machine::new("node-1", fw, 7);
         m.power_on();
         m
     }
@@ -444,7 +437,7 @@ mod seal_tests {
 
     fn machine() -> Machine {
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let m = Machine::new("node-1", fw, 7, 512, 64);
+        let m = Machine::new("node-1", fw, 7);
         m.power_on();
         m
     }

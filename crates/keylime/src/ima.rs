@@ -7,9 +7,9 @@
 //! replays the list against the quoted PCR and checks every entry
 //! against a tenant whitelist.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
-use bolted_crypto::sha256::{sha256, sha256_many, Digest};
+use bolted_crypto::sha256::{sha256, Digest};
 use bolted_tpm::{index, PcrBank, Tpm};
 
 /// One IMA measurement-list entry.
@@ -52,24 +52,6 @@ impl ImaLog {
         self.measure_digest(tpm, path, sha256(content));
     }
 
-    /// Measures a batch of file accesses in one pass.
-    ///
-    /// The content digests of all files are computed together through
-    /// the multi-buffer SHA-256 kernel ([`sha256_many`]): each file is
-    /// an independent hash, so up to 16 of them share one interleaved
-    /// compression sweep. This is the bulk path for whitelist
-    /// generation and boot-time measurement floods, where thousands of
-    /// files are hashed back to back. List order (and therefore the
-    /// PCR-10 chain) matches the slice order exactly, as if
-    /// [`ImaLog::measure`] had been called per file.
-    pub fn measure_many(&mut self, tpm: &mut Tpm, files: &[(&str, &[u8])]) {
-        let contents: Vec<&[u8]> = files.iter().map(|&(_, content)| content).collect();
-        let digests = sha256_many(&contents);
-        for (&(path, _), digest) in files.iter().zip(digests) {
-            self.measure_digest(tpm, path, digest);
-        }
-    }
-
     /// Measures a file access by a known content digest.
     pub fn measure_digest(&mut self, tpm: &mut Tpm, path: &str, digest: Digest) {
         let entry = ImaEntry {
@@ -105,44 +87,6 @@ impl ImaLog {
     }
 }
 
-/// Merkle root over a list of leaf digests — a compact commitment to a
-/// whole measurement list or whitelist (the verifier can hand a tenant
-/// one 32-byte value instead of thousands of entries).
-///
-/// Each interior node is SHA-256 over the concatenation of its two
-/// children; an odd node at the end of a level is promoted unchanged.
-/// A single leaf is its own root, and an empty list commits to
-/// [`Digest::ZERO`]. All pair hashes within one level are independent,
-/// so the whole level is fed to the multi-buffer kernel
-/// ([`sha256_many`]) — one interleaved compression sweep per 16 pairs
-/// instead of one serial hash per pair.
-pub fn merkle_root(leaves: &[Digest]) -> Digest {
-    let mut level: Vec<Digest> = leaves.to_vec();
-    while level.len() > 1 {
-        let pairs: Vec<[u8; 64]> = level
-            .chunks_exact(2)
-            .map(|pair| {
-                let mut buf = [0u8; 64];
-                if let [a, b] = pair {
-                    let (lo, hi) = buf.split_at_mut(32);
-                    lo.copy_from_slice(a.as_bytes());
-                    hi.copy_from_slice(b.as_bytes());
-                }
-                buf
-            })
-            .collect();
-        let views: Vec<&[u8]> = pairs.iter().map(|b| b.as_slice()).collect();
-        let mut next = sha256_many(&views);
-        if level.len() % 2 == 1 {
-            if let Some(odd) = level.last() {
-                next.push(*odd);
-            }
-        }
-        level = next;
-    }
-    level.first().copied().unwrap_or(Digest::ZERO)
-}
-
 /// A whitelist violation found by [`ImaWhitelist::check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImaViolation {
@@ -163,7 +107,7 @@ pub struct ImaViolation {
 /// tenant's verifier, not with the provider.
 #[derive(Debug, Clone, Default)]
 pub struct ImaWhitelist {
-    approved: HashMap<String, HashSet<Digest>>,
+    approved: BTreeMap<String, HashSet<Digest>>,
 }
 
 impl ImaWhitelist {
@@ -294,70 +238,6 @@ mod tests {
         let mut log = ImaLog::new();
         log.measure(&mut t, "/usr/bin/bash", b"bash-5.1");
         assert_eq!(wl.check(&log), Ok(()));
-    }
-
-    #[test]
-    fn measure_many_matches_serial_measurement() {
-        // 37 files: exercises the 16-lane tier twice, the 4-lane tier,
-        // and the scalar tail of the multi-buffer kernel.
-        let contents: Vec<Vec<u8>> = (0..37u8).map(|i| vec![i; 100 + 40 * i as usize]).collect();
-        let paths: Vec<String> = (0..37).map(|i| format!("/usr/lib/f{i}")).collect();
-        let files: Vec<(&str, &[u8])> = paths
-            .iter()
-            .map(String::as_str)
-            .zip(contents.iter().map(Vec::as_slice))
-            .collect();
-
-        let mut t_batch = tpm();
-        let mut batch = ImaLog::new();
-        batch.measure_many(&mut t_batch, &files);
-
-        let mut t_serial = tpm();
-        let mut serial = ImaLog::new();
-        for &(path, content) in &files {
-            serial.measure(&mut t_serial, path, content);
-        }
-
-        assert_eq!(batch.entries(), serial.entries());
-        assert_eq!(t_batch.pcr_read(index::IMA), t_serial.pcr_read(index::IMA));
-        assert_eq!(batch.replay_pcr(), serial.replay_pcr());
-    }
-
-    #[test]
-    fn merkle_root_matches_pairwise_reference() {
-        // Naive serial reference: hash pairs with sha256_concat level by
-        // level, promoting an odd tail node.
-        fn reference(leaves: &[Digest]) -> Digest {
-            match leaves {
-                [] => Digest::ZERO,
-                [one] => *one,
-                _ => {
-                    let mut next: Vec<Digest> = leaves
-                        .chunks_exact(2)
-                        .map(|p| bolted_crypto::sha256_concat(&[p[0].as_bytes(), p[1].as_bytes()]))
-                        .collect();
-                    if leaves.len() % 2 == 1 {
-                        next.push(leaves[leaves.len() - 1]);
-                    }
-                    reference(&next)
-                }
-            }
-        }
-        for n in [0usize, 1, 2, 3, 5, 16, 17, 33, 64] {
-            let leaves: Vec<Digest> = (0..n).map(|i| sha256(&[i as u8])).collect();
-            assert_eq!(merkle_root(&leaves), reference(&leaves), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn merkle_root_commits_to_every_leaf() {
-        let mut leaves: Vec<Digest> = (0..25u8).map(|i| sha256(&[i])).collect();
-        let root = merkle_root(&leaves);
-        leaves[13] = sha256(b"tampered");
-        assert_ne!(merkle_root(&leaves), root);
-        assert_eq!(merkle_root(&[]), Digest::ZERO);
-        let single = sha256(b"only");
-        assert_eq!(merkle_root(&[single]), single);
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod registrar;
 pub mod verifier;
 
 pub use agent::{agent_binary_digest, Agent, AttestationEvidence, RegisterError, AGENT_BINARY};
-pub use ima::{merkle_root, ImaEntry, ImaLog, ImaViolation, ImaWhitelist};
+pub use ima::{ImaEntry, ImaLog, ImaViolation, ImaWhitelist};
 pub use payload::{combine_key, split_key, KeyShare, TenantPayload};
 pub use registrar::{Registrar, RegistrarError};
 pub use verifier::{AttestOutcome, NodeStatus, RevocationEvent, Verifier, VerifierConfig};

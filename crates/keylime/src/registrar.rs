@@ -9,7 +9,7 @@
 
 use bolted_sim::fault::ops;
 use bolted_sim::{lock, FaultDecision, Faults};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::hmac::hmac_sha256;
@@ -55,7 +55,7 @@ struct Entry {
 /// The registrar service (tenant-deployable).
 #[derive(Clone)]
 pub struct Registrar {
-    inner: Arc<Mutex<HashMap<String, Entry>>>,
+    inner: Arc<Mutex<BTreeMap<String, Entry>>>,
     /// Consulted on every registration round-trip.
     faults: Faults,
 }

@@ -8,7 +8,7 @@
 //! of the enclave can cryptographically ban the node (§7.4: detection in
 //! under a second, full revocation in about three).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -28,7 +28,28 @@ use crate::ima::ImaWhitelist;
 use crate::payload::KeyShare;
 use crate::registrar::Registrar;
 
-/// Timing and selection configuration for a verifier.
+/// Network round-trip between verifier and agent.
+pub const RTT: SimDuration = SimDuration::from_millis(5);
+
+/// Bandwidth for delivering the sealed payload — kernel + initrd over the
+/// paper's unoptimised HTTP path ("obvious opportunities include better
+/// download protocols than HTTP", §7.3 fn 8).
+const PAYLOAD_BPS: f64 = 6e6;
+
+/// PCRs quoted during boot attestation.
+pub const BOOT_SELECTION: [usize; 3] = [index::FIRMWARE, index::BOOT_CODE, index::BOOT_CONFIG];
+
+/// PCRs quoted during continuous attestation (adds IMA's PCR 10).
+pub const CONTINUOUS_SELECTION: [usize; 4] = [
+    index::FIRMWARE,
+    index::BOOT_CODE,
+    index::BOOT_CONFIG,
+    index::IMA,
+];
+
+/// Timing configuration for a verifier. The quote round-trip retries
+/// dropped RPCs under [`RetryPolicy::default`]; agent rejections are not
+/// retried.
 #[derive(Debug, Clone)]
 pub struct VerifierConfig {
     /// Continuous-attestation polling period.
@@ -36,19 +57,6 @@ pub struct VerifierConfig {
     /// CPU time to verify one quote + replay logs (paper: "Keylime can
     /// detect policy violations ... in under one second").
     pub verify_cost: SimDuration,
-    /// Network round-trip between verifier and agent.
-    pub rtt: SimDuration,
-    /// Bandwidth for delivering the sealed payload — kernel + initrd
-    /// over the paper's unoptimised HTTP path ("obvious opportunities
-    /// include better download protocols than HTTP", §7.3 fn 8).
-    pub payload_bps: f64,
-    /// PCRs quoted during boot attestation.
-    pub boot_selection: Vec<usize>,
-    /// PCRs quoted during continuous attestation (adds IMA's PCR 10).
-    pub continuous_selection: Vec<usize>,
-    /// Retry discipline for the quote round-trip (dropped RPCs under a
-    /// fault plan are retried with backoff; agent rejections are not).
-    pub retry: RetryPolicy,
     /// Verification capacity: how many quote verifications the verifier
     /// can run concurrently (FIFO beyond that). `None` models unbounded
     /// capacity — every round charges `verify_cost` with no queueing —
@@ -63,16 +71,6 @@ impl Default for VerifierConfig {
         VerifierConfig {
             poll_interval: SimDuration::from_secs(2),
             verify_cost: SimDuration::from_millis(150),
-            rtt: SimDuration::from_millis(5),
-            payload_bps: 6e6,
-            boot_selection: vec![index::FIRMWARE, index::BOOT_CODE, index::BOOT_CONFIG],
-            continuous_selection: vec![
-                index::FIRMWARE,
-                index::BOOT_CODE,
-                index::BOOT_CONFIG,
-                index::IMA,
-            ],
-            retry: RetryPolicy::default(),
             verify_slots: None,
         }
     }
@@ -136,7 +134,7 @@ struct NodeState {
 }
 
 struct VerifierInner {
-    nodes: HashMap<String, NodeState>,
+    nodes: BTreeMap<String, NodeState>,
     subscribers: Vec<Sender<RevocationEvent>>,
     nonce_counter: u64,
 }
@@ -161,9 +159,9 @@ struct AikCache {
 
 #[derive(Default)]
 struct AikCacheInner {
-    keys: HashMap<String, PublicKey>,
+    keys: BTreeMap<String, PublicKey>,
     /// Per-node invalidation epoch; bumped by every [`AikCache::invalidate`].
-    epochs: HashMap<String, u64>,
+    epochs: BTreeMap<String, u64>,
 }
 
 impl AikCache {
@@ -237,7 +235,7 @@ impl Verifier {
             config,
             env: env.clone(),
             inner: Arc::new(Mutex::new(VerifierInner {
-                nodes: HashMap::new(),
+                nodes: BTreeMap::new(),
                 subscribers: Vec::new(),
                 nonce_counter: 0,
             })),
@@ -417,7 +415,7 @@ impl Verifier {
             detected_at: self.sim().now(),
         };
         // One notification RTT to reach subscribers (sent in parallel).
-        self.sim().sleep(self.config.rtt).await;
+        self.sim().sleep(RTT).await;
         let subs: Vec<Sender<RevocationEvent>> = lock(&self.inner).subscribers.to_vec();
         for tx in subs {
             tx.send(event.clone());
@@ -432,10 +430,10 @@ impl Verifier {
             let Some(node) = inner.nodes.get(node_id) else {
                 return AttestOutcome::Failed("unknown node".into());
             };
-            let sel = if continuous {
-                self.config.continuous_selection.clone()
+            let sel: &[usize] = if continuous {
+                &CONTINUOUS_SELECTION
             } else {
-                self.config.boot_selection.clone()
+                &BOOT_SELECTION
             };
             (node.agent.clone(), sel)
         };
@@ -462,27 +460,25 @@ impl Verifier {
             let sim = self.sim().clone();
             let faults = faults.clone();
             let agent = agent.clone();
-            let selection = selection.clone();
-            let rtt = self.config.rtt;
             let id = node_id.to_string();
             async move {
-                sim.sleep(rtt).await;
+                sim.sleep(RTT).await;
                 faults
                     .gate(&sim, ops::VERIFIER_QUOTE, &id)
                     .await
                     .map_err(|_| RoundError::Dropped)?;
                 let ev = agent
-                    .attest(&sim, nonce, &selection)
+                    .attest(&sim, nonce, selection)
                     .await
                     .map_err(RoundError::Agent)?;
-                sim.sleep(rtt).await;
+                sim.sleep(RTT).await;
                 Ok(ev)
             }
         };
         let evidence = match self
             .env
             .call(
-                &self.config.retry,
+                &RetryPolicy::default(),
                 &mut retry_rng,
                 "verifier.quote",
                 node_id,
@@ -524,7 +520,7 @@ impl Verifier {
             None => self.sim().sleep(self.config.verify_cost).await,
         }
         let metrics = self.env.metrics();
-        match self.verify_evidence(node_id, &nonce, &selection, &evidence) {
+        match self.verify_evidence(node_id, &nonce, selection, &evidence) {
             Ok(()) => {
                 // Close the span at the verdict — strictly before any key
                 // material moves, so span ordering proves the invariant.
@@ -556,8 +552,8 @@ impl Verifier {
                 if let Some((v, sealed, wire)) = deliver {
                     // Payload download (kernel + initrd dominate).
                     let approx = sealed.len() as u64 + wire;
-                    let t = SimDuration::from_secs_f64(approx as f64 / self.config.payload_bps);
-                    self.sim().sleep(t + self.config.rtt).await;
+                    let t = SimDuration::from_secs_f64(approx as f64 / PAYLOAD_BPS);
+                    self.sim().sleep(t + RTT).await;
                     // The guarded key-material event: V leaves the
                     // verifier only here, after the span above closed.
                     spans.event(self.sim(), "key", "v-release", node_id);
@@ -661,7 +657,7 @@ mod tests {
     fn rig_faulted(faults: &Faults) -> Rig {
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let machine = Machine::new("node-1", fw.clone(), 7, 512, 64);
+        let machine = Machine::new("node-1", fw.clone(), 7);
         machine.power_on();
         let registrar = Registrar::new(&Faults::disabled());
         let env = CallEnv::new(&sim, faults, &Spans::disabled(), &Metrics::disabled());
@@ -722,7 +718,7 @@ mod tests {
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
         let evil_fw = fw.tampered(b"bootkit");
-        let machine = Machine::new("node-1", evil_fw, 7, 512, 64);
+        let machine = Machine::new("node-1", evil_fw, 7);
         machine.power_on();
         let registrar = Registrar::new(&Faults::disabled());
         let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
@@ -926,7 +922,7 @@ mod tests {
                 v.add_node(&agent, wl, ImaWhitelist::new(), None, Vec::new(), 0);
                 // Capture evidence for an old nonce, then present it
                 // against a new nonce.
-                let sel = v.config().boot_selection.clone();
+                let sel = BOOT_SELECTION;
                 let old = agent.attest(&sim, [1; 32], &sel).await.expect("attests");
                 v.verify_evidence("node-1", &[2; 32], &sel, &old)
                     .unwrap_err()
@@ -960,7 +956,7 @@ mod tests {
                 v.add_node(&agent, wl, ima_wl, None, Vec::new(), 0);
                 agent.ima_measure("/usr/bin/ls", b"ls");
                 agent.ima_measure("/tmp/evil", b"malware");
-                let sel = v.config().continuous_selection.clone();
+                let sel = CONTINUOUS_SELECTION;
                 let nonce = [3u8; 32];
                 let mut ev = agent.attest(&sim, nonce, &sel).await.expect("attests");
                 // Strip the incriminating entry.
@@ -1041,7 +1037,7 @@ mod tests {
         // count and the node is neither marked Failed nor revoked.
         match outcome {
             AttestOutcome::Unreachable { attempts } => {
-                assert_eq!(attempts, VerifierConfig::default().retry.max_attempts)
+                assert_eq!(attempts, RetryPolicy::default().max_attempts)
             }
             other => panic!("expected infra failure, got {other:?}"),
         }
@@ -1109,7 +1105,7 @@ mod delivery_tests {
     fn payload_delivered_exactly_once() {
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "v", b"src").build();
-        let machine = Machine::new("node-1", fw.clone(), 7, 512, 64);
+        let machine = Machine::new("node-1", fw.clone(), 7);
         machine.power_on();
         let registrar = Registrar::new(&Faults::disabled());
         let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
@@ -1217,7 +1213,7 @@ mod fleet_tests {
         const ROUNDS: usize = 10;
         let sim = Sim::new();
         let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
-        let machine = Machine::new("node-0", fw.clone(), 7, 512, 64);
+        let machine = Machine::new("node-0", fw.clone(), 7);
         machine.power_on();
         let registrar = Registrar::new(&Faults::disabled());
         let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());

@@ -13,7 +13,7 @@
 // outlive the fabric that created it, so indexing is total)
 
 use bolted_sim::lock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::cost::CipherCost;
@@ -154,7 +154,7 @@ struct FabricInner {
     switches: Vec<Switch>,
     hosts: Vec<HostState>,
     trunks: Vec<(usize, usize)>,
-    taps: HashMap<VlanId, Vec<Vec<u8>>>,
+    taps: BTreeMap<VlanId, Vec<Vec<u8>>>,
     tap_enabled: bool,
     violations: u64,
 }
@@ -182,7 +182,7 @@ impl Fabric {
                 switches: Vec::new(),
                 hosts: Vec::new(),
                 trunks: Vec::new(),
-                taps: HashMap::new(),
+                taps: BTreeMap::new(),
                 tap_enabled: false,
                 violations: 0,
             })),
@@ -301,16 +301,6 @@ impl Fabric {
         let inner = lock(&self.inner);
         let (sw, port) = inner.hosts.get(host.0)?.attached?;
         inner.switches[sw].ports[port].vlan
-    }
-
-    /// The host's configured link model.
-    pub fn host_link(&self, host: HostId) -> LinkModel {
-        lock(&self.inner).hosts[host.0].link
-    }
-
-    /// Host display name.
-    pub fn host_name(&self, host: HostId) -> String {
-        lock(&self.inner).hosts[host.0].name.clone()
     }
 
     /// Bytes sent / received by a host so far.

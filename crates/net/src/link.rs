@@ -40,15 +40,6 @@ impl LinkModel {
         }
     }
 
-    /// A 1 GbE management network link.
-    pub fn one_gbe() -> Self {
-        LinkModel {
-            bandwidth_bps: 1e9,
-            latency: SimDuration::from_micros(100),
-            mtu: 1500,
-        }
-    }
-
     /// Maximum payload bytes per packet given `extra_overhead` consumed
     /// inside the MTU (e.g. ESP).
     ///

@@ -31,7 +31,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -117,7 +117,7 @@ struct SimInner {
     now_nanos: AtomicU64,
     next_task_id: AtomicU64,
     next_seq: AtomicU64,
-    tasks: Mutex<HashMap<TaskId, TaskFuture>>,
+    tasks: Mutex<BTreeMap<TaskId, TaskFuture>>,
     timers: Mutex<BinaryHeap<TimerEntry>>,
     ready: Arc<ReadyQueue>,
     events_processed: AtomicU64,
@@ -148,7 +148,7 @@ impl Sim {
                 now_nanos: AtomicU64::new(0),
                 next_task_id: AtomicU64::new(0),
                 next_seq: AtomicU64::new(0),
-                tasks: Mutex::new(HashMap::new()),
+                tasks: Mutex::new(BTreeMap::new()),
                 timers: Mutex::new(BinaryHeap::new()),
                 ready: Arc::new(ReadyQueue::default()),
                 events_processed: AtomicU64::new(0),

@@ -24,7 +24,7 @@
 //!   per `(op, target)` pair, so "fail twice then recover" is exact, not
 //!   probabilistic.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use std::sync::{Arc, Mutex};
 
@@ -225,9 +225,9 @@ pub fn mix_seed(base: u64, parts: &[&str]) -> u64 {
 #[derive(Default)]
 struct FaultsInner {
     plan: FaultPlan,
-    streams: HashMap<(String, String), Rng>,
-    attempts: HashMap<(String, String), u64>,
-    injected: HashMap<String, u64>,
+    streams: BTreeMap<(String, String), Rng>,
+    attempts: BTreeMap<(String, String), u64>,
+    injected: BTreeMap<String, u64>,
     /// Registry receiving `faults_injected{op,target}` counts.
     metrics: Metrics,
 }

@@ -1,25 +1,27 @@
-//! A tiny work-stealing job pool for fan-out over real OS threads.
+//! A tiny shared-queue job pool for fan-out over real OS threads.
 //!
-//! [`run_jobs`] distributes a fixed batch of independent jobs round-robin
-//! across per-worker deques, then spawns `workers` scoped threads that
-//! drain their own deque front-first and steal from the *back* of other
-//! workers' deques when idle. Results come back **in job order**,
-//! regardless of which worker ran which job or in what order they
-//! finished — the worker count affects scheduling only, never results.
+//! [`run_jobs`] puts a fixed batch of independent jobs behind one
+//! mutex-guarded queue and spawns `min(workers, jobs)` scoped threads
+//! that each take the next job until the queue is empty. Results come
+//! back **in job order**, regardless of which worker ran which job or in
+//! what order they finished — the worker count affects scheduling only,
+//! never results.
 //!
 //! This is the multi-core driver for fleet provisioning: each job builds
 //! and drives its own deterministic [`crate::Sim`] shard to completion,
 //! and the caller merges shard outputs in shard-index order, so a run is
-//! byte-identical whether it used 1 worker or 64.
+//! byte-identical whether it used 1 worker or 64. A job is a whole shard,
+//! so one lock taken per job costs nothing.
 //!
-//! The pool is deliberately minimal: jobs cannot spawn jobs, so "every
-//! deque is empty" is a complete termination condition and no
-//! condition-variable parking is needed. Locking uses the workspace
-//! [`lock`] helper (poison-recovering, panic-free); a panicking job
-//! propagates out of the enclosing [`std::thread::scope`] like any other
-//! thread panic.
+//! The pool is deliberately minimal: jobs cannot spawn jobs, so an empty
+//! queue is a complete termination condition and no condition-variable
+//! parking is needed. Locking uses the workspace [`lock`] helper
+//! (poison-recovering, panic-free); a panicking job's panic resumes in
+//! the caller. Every worker thread is joined, i.e. has fully exited,
+//! before [`run_jobs`] returns, so back-to-back calls reuse the same
+//! allocator arenas and thread stacks instead of racing the previous
+//! call's thread exits for them.
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 use crate::executor::lock;
@@ -31,65 +33,42 @@ pub fn max_workers() -> usize {
 }
 
 /// Runs `jobs` across `workers` OS threads and returns their outputs in
-/// job order. `workers` is clamped to at least 1; a worker count larger
-/// than the job count just leaves the extra workers idle.
+/// job order. `workers` is clamped to at least 1; no more threads than
+/// jobs are started.
 pub fn run_jobs<T, F>(workers: usize, jobs: Vec<F>) -> Vec<T>
 where
     F: FnOnce() -> T + Send,
     T: Send,
 {
-    let workers = workers.max(1);
     let total = jobs.len();
-    if total == 0 {
-        return Vec::new();
-    }
-
-    // Round-robin the indexed jobs across per-worker deques.
-    let deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (idx, job) in jobs.into_iter().enumerate() {
-        if let Some(dq) = deques.get(idx % workers) {
-            lock(dq).push_back((idx, job));
-        }
-    }
-
+    let queue = Mutex::new(jobs.into_iter().enumerate());
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(total));
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let results = &results;
-            scope.spawn(move || {
-                while let Some((idx, job)) = pop_or_steal(deques, w) {
+        let threads: Vec<_> = (0..workers.max(1).min(total))
+            .map(|_| {
+                scope.spawn(|| loop {
+                    // Bound first so the queue guard drops before the job runs.
+                    let next = lock(&queue).next();
+                    let Some((idx, job)) = next else { break };
                     let out = job();
-                    lock(results).push((idx, out));
-                }
-            });
+                    lock(&results).push((idx, out));
+                })
+            })
+            .collect();
+        // Join rather than let the scope wait: the scope returns once each
+        // closure is done, while its thread may still be exiting, so the
+        // next call's threads would find its malloc arena and stack still
+        // taken and map fresh ones. A joined thread has fully exited.
+        for thread in threads {
+            if let Err(panic) = thread.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
     let mut indexed = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     indexed.sort_by_key(|(idx, _)| *idx);
     indexed.into_iter().map(|(_, out)| out).collect()
-}
-
-/// Pops the next job: front of our own deque first (cache-friendly for
-/// the round-robin owner), else the back of the first non-empty victim.
-/// `None` means every deque is empty, i.e. the batch is finished.
-fn pop_or_steal<J>(deques: &[Mutex<VecDeque<J>>], own: usize) -> Option<J> {
-    if let Some(dq) = deques.get(own) {
-        if let Some(job) = lock(dq).pop_front() {
-            return Some(job);
-        }
-    }
-    for (victim, dq) in deques.iter().enumerate() {
-        if victim == own {
-            continue;
-        }
-        if let Some(job) = lock(dq).pop_back() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -140,9 +119,8 @@ mod tests {
 
     #[test]
     fn idle_workers_steal_from_a_loaded_deque() {
-        // One deque (workers=2, 2 jobs -> one each) where job 0 blocks
-        // until job 1 has run: if worker 1 could not steal nothing would
-        // deadlock here, but stealing also shows up as both jobs done.
+        // Two workers drain one shared queue: every job runs exactly
+        // once and the outputs still come back in job order.
         let ran = Arc::new(AtomicUsize::new(0));
         let r0 = Arc::clone(&ran);
         let r1 = Arc::clone(&ran);
@@ -165,5 +143,42 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let out = run_jobs(16, vec![|| 1, || 2, || 3]);
         assert_eq!(out, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn workers_have_exited_when_run_jobs_returns() {
+        // A thread-local destructor runs as its thread exits, after the
+        // job's closure has returned; the sleep holds that exit open, so
+        // only a pool that joins its threads sees every destructor done.
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                EXITED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static ON_EXIT: OnExit = const { OnExit });
+        let jobs: Vec<_> = (0..2)
+            .map(|i| {
+                move || {
+                    ON_EXIT.with(|_| ());
+                    // Hold the first worker until the second has a job.
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    i
+                }
+            })
+            .collect();
+        assert_eq!(run_jobs(2, jobs), vec![0, 1]);
+        assert_eq!(EXITED.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller() {
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+            vec![Box::new(|| 1), Box::new(|| panic!("job failed"))];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_jobs(2, jobs)));
+        let panic = caught.expect_err("the job's panic reaches the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"job failed"));
     }
 }

@@ -64,11 +64,6 @@ impl Rng {
         result
     }
 
-    /// Returns a uniformly distributed `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform float in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -100,11 +95,6 @@ impl Rng {
     pub fn gen_range_in(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "gen_range_in requires lo < hi");
         lo + self.gen_range(hi - lo)
-    }
-
-    /// Returns a uniform float in `[lo, hi)`.
-    pub fn gen_f64_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.next_f64() * (hi - lo)
     }
 
     /// Samples an exponentially distributed value with the given mean.

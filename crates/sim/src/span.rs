@@ -20,7 +20,7 @@
 //! returns the sentinel [`SpanId::NONE`] from `begin` and drops
 //! everything else before any allocation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,7 +34,7 @@ use crate::time::{SimDuration, SimTime};
 ///
 /// `SpanId::NONE` (id 0) is the sentinel returned by a disabled
 /// recorder; every operation on it is a no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(u64);
 
 impl SpanId {
@@ -100,7 +100,7 @@ struct SpansInner {
     records: Vec<SpanRecord>,
     /// Per-target stack of open span ids (indices into `records` are
     /// `id - 1`).
-    open: HashMap<String, Vec<SpanId>>,
+    open: BTreeMap<String, Vec<SpanId>>,
 }
 
 impl SpansInner {
@@ -290,7 +290,7 @@ impl Spans {
     pub fn render(&self) -> String {
         let inner = lock(&self.inner);
         // Children of each span, in record order.
-        let mut kids: HashMap<Option<SpanId>, Vec<usize>> = HashMap::new();
+        let mut kids: BTreeMap<Option<SpanId>, Vec<usize>> = BTreeMap::new();
         for (i, r) in inner.records.iter().enumerate() {
             kids.entry(r.parent).or_default().push(i);
         }

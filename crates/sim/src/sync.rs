@@ -107,11 +107,6 @@ impl Resource {
         lock(&self.inner).in_use
     }
 
-    /// Number of processes currently queued.
-    pub fn queue_len(&self) -> usize {
-        lock(&self.inner).waiters.len()
-    }
-
     /// Total capacity.
     pub fn capacity(&self) -> usize {
         lock(&self.inner).capacity

@@ -106,11 +106,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Returns the duration as fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// True if the duration is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -12,7 +12,7 @@
 // every call site; indices derive from digests reduced modulo pool size)
 
 use bolted_sim::lock;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::sha256::{sha256, sha256_concat, Digest};
@@ -26,7 +26,7 @@ pub const OBJECT_SIZE: u64 = 4 * 1024 * 1024;
 pub struct ImageId(pub u64);
 
 /// Identifies one object (a stripe of an image).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectKey {
     /// Owning image.
     pub image: ImageId,
@@ -78,10 +78,10 @@ struct StoredObject {
 }
 
 struct ClusterInner {
-    objects: HashMap<ObjectKey, StoredObject>,
+    objects: BTreeMap<ObjectKey, StoredObject>,
     object_size: u64,
     osd_count: usize,
-    failed_osds: HashSet<usize>,
+    failed_osds: BTreeSet<usize>,
     bytes_read: u64,
     bytes_written: u64,
     requests: u64,
@@ -126,10 +126,10 @@ impl Cluster {
         Cluster {
             sim: sim.clone(),
             inner: Arc::new(Mutex::new(ClusterInner {
-                objects: HashMap::new(),
+                objects: BTreeMap::new(),
                 object_size: OBJECT_SIZE,
                 osd_count,
-                failed_osds: HashSet::new(),
+                failed_osds: BTreeSet::new(),
                 bytes_read: 0,
                 bytes_written: 0,
                 requests: 0,
@@ -145,11 +145,6 @@ impl Cluster {
     /// Object size in bytes.
     pub fn object_size(&self) -> u64 {
         lock(&self.inner).object_size
-    }
-
-    /// Total spindle count.
-    pub fn spindle_count(&self) -> usize {
-        self.spindles.len()
     }
 
     /// `(bytes_read, bytes_written, requests)` served so far.
@@ -230,11 +225,6 @@ impl Cluster {
             checksum: None,
         });
         entry.backing = backing;
-    }
-
-    /// Removes an object entirely.
-    pub fn delete_object(&self, key: ObjectKey) {
-        lock(&self.inner).objects.remove(&key);
     }
 
     /// Removes every object belonging to `image`.

@@ -3,7 +3,7 @@
 //! creation, image clone and snapshot, image deletion").
 
 use bolted_sim::lock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::cluster::{Backing, Cluster, ImageId, ObjectKey};
@@ -53,12 +53,12 @@ struct ImageMeta {
     children: usize,
     /// Free-form metadata; BMI stores extracted boot info here
     /// (kernel digest, initrd digest, command line).
-    manifest: HashMap<String, String>,
+    manifest: BTreeMap<String, String>,
 }
 
 struct StoreInner {
-    images: HashMap<ImageId, ImageMeta>,
-    by_name: HashMap<String, ImageId>,
+    images: BTreeMap<ImageId, ImageMeta>,
+    by_name: BTreeMap<String, ImageId>,
     next_id: u64,
 }
 
@@ -75,8 +75,8 @@ impl ImageStore {
         ImageStore {
             cluster: cluster.clone(),
             inner: Arc::new(Mutex::new(StoreInner {
-                images: HashMap::new(),
-                by_name: HashMap::new(),
+                images: BTreeMap::new(),
+                by_name: BTreeMap::new(),
                 next_id: 1,
             })),
         }
@@ -110,7 +110,7 @@ impl ImageStore {
                 parent: None,
                 frozen: false,
                 children: 0,
-                manifest: HashMap::new(),
+                manifest: BTreeMap::new(),
             },
         );
         inner.by_name.insert(name, id);

@@ -57,11 +57,6 @@ impl SectorStream {
         &self.target
     }
 
-    /// Whether this session encrypts at rest.
-    pub fn is_encrypted(&self) -> bool {
-        self.cipher.is_some()
-    }
-
     /// Current scratch-buffer capacity in bytes (diagnostics: steady
     /// state should grow this once and never again).
     pub fn scratch_capacity(&self) -> usize {

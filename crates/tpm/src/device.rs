@@ -7,11 +7,10 @@
 //! with emulated access latency — this implementation does exactly the
 //! same, with the latency constants exposed in [`TpmTimings`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use bolted_crypto::prime::XorShiftSource;
 use bolted_crypto::rsa::{keypair_from_seed, KeyPair, PublicKey};
-use bolted_crypto::sha256::{Digest, Sha256};
+use bolted_crypto::sha256::Digest;
 
 use crate::eventlog::EventLog;
 use crate::pcr::PcrBank;
@@ -180,7 +179,7 @@ pub struct Tpm {
     aik_seed: u64,
     pcrs: PcrBank,
     event_log: EventLog,
-    nvram: HashMap<u32, Vec<u8>>,
+    nvram: BTreeMap<u32, Vec<u8>>,
     timings: TpmTimings,
     clock: u64,
 }
@@ -196,7 +195,7 @@ impl Tpm {
             aik_seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1),
             pcrs: PcrBank::new(),
             event_log: EventLog::new(),
-            nvram: HashMap::new(),
+            nvram: BTreeMap::new(),
             timings: TpmTimings::default(),
             clock: 0,
         }
@@ -312,23 +311,12 @@ impl Tpm {
         let fp = self.ek.public.fingerprint();
         *bolted_crypto::sha256_concat(&[b"storage-seed", fp.as_bytes()]).as_bytes()
     }
-
-    /// Helper: a deterministic per-TPM random source (for callers that
-    /// need one seeded from this identity).
-    pub fn derived_rng(&self) -> XorShiftSource {
-        let fp = &self.ek.public.fingerprint();
-        let mut h = Sha256::new();
-        h.update(fp.as_bytes());
-        let d = h.finalize();
-        let mut seed = [0u8; 8];
-        seed.copy_from_slice(&d.as_bytes()[..8]);
-        XorShiftSource::new(u64::from_le_bytes(seed))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bolted_crypto::prime::XorShiftSource;
     use bolted_crypto::sha256::sha256;
 
     fn tpm() -> Tpm {

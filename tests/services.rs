@@ -272,7 +272,7 @@ impl ProvisioningService for StandaloneBmi {
 #[test]
 fn mock_backend_provisions_end_to_end_through_trait_objects() {
     let sim = Sim::new();
-    let machine = Machine::new("mock-01", linuxboot_source().build(), 7000, 512, 64);
+    let machine = Machine::new("mock-01", linuxboot_source().build(), 7000);
     let ek = machine.with_tpm(|t| t.ek_pub().clone());
     let cluster = Cluster::paper_default(&sim);
     let store = ImageStore::new(&cluster);

@@ -5,6 +5,7 @@ use bolted::core::{
     revocation_experiment, Cloud, CloudConfig, Enclave, ProvisionError, SecurityProfile, Tenant,
 };
 use bolted::firmware::{FirmwareKind, KernelImage};
+use bolted::keylime::verifier::BOOT_SELECTION;
 use bolted::keylime::ImaWhitelist;
 use bolted::sim::{Sim, SimDuration};
 use bolted::storage::ImageId;
@@ -310,9 +311,8 @@ fn quote_replay_across_nodes_fails() {
                 .await
                 .expect("clean node");
             let agent = p0.agent.clone().expect("agent");
-            let sel = tenant.verifier.config().boot_selection.clone();
             let ev = agent
-                .attest(&tenant.sim(), [9; 32], &sel)
+                .attest(&tenant.sim(), [9; 32], &BOOT_SELECTION)
                 .await
                 .expect("attests");
             (ev, tenant.verifier.clone())
@@ -320,9 +320,8 @@ fn quote_replay_across_nodes_fails() {
     });
     // Presented for the wrong node id ("m620-02"), verification fails —
     // the registrar has no certified AIK matching it.
-    let sel = verifier.config().boot_selection.clone();
     let err = verifier
-        .verify_evidence("m620-02", &[9; 32], &sel, &clean_evidence)
+        .verify_evidence("m620-02", &[9; 32], &BOOT_SELECTION, &clean_evidence)
         .unwrap_err();
     assert!(
         err.contains("not certified") || err.contains("unknown"),
