@@ -114,9 +114,10 @@ fn main() {
         &["servers", "chacha-scalar mean (s)", "chacha-wide mean (s)"],
         &rows,
     );
-    println!("cipher cost models calibrated from this repo's measured kernels");
-    println!("(BENCH_hotpath.json, sector_encrypt: streamed vs wide). The wide");
-    println!("kernel lifts the secure channel past the NIC (1.35 vs 1.15 GB/s),");
-    println!("so encryption stops being the wire bottleneck; what remains of the");
-    println!("boot storm is attestation serialization and Ceph contention.");
+    println!("cipher cost models are frozen measurements of this repo's");
+    println!("single-stream and 16-lane ChaCha20 sector kernels, kept as model");
+    println!("constants (history in EXPERIMENTS.md). The wide rate lifts the");
+    println!("secure channel past the NIC (1.35 vs 1.15 GB/s), so encryption");
+    println!("stops being the wire bottleneck; what remains of the boot storm is");
+    println!("attestation serialization and Ceph contention.");
 }

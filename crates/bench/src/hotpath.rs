@@ -1,9 +1,8 @@
 //! Dependency-free micro-benchmarks for the attestation hot path.
 //!
 //! Measures the optimised kernels — RSA verification, SHA-256
-//! compression, LUKS sector encryption, RSA key generation and RSA CRT
-//! signing — each against an in-repo "before" reference (a rolled
-//! SHA-256 compression loop, the single-stream ChaCha20 sector path,
+//! compression, RSA key generation and RSA CRT signing — each against
+//! an in-repo "before" reference (a rolled SHA-256 compression loop,
 //! and for every RSA row the schoolbook `BigUint::modpow`, the one
 //! reference the fixed-width Montgomery kernel is checked against), so
 //! the speedup is recorded next to the code that earned it. Plain
@@ -12,11 +11,8 @@
 
 use std::time::Instant;
 
-use bolted_crypto::chacha20::{chacha20_block, Key, NONCE_LEN};
 use bolted_crypto::prime::{gen_prime, random_below};
-use bolted_crypto::{
-    keypair_from_seed, BigUint, RandomSource, SectorCipher, XorShiftSource, SECTOR_SIZE,
-};
+use bolted_crypto::{keypair_from_seed, BigUint, RandomSource, XorShiftSource};
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
 /// for `cargo test`, `Smoke` for the pre-commit verify gate (seconds,
@@ -242,20 +238,6 @@ fn sha256_rolled(data: &[u8]) -> [u8; 32] {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
-}
-
-/// The single-stream LUKS keystream path (the data plane before the
-/// wide rework), copied here as the sector baseline: every 64-byte
-/// block of a sector gets its own full scalar 20-round ChaCha20 core —
-/// correct and allocation-free, but strictly serial. The 20 rounds
-/// dominate; state setup per block is noise.
-fn sector_xor_streamed(key: &Key, nonce: &[u8; NONCE_LEN], buf: &mut [u8]) {
-    for (idx, chunk) in buf.chunks_mut(64).enumerate() {
-        let ks = chacha20_block(key, idx as u32, nonce);
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-    }
 }
 
 /// The prime search on schoolbook arithmetic, kept here as the keygen
@@ -503,57 +485,6 @@ pub fn run(effort: Effort) -> Vec<Record> {
         (rounds * iters, rounds * iters),
         ns,
         Some(buf_len as u64),
-    );
-
-    // --- LUKS sector encryption --------------------------------------
-    let mut key_bytes = [0u8; 32];
-    rng.fill_bytes(&mut key_bytes);
-    let key = Key(key_bytes);
-    let scipher = SectorCipher::new(&key);
-    let sectors = effort.pick(1024usize, 64, 16);
-    let mut disk = vec![0u8; sectors * SECTOR_SIZE];
-    rng.fill_bytes(&mut disk);
-    {
-        // Cross-check: per-sector streamed keystream == wide batched
-        // keystream (same per-sector nonce construction).
-        let mut a = disk.clone();
-        for (s, chunk) in a.chunks_mut(SECTOR_SIZE).enumerate() {
-            let mut nonce = [0u8; NONCE_LEN];
-            nonce[..8].copy_from_slice(&(s as u64).to_le_bytes());
-            sector_xor_streamed(&key, &nonce, chunk);
-        }
-        let mut b = disk.clone();
-        scipher.xor_sectors(0, &mut b);
-        assert_eq!(a, b, "sector keystream cross-check");
-    }
-    // Many short interleaved rounds: on a shared vCPU a noise burst then
-    // lands on a sliver of both variants instead of one whole batch.
-    let (rounds, iters) = effort.pick((64, 2), (2, 2), (1, 1));
-    // Each closure owns its copy of the disk so both can borrow mutably.
-    let mut disk_a = disk.clone();
-    let mut disk_b = disk.clone();
-    let ns = time_pair(
-        rounds,
-        iters,
-        iters,
-        || {
-            for (s, chunk) in disk_a.chunks_mut(SECTOR_SIZE).enumerate() {
-                let mut nonce = [0u8; NONCE_LEN];
-                nonce[..8].copy_from_slice(&(s as u64).to_le_bytes());
-                sector_xor_streamed(&key, &nonce, chunk);
-            }
-        },
-        || {
-            scipher.xor_sectors(0, &mut disk_b);
-        },
-    );
-    record_pair(
-        &mut records,
-        "sector_encrypt",
-        ("streamed", "wide"),
-        (rounds * iters, rounds * iters),
-        ns,
-        Some(disk.len() as u64),
     );
 
     // --- RSA key generation: one whole 512-bit key ------------------

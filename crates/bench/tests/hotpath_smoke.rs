@@ -19,13 +19,7 @@ fn exclusive_cpu() -> std::sync::MutexGuard<'static, ()> {
 fn quick_run_reports_kernel_speedups() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Quick);
-    for bench in [
-        "rsa_verify_2048",
-        "sha256",
-        "sector_encrypt",
-        "keygen_512",
-        "rsa_sign_512",
-    ] {
+    for bench in ["rsa_verify_2048", "sha256", "keygen_512", "rsa_sign_512"] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
             2,
@@ -43,16 +37,6 @@ fn quick_run_reports_kernel_speedups() {
     let s = hotpath::speedup(&records, "sha256").expect("pair");
     let sha_floor = if cfg!(debug_assertions) { 0.2 } else { 0.8 };
     assert!(s >= sha_floor, "sha256 regressed: {s:.2}x < {sha_floor}x");
-    // Wide sectors >= 2.5x on the recorded full (release) run. Assert a
-    // looser floor here for noisy boxes, and only no-regression in debug
-    // builds — the wide kernel relies on autovectorisation that debug
-    // codegen never does.
-    let sect_floor = if cfg!(debug_assertions) { 0.2 } else { 1.5 };
-    let sect = hotpath::speedup(&records, "sector_encrypt").expect("pair");
-    assert!(
-        sect >= sect_floor,
-        "sector_encrypt speedup {sect:.2}x < {sect_floor}x"
-    );
     // The fixed-width Miller–Rabin kernel runs the prime search several
     // times as fast as the schoolbook path in release builds; 2x leaves
     // room for a loaded box, and the test profile (opt-level 1, debug
@@ -81,7 +65,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 5, "all five benches present: {benches:?}");
+    assert_eq!(benches.len(), 4, "all four benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

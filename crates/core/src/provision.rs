@@ -20,7 +20,6 @@ use bolted_bmi::BmiError;
 use bolted_crypto::chacha20::Key;
 use bolted_crypto::secret::Secret;
 use bolted_crypto::sha256::Digest;
-use bolted_crypto::SectorCipher;
 use bolted_firmware::{FirmwareKind, KernelImage, Machine, MachineError};
 use bolted_hil::{HilError, NetworkId, NodeId};
 use bolted_keylime::{
@@ -30,7 +29,7 @@ use bolted_keylime::{
 use bolted_net::NetError;
 use bolted_sim::fault::mix_seed;
 use bolted_sim::{join_all, Metrics, RetryError, RetryPolicy, Rng, SimDuration, SimTime};
-use bolted_storage::{ImageError, ImageId, IscsiTarget, SectorStream};
+use bolted_storage::{ImageError, ImageId, IscsiTarget};
 
 use crate::cloud::{heads_runtime_digest, ipxe_digest, Cloud};
 use crate::lifecycle::{InvalidTransition, Lifecycle, NodeState};
@@ -262,23 +261,6 @@ pub struct ProvisionedNode {
     pub lifecycle: Lifecycle,
     /// Enclave IPsec PSK (empty when unencrypted).
     pub psk: Vec<u8>,
-}
-
-impl ProvisionedNode {
-    /// Opens a zero-copy sector session on the node's root disk.
-    ///
-    /// With `Some(key)` the session runs tenant-side dm-crypt: the
-    /// tenant's LUKS master key (bootstrapped through the sealed
-    /// payload, never revealed to the provider) encrypts sectors before
-    /// they leave the node and decrypts them as they arrive, so the
-    /// gateway and cluster only ever see ciphertext. `None` opens a
-    /// plaintext session (Alice/Bob, no disk encryption).
-    pub fn sector_stream(&self, key: Option<&Key>) -> SectorStream {
-        match key {
-            Some(k) => SectorStream::encrypted(self.target.clone(), SectorCipher::new(k)),
-            None => SectorStream::plaintext(self.target.clone()),
-        }
-    }
 }
 
 /// The mutable state one provisioning run threads through its phases.
@@ -1334,6 +1316,10 @@ mod tests {
 
     #[test]
     fn sector_stream_delivers_plaintext_but_stores_ciphertext() {
+        // DESIGN §8 invariant 7: the tenant encrypts each sector with its
+        // LUKS key before it leaves the node, so what the provider's
+        // gateway and cluster hold is ciphertext only.
+        use bolted_crypto::{SectorCipher, SECTOR_SIZE};
         let (sim, cloud) = build(FirmwareKind::LinuxBoot, 2);
         let g = golden(&cloud);
         let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
@@ -1347,17 +1333,40 @@ mod tests {
             // passphrase bootstrapped through the sealed payload.
             let payload = p.agent.as_ref().expect("agent").payload().expect("payload");
             let key = Key(bolted_crypto::sha256(payload.luks_passphrase.expose()).0);
-            let mut disk = p.sector_stream(Some(&key));
-            let data: Vec<u8> = (0..3 * bolted_crypto::SECTOR_SIZE)
-                .map(|i| (i % 251) as u8)
+            let tenant_key = SectorCipher::new(&key);
+            let other_key = SectorCipher::new(&Key([0xBB; 32]));
+            let xor_sectors = |cipher: &SectorCipher, data: &mut [u8]| {
+                for (i, sector) in data.chunks_mut(SECTOR_SIZE).enumerate() {
+                    cipher.xor_sector(64 + i as u64, sector);
+                }
+            };
+            let secret = b"tenant ledger";
+            let plain: Vec<u8> = secret
+                .iter()
+                .cycle()
+                .take(3 * SECTOR_SIZE)
+                .copied()
                 .collect();
-            disk.write(64, &data).await.expect("writes");
-            let got = disk.read(64, 3).await.expect("reads");
-            assert_eq!(got, &data[..], "tenant round-trips plaintext");
-            // Provider-side view of the same sectors (no key): ciphertext.
-            let mut provider = p.sector_stream(None);
-            let raw = provider.read(64, 3).await.expect("reads");
-            assert_ne!(raw, &data[..], "image at rest holds ciphertext");
+            let offset = 64 * SECTOR_SIZE as u64;
+            let mut sectors = plain.clone();
+            xor_sectors(&tenant_key, &mut sectors);
+            p.target.write(offset, &sectors).await.expect("writes");
+
+            let mut mine = p.target.read(offset, plain.len()).await.expect("reads");
+            xor_sectors(&tenant_key, &mut mine);
+            assert_eq!(mine, plain, "tenant round-trips its plaintext");
+
+            // Provider-side view of the same sectors (no key).
+            let raw = p.target.read(offset, plain.len()).await.expect("reads");
+            assert!(
+                !raw.windows(secret.len()).any(|w| w == secret),
+                "image at rest holds no plaintext window"
+            );
+
+            // Another tenant's key does not decrypt them.
+            let mut theirs = raw;
+            xor_sectors(&other_key, &mut theirs);
+            assert_ne!(theirs, plain, "a second tenant key does not decrypt");
         });
     }
 

@@ -47,39 +47,6 @@ pub struct ChaCha20 {
     key_words: [u32; 8],
 }
 
-/// Lanes per maximum-width keystream sweep: 16 lanes of u32 fill one
-/// 512-bit vector register per state word, so the whole 16-word state
-/// lives in registers with no cross-lane shuffles. One sweep covers 1 KiB
-/// of keystream — two LUKS sectors.
-const WIDE: usize = 16;
-
-/// A per-lane initialization vector for the wide kernel: state words
-/// 12..16 — `[counter, nonce0, nonce1, nonce2]`. Lanes of one sweep share
-/// the key but may differ in *both* counter and nonce, which is what lets
-/// a sweep span multiple LUKS sectors (each sector has its own nonce).
-type LaneIv = [u32; 4];
-
-/// Builds `N` consecutive-counter IVs for a single-nonce stream.
-///
-/// `counter` is the *effective 64-bit* block counter (see
-/// [`ChaCha20::xor`] for the carry scheme): the low 32 bits land in state
-/// word 12 and the overflow carries into the first nonce word, so a
-/// stream crossing the 2³² block boundary keeps drawing fresh keystream
-/// instead of silently wrapping back onto block 0.
-fn seq_ivs<const N: usize>(counter: u64, nonce: &[u32; 3]) -> [LaneIv; N] {
-    let mut ivs = [[0u32; 4]; N];
-    for (l, iv) in ivs.iter_mut().enumerate() {
-        let c64 = counter.wrapping_add(l as u64);
-        *iv = [
-            c64 as u32,
-            nonce[0].wrapping_add((c64 >> 32) as u32),
-            nonce[1],
-            nonce[2],
-        ];
-    }
-    ivs
-}
-
 impl ChaCha20 {
     /// Parses `key` into state words.
     pub fn new(key: &Key) -> ChaCha20 {
@@ -108,17 +75,10 @@ impl ChaCha20 {
         state
     }
 
-    /// Encrypts or decrypts `64 * N` bytes with one wide sweep, lane `l`
-    /// drawing its counter and nonce from `ivs[l]`.
-    pub(crate) fn xor_ivs<const N: usize>(&self, ivs: &[LaneIv; N], data: &mut [u8]) {
-        xor_wide::<N>(&self.key_words, ivs, data);
-    }
-
     /// Encrypts or decrypts `data` in place (XOR keystream; symmetric).
     ///
-    /// Bulk path: 16 consecutive-counter blocks per wide quarter-round
-    /// sweep, dropping to 8- and 4-wide sweeps and finally per-block
-    /// calls for the tail.
+    /// One [`keystream_block`] per 64-byte block, counters ascending from
+    /// `initial_counter`; a ragged tail consumes the prefix of its block.
     ///
     /// # Counter overflow
     ///
@@ -132,48 +92,14 @@ impl ChaCha20 {
     /// Callers that derive one nonce per 2³²-block stream (every caller
     /// in this workspace) never observe the carry.
     pub fn xor(&self, nonce: &[u8; NONCE_LEN], initial_counter: u32, data: &mut [u8]) {
-        self.xor_at(nonce, u64::from(initial_counter), data);
-    }
-
-    /// [`Chacha20::xor`] starting from a 64-bit *extended* block
-    /// counter — the resume point for a stream that has already crossed
-    /// the 2³² boundary. `xor_at(n, c, data)` produces exactly the bytes
-    /// `xor(n, 0, ...)` would have produced at block offset `c`, so a
-    /// long stream can be encrypted in chunks of any size, on any mix of
-    /// the wide and scalar paths, and the composition is byte-identical
-    /// to one shot.
-    pub fn xor_at(&self, nonce: &[u8; NONCE_LEN], initial_counter: u64, data: &mut [u8]) {
-        let n = nonce_words(nonce);
-        let mut counter = initial_counter;
-        let mut rest = data;
-        while rest.len() >= 64 * WIDE {
-            let (batch, tail) = rest.split_at_mut(64 * WIDE);
-            self.xor_ivs(&seq_ivs::<WIDE>(counter, &n), batch);
-            counter += WIDE as u64;
-            rest = tail;
-        }
-        if rest.len() >= 64 * 8 {
-            let (batch, tail) = rest.split_at_mut(64 * 8);
-            self.xor_ivs(&seq_ivs::<8>(counter, &n), batch);
-            counter += 8;
-            rest = tail;
-        }
-        if rest.len() >= 64 * 4 {
-            let (batch, tail) = rest.split_at_mut(64 * 4);
-            self.xor_ivs(&seq_ivs::<4>(counter, &n), batch);
-            counter += 4;
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            let mut state = self.base_state(nonce);
-            for chunk in rest.chunks_mut(64) {
-                state[12] = counter as u32;
-                state[13] = n[0].wrapping_add((counter >> 32) as u32);
-                let ks = keystream_block(&state);
-                for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                    *b ^= k;
-                }
-                counter += 1;
+        let mut state = self.base_state(nonce);
+        let nonce0 = state[13];
+        for (counter, chunk) in (u64::from(initial_counter)..).zip(data.chunks_mut(64)) {
+            state[12] = counter as u32;
+            state[13] = nonce0.wrapping_add((counter >> 32) as u32);
+            let ks = keystream_block(&state);
+            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                *b ^= k;
             }
         }
     }
@@ -207,7 +133,7 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 
 /// The ChaCha20 block function: 10 double-rounds over `state` plus the
 /// feed-forward add, serialized little-endian. The single shared
-/// keystream core — the streamed instance path, the one-shot block
+/// keystream core — the instance path, the one-shot block
 /// function and the AEAD all call through here.
 fn keystream_block(state: &[u32; 16]) -> [u8; 64] {
     let mut working = *state;
@@ -229,87 +155,6 @@ fn keystream_block(state: &[u32; 16]) -> [u8; 64] {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
     }
     out
-}
-
-/// Generates `N` keystream blocks in one quarter-round sweep and XORs
-/// them into `data` (`data.len()` must be `64 * N`); lane `l` takes its
-/// counter and nonce words from `ivs[l]`.
-///
-/// State is laid out structure-of-arrays: each of the 16 state words
-/// becomes a `[u32; N]` lane vector and every quarter-round step is a
-/// lane-parallel loop the autovectorizer lowers to SIMD (at `N = 16`,
-/// one 512-bit register per word). The constant and key words are
-/// broadcast; words 12..16 are gathered from the per-lane IVs, so one
-/// sweep can mix counters *and* nonces — e.g. two different LUKS
-/// sectors' keystreams in a single pass.
-fn xor_wide<const N: usize>(key: &[u32; 8], ivs: &[[u32; 4]; N], data: &mut [u8]) {
-    assert_eq!(data.len(), 64 * N);
-    const C: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
-    let mut x = [[0u32; N]; 16];
-    for w in 0..4 {
-        x[w] = [C[w]; N];
-    }
-    for w in 0..8 {
-        x[4 + w] = [key[w]; N];
-    }
-    for l in 0..N {
-        for s in 0..4 {
-            x[12 + s][l] = ivs[l][s];
-        }
-    }
-    macro_rules! qr {
-        ($a:expr, $b:expr, $c:expr, $d:expr) => {
-            for l in 0..N {
-                x[$a][l] = x[$a][l].wrapping_add(x[$b][l]);
-                x[$d][l] = (x[$d][l] ^ x[$a][l]).rotate_left(16);
-            }
-            for l in 0..N {
-                x[$c][l] = x[$c][l].wrapping_add(x[$d][l]);
-                x[$b][l] = (x[$b][l] ^ x[$c][l]).rotate_left(12);
-            }
-            for l in 0..N {
-                x[$a][l] = x[$a][l].wrapping_add(x[$b][l]);
-                x[$d][l] = (x[$d][l] ^ x[$a][l]).rotate_left(8);
-            }
-            for l in 0..N {
-                x[$c][l] = x[$c][l].wrapping_add(x[$d][l]);
-                x[$b][l] = (x[$b][l] ^ x[$c][l]).rotate_left(7);
-            }
-        };
-    }
-    for _ in 0..10 {
-        // Column rounds.
-        qr!(0, 4, 8, 12);
-        qr!(1, 5, 9, 13);
-        qr!(2, 6, 10, 14);
-        qr!(3, 7, 11, 15);
-        // Diagonal rounds.
-        qr!(0, 5, 10, 15);
-        qr!(1, 6, 11, 12);
-        qr!(2, 7, 8, 13);
-        qr!(3, 4, 9, 14);
-    }
-    // Feed-forward add + XOR into the data, block-major: lane l owns
-    // data[64*l .. 64*(l+1)], word w sits at byte offset 4*w within it.
-    // The initial state is re-derived from `key`/`ivs` memory here rather
-    // than snapshotted into locals before the rounds: keeping 16 extra
-    // lane vectors live across the rounds would double register pressure
-    // and spill the hot loop.
-    for w in 0..16 {
-        for l in 0..N {
-            let base = if w < 4 {
-                C[w]
-            } else if w < 12 {
-                key[w - 4]
-            } else {
-                ivs[l][w - 12]
-            };
-            let v = x[w][l].wrapping_add(base);
-            let off = 64 * l + 4 * w;
-            let d = u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]);
-            data[off..off + 4].copy_from_slice(&(d ^ v).to_le_bytes());
-        }
-    }
 }
 
 /// Computes one 64-byte ChaCha20 block for (key, counter, nonce).
@@ -418,32 +263,12 @@ mod tests {
     #[test]
     fn instance_matches_per_block_path() {
         // The multi-block instance path must produce byte-identical
-        // keystream to composing chacha20_block calls.
+        // keystream to composing chacha20_block calls: fixed edge
+        // lengths, then seeded random whole-sector runs with ragged
+        // tails at random counters.
         let key = key_from_hexish();
         let cipher = ChaCha20::new(&key);
         let nonce = [9u8; 12];
-        for len in [0usize, 1, 63, 64, 65, 512, 1000] {
-            let mut data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
-            let mut expect = data.clone();
-            for (idx, chunk) in expect.chunks_mut(64).enumerate() {
-                let ks = chacha20_block(&key, 5u32.wrapping_add(idx as u32), &nonce);
-                for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                    *b ^= k;
-                }
-            }
-            cipher.xor(&nonce, 5, &mut data);
-            assert_eq!(data, expect, "len={len}");
-        }
-    }
-
-    #[test]
-    fn wide_matches_per_block_over_random_sector_counts() {
-        // Drive the wide-8 / wide-4 / scalar tail split across many
-        // lengths, including whole-sector multiples (512 = one wide-8
-        // sweep) and ragged tails that exercise every fallback tier.
-        let key = key_from_hexish();
-        let cipher = ChaCha20::new(&key);
-        let nonce = [0xa5u8; 12];
         let mut seed = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -451,12 +276,15 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        for trial in 0..40 {
-            let sectors = (rng() % 9) as usize;
-            let ragged = (rng() % 192) as usize;
-            let len = sectors * 512 + ragged;
-            let counter = (rng() % 1000) as u32;
-            let mut data: Vec<u8> = (0..len).map(|_| rng() as u8).collect();
+        let fixed = [0usize, 1, 63, 64, 65, 512, 1000].map(|len| (len, 5u32));
+        let random: Vec<(usize, u32)> = (0..40)
+            .map(|_| {
+                let len = (rng() % 9) as usize * 512 + (rng() % 192) as usize;
+                (len, (rng() % 1000) as u32)
+            })
+            .collect();
+        for (len, counter) in fixed.into_iter().chain(random) {
+            let mut data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
             let mut expect = data.clone();
             for (idx, chunk) in expect.chunks_mut(64).enumerate() {
                 let ks = chacha20_block(&key, counter.wrapping_add(idx as u32), &nonce);
@@ -465,7 +293,7 @@ mod tests {
                 }
             }
             cipher.xor(&nonce, counter, &mut data);
-            assert_eq!(data, expect, "trial={trial} len={len} counter={counter}");
+            assert_eq!(data, expect, "len={len} counter={counter}");
         }
     }
 
@@ -481,9 +309,8 @@ mod tests {
 
     #[test]
     fn counter_carry_matches_reference_through_every_tier() {
-        // Streams straddling the 2^32-block boundary, with lengths that
-        // route the wrap through the 16-wide, 8-wide, 4-wide and scalar
-        // tail tiers. Every block must match the carried-counter
+        // Streams of several lengths straddling the 2^32-block boundary
+        // at several offsets. Every block must match the carried-counter
         // reference built from the independent single-block function.
         let key = key_from_hexish();
         let cipher = ChaCha20::new(&key);
@@ -504,61 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_at_agrees_with_xor_over_the_32_bit_counter_range() {
-        // `xor` is defined as `xor_at` at the zero-extended counter; the
-        // two entry points must agree everywhere a u32 counter exists,
-        // including the very last pre-wrap block.
-        let key = key_from_hexish();
-        let cipher = ChaCha20::new(&key);
-        let nonce = [0x42u8; 12];
-        for counter in [0u32, 1, 1000, u32::MAX - 1, u32::MAX] {
-            let mut a: Vec<u8> = (0..300).map(|i| (i * 13) as u8).collect();
-            let mut b = a.clone();
-            cipher.xor(&nonce, counter, &mut a);
-            cipher.xor_at(&nonce, u64::from(counter), &mut b);
-            assert_eq!(a, b, "counter={counter}");
-        }
-    }
-
-    #[test]
-    fn chunked_xor_at_recomposes_the_one_shot_stream_across_the_wrap() {
-        // The resume contract: a stream started eight blocks below the
-        // 2^32 boundary, cut on block edges into chunks, must recompose
-        // byte for byte no matter which tier the cut routes the boundary
-        // block through — xor_at at block offset c continues exactly
-        // where the previous chunk stopped, carry included.
-        let key = key_from_hexish();
-        let cipher = ChaCha20::new(&key);
-        let nonce = [0x5cu8; 12];
-        let start = (1u64 << 32) - 8;
-        let plain: Vec<u8> = (0..2500).map(|i| (i * 31 + 7) as u8).collect();
-        let mut oneshot = plain.clone();
-        cipher.xor_at(&nonce, start, &mut oneshot);
-        // Chunk schedules in bytes; every cut lands on a 64-byte block
-        // edge except the ragged tail. Each schedule lands the boundary
-        // block in a different tier of the chunk that crosses it:
-        // 16-wide, 8-wide, 4-wide, then the scalar per-block path.
-        let schedules: [&[usize]; 4] = [
-            &[1024, 512, 256, 192, 64, 452],
-            &[256, 512, 1024, 256, 452],
-            &[256, 192, 256, 1024, 512, 260],
-            &[64, 64, 64, 64, 64, 64, 64, 64, 64, 1024, 900],
-        ];
-        for (s, schedule) in schedules.iter().enumerate() {
-            let mut chunked = plain.clone();
-            let mut counter = start;
-            let mut off = 0usize;
-            for &len in *schedule {
-                cipher.xor_at(&nonce, counter, &mut chunked[off..off + len]);
-                counter += (len as u64) / 64;
-                off += len;
-            }
-            assert_eq!(off, plain.len(), "schedule {s} must cover the buffer");
-            assert_eq!(chunked, oneshot, "schedule {s} diverged from one shot");
-        }
-    }
-
-    #[test]
     fn keystream_is_not_reused_past_the_counter_wrap() {
         // Regression: the old code advanced the 32-bit counter with
         // wrapping_add, so the block after 2^32 - 1 replayed block 0's
@@ -566,7 +338,7 @@ mod tests {
         let key = key_from_hexish();
         let cipher = ChaCha20::new(&key);
         let nonce = [7u8; 12];
-        // Scalar path: two blocks straddling the boundary.
+        // Two blocks straddling the boundary.
         let mut two = [0u8; 128];
         cipher.xor(&nonce, u32::MAX, &mut two);
         assert_eq!(&two[..64], &chacha20_block(&key, u32::MAX, &nonce)[..]);
@@ -575,17 +347,17 @@ mod tests {
             &chacha20_block(&key, 0, &nonce)[..],
             "post-wrap block replayed block 0 keystream"
         );
-        // Wide path: a 16-wide sweep straddling the boundary. Old code
-        // made block 4 of this sweep (the first post-wrap lane) equal
-        // block 0 of the counter-0 stream.
-        let mut wide = [0u8; 1024];
-        cipher.xor(&nonce, u32::MAX - 3, &mut wide);
+        // A 16-block run straddling the boundary. Old code made block 4
+        // of this run (the first post-wrap block) equal block 0 of the
+        // counter-0 stream.
+        let mut run = [0u8; 1024];
+        cipher.xor(&nonce, u32::MAX - 3, &mut run);
         let mut from_zero = [0u8; 1024];
         cipher.xor(&nonce, 0, &mut from_zero);
         assert_ne!(
-            &wide[4 * 64..5 * 64],
+            &run[4 * 64..5 * 64],
             &from_zero[..64],
-            "post-wrap lane replayed block 0 keystream"
+            "post-wrap block replayed block 0 keystream"
         );
     }
 

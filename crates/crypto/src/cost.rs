@@ -53,14 +53,17 @@ impl CipherCost {
     }
 }
 
-/// Measured sustained throughput of the PR 2 single-stream ChaCha20
-/// sector path on the reproduction machine (bytes/second; see
-/// `BENCH_hotpath.json`, `sector_encrypt/streamed`).
+/// Sustained throughput of the single-stream ChaCha20 sector kernel
+/// (one 64-byte block per quarter-round pass), bytes/second. A frozen
+/// measurement kept as a model constant; its measurement history is in
+/// EXPERIMENTS.md.
 pub const CHACHA20_SCALAR_BPS: f64 = 0.50e9;
 
-/// Measured sustained throughput of the wide multi-lane ChaCha20 sector
-/// path on the same machine (bytes/second; see `BENCH_hotpath.json`,
-/// `sector_encrypt/wide`).
+/// Sustained throughput of the former 16-lane wide ChaCha20 sector
+/// kernel (two LUKS sectors per sweep) on the same machine,
+/// bytes/second. A frozen measurement kept as a model constant, as the
+/// AES suites are, after the kernel itself was removed; its measurement
+/// history is in EXPERIMENTS.md.
 pub const CHACHA20_WIDE_BPS: f64 = 1.35e9;
 
 /// Cipher suites the evaluation distinguishes (paper Figure 3b).
@@ -72,11 +75,11 @@ pub enum CipherSuite {
     AesNi,
     /// AES-256 in software.
     AesSw,
-    /// The reproduction's real data path before the bulk-crypto rework:
-    /// single-stream ChaCha20, one 64-byte block per quarter-round pass.
+    /// Single-stream ChaCha20, one 64-byte block per quarter-round pass
+    /// ([`CHACHA20_SCALAR_BPS`]).
     ChaCha20Scalar,
-    /// The reproduction's real data path after the rework: 16-lane wide
-    /// ChaCha20 keystream sweeps (two LUKS sectors per pass).
+    /// 16-lane wide ChaCha20 keystream sweeps, two LUKS sectors per pass
+    /// ([`CHACHA20_WIDE_BPS`]).
     ChaCha20Wide,
 }
 
@@ -91,11 +94,12 @@ impl CipherSuite {
     /// of that, and the per-packet cost makes 1500-byte MTUs visibly
     /// worse than 9000.
     ///
-    /// The ChaCha20 suites are calibrated from this repository's own
-    /// measured kernels ([`CHACHA20_SCALAR_BPS`], [`CHACHA20_WIDE_BPS`])
-    /// so the simulated Figure 5 boot storm reflects the real data-plane
-    /// speedup; the per-op overhead matches AES-NI since the per-sector
-    /// setup (nonce build, state init) is the same order of work.
+    /// The ChaCha20 suites are calibrated from frozen measurements of
+    /// this repository's sector kernels ([`CHACHA20_SCALAR_BPS`],
+    /// [`CHACHA20_WIDE_BPS`]), so the simulated Figure 5 boot storm
+    /// reflects the measured data-plane speedup; the per-op overhead
+    /// matches AES-NI since the per-sector setup (nonce build, state
+    /// init) is the same order of work.
     pub fn default_cost(self) -> CipherCost {
         match self {
             CipherSuite::None => CipherCost::FREE,

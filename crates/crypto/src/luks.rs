@@ -216,10 +216,9 @@ impl Header {
 ///
 /// Owns a parsed [`ChaCha20`] key schedule and applies the per-sector
 /// tweak (little-endian sector number in the nonce, counter 0 — one
-/// keystream per `(key, sector)`, like an XTS tweak). Extracted from
-/// [`LuksDevice`] so bulk pipelines ([`crate::cost`] consumers, the
-/// storage sector stream) can encrypt whole multi-sector runs in place
-/// without routing through the sector-at-a-time [`BlockDevice`] trait.
+/// keystream per `(key, sector)`, like an XTS tweak). Usable apart from
+/// [`LuksDevice`] wherever sectors travel without a [`BlockDevice`], e.g.
+/// a tenant encrypting sectors it writes over iSCSI.
 #[derive(Clone)]
 pub struct SectorCipher {
     cipher: ChaCha20,
@@ -238,35 +237,6 @@ impl SectorCipher {
         let mut nonce = [0u8; 12];
         nonce[..8].copy_from_slice(&sector.to_le_bytes());
         self.cipher.xor(&nonce, 0, buf);
-    }
-
-    /// Encrypts or decrypts a run of consecutive sectors in place.
-    ///
-    /// `data` is chunked into [`SECTOR_SIZE`] pieces starting at sector
-    /// `first_sector`. Sector pairs are processed by a single 16-lane
-    /// keystream sweep whose lanes carry *two different nonces* (8 blocks
-    /// per sector), so the bulk path runs at full vector width even
-    /// though each sector's keystream is independent. A ragged final
-    /// chunk (partial sector) is permitted and consumes the keystream
-    /// prefix of its sector, matching a per-sector loop.
-    pub fn xor_sectors(&self, first_sector: u64, data: &mut [u8]) {
-        let mut sector = first_sector;
-        let mut rest = data;
-        while rest.len() >= 2 * SECTOR_SIZE {
-            let (pair, tail) = rest.split_at_mut(2 * SECTOR_SIZE);
-            let mut ivs = [[0u32; 4]; 16];
-            for (l, iv) in ivs.iter_mut().enumerate() {
-                let s = sector + (l / 8) as u64;
-                *iv = [(l % 8) as u32, s as u32, (s >> 32) as u32, 0];
-            }
-            self.cipher.xor_ivs(&ivs, pair);
-            sector += 2;
-            rest = tail;
-        }
-        for chunk in rest.chunks_mut(SECTOR_SIZE) {
-            self.xor_sector(sector, chunk);
-            sector += 1;
-        }
     }
 }
 
@@ -386,53 +356,6 @@ impl<D: BlockDevice> LuksDevice<D> {
         self.inner
     }
 
-    /// A clone of the data-plane cipher, for bulk multi-sector pipelines
-    /// that bypass the sector-at-a-time [`BlockDevice`] interface.
-    pub fn sector_cipher(&self) -> SectorCipher {
-        self.cipher.clone()
-    }
-
-    /// Reads `buf.len() / SECTOR_SIZE` consecutive sectors starting at
-    /// `first` and decrypts them in place with one bulk keystream pass.
-    ///
-    /// `buf` must be a whole number of sectors.
-    pub fn read_sectors(&self, first: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        if !buf.len().is_multiple_of(SECTOR_SIZE) {
-            return Err(BlockError::BadBufferLen);
-        }
-        for (i, chunk) in buf.chunks_mut(SECTOR_SIZE).enumerate() {
-            let idx = first + i as u64;
-            if idx >= self.num_sectors() {
-                return Err(BlockError::OutOfRange);
-            }
-            self.inner.read_sector(idx + HEADER_SECTORS, chunk)?;
-        }
-        self.cipher.xor_sectors(first, buf);
-        Ok(())
-    }
-
-    /// Encrypts `buf` in place with one bulk keystream pass and writes it
-    /// out as consecutive sectors starting at `first`.
-    ///
-    /// `buf` must be a whole number of sectors. On success `buf` holds the
-    /// ciphertext (callers needing the plaintext back can decrypt with
-    /// [`SectorCipher::xor_sectors`]; the XOR keystream is symmetric).
-    pub fn write_sectors(&mut self, first: u64, buf: &mut [u8]) -> Result<(), BlockError> {
-        if !buf.len().is_multiple_of(SECTOR_SIZE) {
-            return Err(BlockError::BadBufferLen);
-        }
-        let count = (buf.len() / SECTOR_SIZE) as u64;
-        if first + count > self.num_sectors() {
-            return Err(BlockError::OutOfRange);
-        }
-        self.cipher.xor_sectors(first, buf);
-        for (i, chunk) in buf.chunks(SECTOR_SIZE).enumerate() {
-            self.inner
-                .write_sector(first + i as u64 + HEADER_SECTORS, chunk)?;
-        }
-        Ok(())
-    }
-
     /// Immutable access to the raw inner device.
     pub fn inner(&self) -> &D {
         &self.inner
@@ -472,10 +395,6 @@ impl<D: BlockDevice> LuksDevice<D> {
         }
         Header::deserialize(&bytes)
     }
-
-    fn keystream_xor(&self, sector: u64, buf: &mut [u8]) {
-        self.cipher.xor_sector(sector, buf);
-    }
 }
 
 impl<D: BlockDevice> BlockDevice for LuksDevice<D> {
@@ -488,7 +407,7 @@ impl<D: BlockDevice> BlockDevice for LuksDevice<D> {
             return Err(BlockError::OutOfRange);
         }
         self.inner.read_sector(idx + HEADER_SECTORS, buf)?;
-        self.keystream_xor(idx, buf);
+        self.cipher.xor_sector(idx, buf);
         Ok(())
     }
 
@@ -501,7 +420,7 @@ impl<D: BlockDevice> BlockDevice for LuksDevice<D> {
         }
         let mut tmp = [0u8; SECTOR_SIZE];
         tmp.copy_from_slice(buf);
-        self.keystream_xor(idx, &mut tmp);
+        self.cipher.xor_sector(idx, &mut tmp);
         self.inner.write_sector(idx + HEADER_SECTORS, &tmp)
     }
 }
@@ -647,58 +566,6 @@ mod tests {
             LuksDevice::open(disk, b"pw"),
             Err(BlockError::NotLuks)
         ));
-    }
-
-    #[test]
-    fn bulk_read_write_match_per_sector_path() {
-        let disk = RamDisk::new(64);
-        let mut luks = LuksDevice::format(disk, b"pw", &mut rng()).expect("formats");
-        // Write 5 sectors via the bulk path, read them back per-sector.
-        let mut bulk: Vec<u8> = (0..5 * SECTOR_SIZE).map(|i| (i % 251) as u8).collect();
-        let plain = bulk.clone();
-        luks.write_sectors(3, &mut bulk).expect("bulk writes");
-        for i in 0..5u64 {
-            let mut buf = [0u8; SECTOR_SIZE];
-            luks.read_sector(3 + i, &mut buf).expect("reads");
-            let off = i as usize * SECTOR_SIZE;
-            assert_eq!(&buf[..], &plain[off..off + SECTOR_SIZE], "sector {i}");
-        }
-        // And the bulk read path returns the same plaintext.
-        let mut back = vec![0u8; 5 * SECTOR_SIZE];
-        luks.read_sectors(3, &mut back).expect("bulk reads");
-        assert_eq!(back, plain);
-        // The standalone SectorCipher agrees with the device's data plane.
-        let cipher = luks.sector_cipher();
-        let mut again = plain.clone();
-        cipher.xor_sectors(3, &mut again);
-        let raw = luks.into_inner();
-        for i in 0..5u64 {
-            let mut on_disk = [0u8; SECTOR_SIZE];
-            raw.read_sector(HEADER_SECTORS + 3 + i, &mut on_disk)
-                .expect("reads");
-            let off = i as usize * SECTOR_SIZE;
-            assert_eq!(&on_disk[..], &again[off..off + SECTOR_SIZE]);
-        }
-    }
-
-    #[test]
-    fn bulk_paths_reject_bad_shapes() {
-        let disk = RamDisk::new(16);
-        let mut luks = LuksDevice::format(disk, b"pw", &mut rng()).expect("formats");
-        let mut ragged = vec![0u8; SECTOR_SIZE + 1];
-        assert_eq!(
-            luks.read_sectors(0, &mut ragged),
-            Err(BlockError::BadBufferLen)
-        );
-        assert_eq!(
-            luks.write_sectors(0, &mut ragged),
-            Err(BlockError::BadBufferLen)
-        );
-        let mut past_end = vec![0u8; 4 * SECTOR_SIZE];
-        assert_eq!(
-            luks.write_sectors(6, &mut past_end),
-            Err(BlockError::OutOfRange)
-        );
     }
 
     #[test]

@@ -264,22 +264,15 @@ impl Cluster {
     /// spindle time. Returns the data (zeros/pattern when unmaterialised).
     pub async fn read_object(&self, key: ObjectKey, off: u64, len: usize) -> Vec<u8> {
         self.charge_read(key, len as u64).await;
-        self.peek_object(key, off, len)
-    }
-
-    /// Returns object bytes with **no** timing charge — used by gateways
-    /// serving from their read-ahead cache.
-    pub fn peek_object(&self, key: ObjectKey, off: u64, len: usize) -> Vec<u8> {
         let mut out = vec![0u8; len];
         self.peek_into(key, off, &mut out);
         out
     }
 
-    /// Fills `buf` from the object at `off` with **no** timing charge and
-    /// no allocation — the zero-copy sibling of [`Cluster::peek_object`].
-    /// Unmaterialised or absent ranges produce their backing bytes
-    /// (zeros or pattern).
-    pub fn peek_into(&self, key: ObjectKey, off: u64, buf: &mut [u8]) {
+    /// Fills `buf` from the object at `off` with **no** timing charge —
+    /// a gateway serving from its read-ahead cache. Unmaterialised or
+    /// absent ranges produce their backing bytes (zeros or pattern).
+    pub(crate) fn peek_into(&self, key: ObjectKey, off: u64, buf: &mut [u8]) {
         enum Src {
             Done,
             Generate(Backing),

@@ -21,8 +21,6 @@ pub enum ImageError {
     HasChildren,
     /// Byte range exceeds the image size.
     OutOfBounds,
-    /// Buffer is not a whole number of sectors (sector-stream paths).
-    NotSectorSized,
     /// Transient storage-path failure (gateway hiccup, Ceph OSD timeout;
     /// injected by the fault plan). Retry the operation.
     Transient,
@@ -36,13 +34,21 @@ impl std::fmt::Display for ImageError {
             ImageError::Frozen => write!(f, "image is frozen"),
             ImageError::HasChildren => write!(f, "image has dependent clones"),
             ImageError::OutOfBounds => write!(f, "I/O beyond image size"),
-            ImageError::NotSectorSized => write!(f, "buffer is not sector-aligned"),
             ImageError::Transient => write!(f, "transient storage failure"),
         }
     }
 }
 
 impl std::error::Error for ImageError {}
+
+/// The end of `[offset, offset + len)`, or `OutOfBounds` unless the
+/// range lies within `size` bytes — an end past `u64::MAX` included.
+pub(crate) fn range_end(offset: u64, len: u64, size: u64) -> Result<u64, ImageError> {
+    offset
+        .checked_add(len)
+        .filter(|&end| end <= size)
+        .ok_or(ImageError::OutOfBounds)
+}
 
 #[derive(Debug, Clone)]
 struct ImageMeta {
@@ -273,48 +279,27 @@ impl ImageStore {
         len: usize,
         charge: bool,
     ) -> Result<Vec<u8>, ImageError> {
+        let end = range_end(offset, len as u64, self.size(id)?)?;
         let mut out = vec![0u8; len];
-        self.read_at_into(id, offset, &mut out, charge).await?;
-        Ok(out)
-    }
-
-    /// Fills `buf` from the image at `offset` — the zero-copy sibling of
-    /// [`ImageStore::read_at`]: object spans land directly in the
-    /// caller's buffer with no per-object `Vec`.
-    pub async fn read_at_into(
-        &self,
-        id: ImageId,
-        offset: u64,
-        buf: &mut [u8],
-        charge: bool,
-    ) -> Result<(), ImageError> {
-        let size = self.size(id)?;
-        if offset + buf.len() as u64 > size {
-            return Err(ImageError::OutOfBounds);
-        }
         let osize = self.cluster.object_size();
         let mut pos = offset;
         let mut filled = 0usize;
-        let end = offset + buf.len() as u64;
         while pos < end {
             let index = pos / osize;
             let within = pos % osize;
             let take = ((osize - within) as usize).min((end - pos) as usize);
             let key = self.resolve_object(id, index);
-            // lint: allow(L1-index: take is min-clamped against end - pos,
-            // so filled + take never exceeds buf.len())
-            let dst = &mut buf[filled..filled + take];
             if charge {
                 self.cluster.charge_read(key, take as u64).await;
-                self.cluster.peek_into(key, within, dst);
-            } else {
-                // Serve data without spindle time (cache hit at a gateway).
-                self.cluster.peek_into(key, within, dst);
             }
+            // lint: allow(L1-index: take is min-clamped against end - pos,
+            // so filled + take never exceeds len)
+            let dst = &mut out[filled..filled + take];
+            self.cluster.peek_into(key, within, dst);
             pos += take as u64;
             filled += take;
         }
-        Ok(())
+        Ok(out)
     }
 
     /// Writes bytes at `offset`, performing COW copy-up when the target
@@ -328,9 +313,7 @@ impl ImageStore {
         if frozen {
             return Err(ImageError::Frozen);
         }
-        if offset + data.len() as u64 > size {
-            return Err(ImageError::OutOfBounds);
-        }
+        range_end(offset, data.len() as u64, size)?;
         let osize = self.cluster.object_size();
         let mut pos = offset;
         let mut written = 0usize;
@@ -440,15 +423,20 @@ mod tests {
     fn out_of_bounds_rejected() {
         let (sim, s) = store();
         let id = s.create("img", 1024, Backing::Zero).expect("creates");
+        // Past the end, and an offset + len past u64::MAX.
+        let off = u64::MAX - 100;
         let r = sim.block_on({
             let s = s.clone();
             async move {
-                let r1 = s.read_at(id, 1000, 100, true).await;
-                let r2 = s.write_at(id, 1020, &[0u8; 8]).await;
-                (r1.unwrap_err(), r2.unwrap_err())
+                [
+                    s.read_at(id, 1000, 100, true).await.map(drop),
+                    s.write_at(id, 1020, &[0u8; 8]).await,
+                    s.read_at(id, off, 4096, true).await.map(drop),
+                    s.write_at(id, off, &[0u8; 4096]).await,
+                ]
             }
         });
-        assert_eq!(r, (ImageError::OutOfBounds, ImageError::OutOfBounds));
+        assert_eq!(r, [const { Err(ImageError::OutOfBounds) }; 4]);
     }
 
     #[test]

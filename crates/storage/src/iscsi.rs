@@ -26,7 +26,7 @@ use bolted_sim::fault::ops;
 use bolted_sim::{JoinHandle, OpGate, Resource, Sim, SimDuration};
 
 use crate::cluster::ImageId;
-use crate::image::{ImageError, ImageStore};
+use crate::image::{range_end, ImageError, ImageStore};
 
 /// Default Linux read-ahead (128 KiB).
 pub const DEFAULT_READ_AHEAD: u64 = 128 * 1024;
@@ -217,15 +217,18 @@ impl IscsiTarget {
         (start, (start + self.read_ahead).min(image_size))
     }
 
+    /// Returns `(offset + len, image size)`, or `OutOfBounds` unless
+    /// [offset, offset+len) lies within the image.
+    fn check_range(&self, offset: u64, len: u64) -> Result<(u64, u64), ImageError> {
+        let image_size = self.store.size(self.image)?;
+        Ok((range_end(offset, len, image_size)?, image_size))
+    }
+
     /// Ensures [offset, offset+len) is resident at the gateway, consuming
     /// prefetches and topping the pipeline back up.
     async fn ensure(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        let image_size = self.store.size(self.image)?;
-        if offset + len > image_size {
-            return Err(ImageError::OutOfBounds);
-        }
+        let (end, image_size) = self.check_range(offset, len)?;
         let mut pos = offset;
-        let end = offset + len;
         while pos < end {
             // Already in the current window?
             let window_end = {
@@ -321,29 +324,6 @@ impl IscsiTarget {
         metrics.add("storage_read_bytes", &[("target", &self.fault_key)], len);
     }
 
-    /// Reads `len` bytes at `offset` with timing, returning the data.
-    pub async fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, ImageError> {
-        let mut out = vec![0u8; len];
-        self.read_into(offset, &mut out).await?;
-        Ok(out)
-    }
-
-    /// Reads `buf.len()` bytes at `offset` directly into `buf` — same
-    /// gating, accounting and wire timing as [`IscsiTarget::read`], but
-    /// the data lands in the caller's buffer with no allocation. This is
-    /// the entry point for the zero-copy sector pipeline.
-    pub async fn read_into(&self, offset: u64, buf: &mut [u8]) -> Result<(), ImageError> {
-        let len = buf.len() as u64;
-        self.read_gate().await?;
-        self.ensure(offset, len).await?;
-        lock(&self.state).bytes_to_client += len;
-        self.count_read(len);
-        self.sim.sleep(self.transport.wire_time(len)).await;
-        self.store
-            .read_at_into(self.image, offset, buf, false)
-            .await
-    }
-
     /// Timing-only read (no data materialisation) for large workloads.
     pub async fn read_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
         self.read_gate().await?;
@@ -354,8 +334,17 @@ impl IscsiTarget {
         Ok(())
     }
 
-    /// Writes data through to the image (write-through, replicated).
+    /// Reads `len` bytes at `offset` with the timing of
+    /// [`IscsiTarget::read_timed`], returning the data.
+    pub async fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, ImageError> {
+        self.read_timed(offset, len as u64).await?;
+        self.store.read_at(self.image, offset, len, false).await
+    }
+
+    /// Writes data through to the image (write-through, replicated). An
+    /// out-of-range write is rejected before it costs any time.
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<(), ImageError> {
+        self.check_range(offset, data.len() as u64)?;
         self.sim
             .sleep(self.transport.wire_time(data.len() as u64))
             .await;
@@ -372,10 +361,7 @@ impl IscsiTarget {
 
     /// Timing-only write for large workloads.
     pub async fn write_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        let image_size = self.store.size(self.image)?;
-        if offset + len > image_size {
-            return Err(ImageError::OutOfBounds);
-        }
+        self.check_range(offset, len)?;
         self.sim.sleep(self.transport.wire_time(len)).await;
         self.gateway.charge(len).await;
         self.store.charge_write_range(self.image, offset, len).await;
@@ -529,9 +515,42 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rejected() {
+        // Past the end, and an offset + len past u64::MAX, which must not
+        // wrap to a small end that passes the check.
         let (sim, _store, t) = setup(DEFAULT_READ_AHEAD);
-        let r = sim.block_on(async move { t.read_timed(256 << 20, 1).await });
+        let off = u64::MAX - 100;
+        let r = sim.block_on(async move {
+            [
+                t.read_timed(256 << 20, 1).await,
+                t.read_timed(off, 4096).await,
+                t.read(off, 4096).await.map(drop),
+                t.write_timed(off, 4096).await,
+                t.write(off, &[0u8; 4096]).await,
+            ]
+        });
+        assert_eq!(r, [const { Err(ImageError::OutOfBounds) }; 5]);
+        assert_eq!(sim.now().as_secs_f64(), 0.0, "rejections cost no time");
+    }
+
+    #[test]
+    fn out_of_bounds_write_rejected_before_it_charges() {
+        let (sim, _store, t) = setup(TUNED_READ_AHEAD);
+        let (r, before, after) = sim.block_on({
+            let sim = sim.clone();
+            async move {
+                t.read_timed(0, 4096).await.expect("reads");
+                let before = (sim.now(), t.stats());
+                let r = t.write(256 << 20, b"past the end").await;
+                // The read-ahead window survives: re-reading it fetches
+                // nothing more from the cluster.
+                t.read_timed(0, 4096).await.expect("reads");
+                (r, before, (sim.now(), t.stats()))
+            }
+        });
         assert_eq!(r, Err(ImageError::OutOfBounds));
+        assert_eq!(before.1 .0, after.1 .0, "window was not dropped");
+        let wire = Transport::plain_10g().wire_time(4096);
+        assert_eq!(after.0.since(before.0), wire, "write cost no time");
     }
 
     #[test]

@@ -11,11 +11,9 @@
 pub mod cluster;
 pub mod image;
 pub mod iscsi;
-pub mod stream;
 
 pub use cluster::{Backing, Cluster, DiskModel, ImageId, ObjectKey, OBJECT_SIZE};
 pub use image::{ImageError, ImageStore};
 pub use iscsi::{
     Gateway, IscsiTarget, Transport, DEFAULT_READ_AHEAD, TGT_VM_BANDWIDTH_BPS, TUNED_READ_AHEAD,
 };
-pub use stream::SectorStream;
