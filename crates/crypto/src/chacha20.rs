@@ -263,12 +263,32 @@ mod tests {
     #[test]
     fn instance_matches_per_block_path() {
         // The multi-block instance path must produce byte-identical
-        // keystream to composing chacha20_block calls: fixed edge
-        // lengths, then seeded random whole-sector runs with ragged
-        // tails at random counters.
+        // keystream to composing chacha20_block calls.
         let key = key_from_hexish();
         let cipher = ChaCha20::new(&key);
         let nonce = [9u8; 12];
+        for len in [0usize, 1, 63, 64, 65, 512, 1000] {
+            let mut data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut expect = data.clone();
+            for (idx, chunk) in expect.chunks_mut(64).enumerate() {
+                let ks = chacha20_block(&key, 5u32.wrapping_add(idx as u32), &nonce);
+                for (b, k) in chunk.iter_mut().zip(ks.iter()) {
+                    *b ^= k;
+                }
+            }
+            cipher.xor(&nonce, 5, &mut data);
+            assert_eq!(data, expect, "len={len}");
+        }
+    }
+
+    #[test]
+    fn wide_matches_per_block_over_random_sector_counts() {
+        // Seeded random whole-sector runs with ragged tails at random
+        // counters: the instance path must still match composing
+        // chacha20_block calls block by block.
+        let key = key_from_hexish();
+        let cipher = ChaCha20::new(&key);
+        let nonce = [0xa5u8; 12];
         let mut seed = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             seed ^= seed << 13;
@@ -276,15 +296,12 @@ mod tests {
             seed ^= seed << 17;
             seed
         };
-        let fixed = [0usize, 1, 63, 64, 65, 512, 1000].map(|len| (len, 5u32));
-        let random: Vec<(usize, u32)> = (0..40)
-            .map(|_| {
-                let len = (rng() % 9) as usize * 512 + (rng() % 192) as usize;
-                (len, (rng() % 1000) as u32)
-            })
-            .collect();
-        for (len, counter) in fixed.into_iter().chain(random) {
-            let mut data: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+        for trial in 0..40 {
+            let sectors = (rng() % 9) as usize;
+            let ragged = (rng() % 192) as usize;
+            let len = sectors * 512 + ragged;
+            let counter = (rng() % 1000) as u32;
+            let mut data: Vec<u8> = (0..len).map(|_| rng() as u8).collect();
             let mut expect = data.clone();
             for (idx, chunk) in expect.chunks_mut(64).enumerate() {
                 let ks = chacha20_block(&key, counter.wrapping_add(idx as u32), &nonce);
@@ -293,7 +310,7 @@ mod tests {
                 }
             }
             cipher.xor(&nonce, counter, &mut data);
-            assert_eq!(data, expect, "len={len} counter={counter}");
+            assert_eq!(data, expect, "trial={trial} len={len} counter={counter}");
         }
     }
 
