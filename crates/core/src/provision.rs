@@ -28,7 +28,7 @@ use bolted_keylime::{
 };
 use bolted_net::NetError;
 use bolted_sim::fault::mix_seed;
-use bolted_sim::{join_all, Metrics, RetryError, RetryPolicy, Rng, SimDuration, SimTime};
+use bolted_sim::{join_all, Metrics, RetryError, Rng, SimDuration, SimTime};
 use bolted_storage::{ImageError, ImageId, IscsiTarget};
 
 use crate::cloud::{heads_runtime_digest, ipxe_digest, Cloud};
@@ -53,9 +53,6 @@ pub enum ProvisionError {
     /// orchestration bug surfaced as an error, not a panic, so one sick
     /// node cannot take down a whole fleet call.
     IllegalTransition(InvalidTransition),
-    /// A pipeline phase ran before the phase that produces its input —
-    /// an orchestration ordering bug surfaced as an error, not a panic.
-    Internal(&'static str),
     /// An infrastructure operation kept failing after bounded retries;
     /// the node was released back to the free pool.
     Exhausted {
@@ -77,7 +74,6 @@ impl std::fmt::Display for ProvisionError {
             ProvisionError::Storage(e) => write!(f, "storage: {e}"),
             ProvisionError::Rejected(r) => write!(f, "attestation rejected: {r}"),
             ProvisionError::IllegalTransition(t) => write!(f, "life-cycle violation: {t}"),
-            ProvisionError::Internal(what) => write!(f, "pipeline ordering bug: {what}"),
             ProvisionError::Exhausted { op, attempts, last } => {
                 write!(
                     f,
@@ -98,9 +94,7 @@ impl std::error::Error for ProvisionError {
             ProvisionError::IllegalTransition(t) => Some(t),
             // These summarise a decision, not a wrapped failure: the
             // underlying cause (if any) is already flattened into text.
-            ProvisionError::Rejected(_)
-            | ProvisionError::Internal(_)
-            | ProvisionError::Exhausted { .. } => None,
+            ProvisionError::Rejected(_) | ProvisionError::Exhausted { .. } => None,
         }
     }
 }
@@ -263,14 +257,11 @@ pub struct ProvisionedNode {
     pub psk: Vec<u8>,
 }
 
-/// The mutable state one provisioning run threads through its phases.
-/// Early phases fill the `Option` fields; later phases consume them (a
-/// `None` where a value is expected is a phase ordering bug, reported as
-/// [`ProvisionError::Internal`]).
+/// The state one provisioning run threads through its phases: what the
+/// abandon path and the final report read. Everything else a phase
+/// produces (kernel, agent, target) is an argument of the next.
 struct Ctx {
     node: NodeId,
-    profile: SecurityProfile,
-    golden: ImageId,
     name: String,
     machine: Machine,
     lc: Lifecycle,
@@ -279,13 +270,13 @@ struct Ctx {
     /// of the tenant RNG: the fault-free path draws from neither, so
     /// an empty fault plan reproduces timings exactly.
     retry_rng: Rng,
+    /// The cloned root volume, once it exists; an abandon releases it.
     image: Option<ImageId>,
-    kernel: Option<KernelImage>,
-    cmdline: String,
-    agent: Option<Agent>,
-    psk: Vec<u8>,
-    target: Option<IscsiTarget>,
 }
+
+/// The `op` of the [`ProvisionError::Exhausted`] a run reports when the
+/// verifier never reached the node.
+const VERIFIER_ATTEST: &str = "verifier.attest";
 
 /// A tenant session: project, enclave networks, attestation services.
 ///
@@ -432,40 +423,34 @@ impl Tenant {
     /// Best-effort cleanup after the infrastructure gave out
     /// mid-provision. The node never held tenant secrets it could leak
     /// to a later tenant (attestation did not complete), so it returns
-    /// to the free pool — not quarantine — and the cloned volume is
-    /// deleted. Every step is advisory: whatever state was never reached
-    /// is skipped.
-    fn abandon(
-        &self,
-        node: NodeId,
-        name: &str,
-        lc: &mut Lifecycle,
-        image: Option<ImageId>,
-        cause: &str,
-    ) {
+    /// to the free pool — not quarantine — and the cloned volume, if
+    /// the run got that far, is deleted. Every step is advisory:
+    /// whatever state was never reached is skipped.
+    fn abandon(&self, cx: &mut Ctx, cause: &str) {
         let sim = self.env.sim();
-        self.services.attestation.stop(name);
-        let _ = lc.transition(sim, NodeState::Free);
-        let _ = self.services.isolation.detach_node(&self.project, node);
-        let _ = self.services.isolation.free_node(&self.project, node);
-        if let Some(image) = image {
+        self.services.attestation.stop(&cx.name);
+        let _ = cx.lc.transition(sim, NodeState::Free);
+        let _ = self.services.isolation.detach_node(&self.project, cx.node);
+        let _ = self.services.isolation.free_node(&self.project, cx.node);
+        if let Some(image) = cx.image {
             let _ = self.services.provisioning.release(image, false);
         }
         // The span event is what makes the abandon *reconcilable*: a
         // control loop (or a human reading the trace) sees which node
         // went back to Free and why, not just the lifecycle edge.
         let spans = self.env.call.spans();
-        let id = spans.event(sim, "tenant", "abandon", name);
-        spans.attr(id, "node", node.0.to_string());
+        let id = spans.event(sim, "tenant", "abandon", &cx.name);
+        spans.attr(id, "node", cx.node.0.to_string());
         spans.attr(id, "cause", cause);
     }
 
-    /// Runs `op` under [`RetryPolicy::default`], retrying only errors
+    /// Runs `op` through the call envelope, retrying only errors
     /// `transient` accepts. A non-transient error propagates unchanged;
-    /// exhaustion/timeout becomes [`ProvisionError::Exhausted`]. Every
-    /// re-attempt bumps `retry_attempts{op,target}` via the call
-    /// envelope (`target` is the node the op serves).
-    async fn retry_infra<T, E, F, Fut, P>(
+    /// exhaustion becomes [`ProvisionError::Exhausted`], which
+    /// [`Tenant::provision`] answers by abandoning the node. Every
+    /// re-attempt bumps `retry_attempts{op,target}` (`target` is the
+    /// node the op serves).
+    async fn retry<T, E, F, Fut, P>(
         &self,
         op_name: &str,
         target: &str,
@@ -480,57 +465,45 @@ impl Tenant {
         E: std::fmt::Display,
         ProvisionError: From<E>,
     {
-        match self
-            .env
+        self.env
             .call
-            .call(&RetryPolicy::default(), rng, op_name, target, op, transient)
+            .call(rng, op_name, target, op, transient)
             .await
-        {
-            Ok(v) => Ok(v),
-            Err(RetryError::Fatal { error, .. }) => Err(error.into()),
-            Err(e) => {
-                let attempts = e.attempts();
-                let last = match e.into_inner() {
-                    Some(err) => err.to_string(),
-                    None => "timed out".to_string(),
-                };
-                Err(ProvisionError::Exhausted {
+            .map_err(|e| match e {
+                RetryError::Fatal { error, .. } => error.into(),
+                RetryError::Exhausted { attempts, last } => ProvisionError::Exhausted {
                     op: op_name.to_string(),
                     attempts,
-                    last,
-                })
-            }
-        }
+                    last: last.to_string(),
+                },
+            })
     }
 
-    /// As [`Tenant::retry_infra`], but an exhausted operation also
-    /// abandons the node back to the free pool before reporting.
-    #[allow(clippy::too_many_arguments)]
-    async fn retry_or_abandon<T, E, F, Fut, P>(
+    /// Power-cycles `node` through its BMC, retried.
+    async fn power_cycle(
         &self,
-        op_name: &str,
-        rng: &mut Rng,
         node: NodeId,
         name: &str,
-        lc: &mut Lifecycle,
-        image: Option<ImageId>,
-        op: F,
-        transient: P,
-    ) -> Result<T, ProvisionError>
-    where
-        F: FnMut() -> Fut,
-        Fut: Future<Output = Result<T, E>>,
-        P: Fn(&E) -> bool,
-        E: std::fmt::Display,
-        ProvisionError: From<E>,
-    {
-        match self.retry_infra(op_name, name, rng, op, transient).await {
-            Err(e @ ProvisionError::Exhausted { .. }) => {
-                self.abandon(node, name, lc, image, &e.to_string());
-                Err(e)
-            }
-            other => other,
-        }
+        rng: &mut Rng,
+    ) -> Result<(), ProvisionError> {
+        let (isolation, project) = (&self.services.isolation, &self.project);
+        let cycle = move || async move { isolation.power_cycle(project, node) };
+        self.retry("hil.power_cycle", name, rng, cycle, hil_transient)
+            .await
+    }
+
+    /// Connects the run's node to `net`, retried.
+    async fn connect(&self, cx: &mut Ctx, net: NetworkId) -> Result<(), ProvisionError> {
+        let (isolation, project, node) = (&self.services.isolation, &self.project, cx.node);
+        let connect = move || async move { isolation.connect_node(project, node, net) };
+        self.retry(
+            "hil.connect_node",
+            &cx.name,
+            &mut cx.retry_rng,
+            connect,
+            hil_transient,
+        )
+        .await
     }
 
     /// Provisions `node` from the `golden` image under `profile`,
@@ -552,7 +525,7 @@ impl Tenant {
         let name = self.services.isolation.node_name(node)?;
         let root = spans.begin(sim, "tenant", "provision", &name);
         spans.attr(root, "profile", profile.name.clone());
-        let result = self.provision_impl(node, profile, golden).await;
+        let result = self.provision_impl(node, name, profile, golden).await;
         let outcome = match &result {
             Ok(_) => "ok",
             Err(ProvisionError::Rejected(_)) => "rejected",
@@ -569,145 +542,112 @@ impl Tenant {
         result
     }
 
-    /// Runs Figure 1's steps in order, each against the service traits
-    /// only. The power-cycle and firmware spans (feeding the Figure-4
-    /// `provision_phase_seconds` histogram) open and close here; phases
-    /// whose spans are conditional (registrar, luks-unlock, iscsi-attach)
-    /// open them inside their body. A failing phase leaves its span open
-    /// for the root close to pop, so the error path is visible in the
-    /// trace.
+    /// Sets up one run's [`Ctx`], runs the phases, and abandons the
+    /// node when an infrastructure operation gave out — the one place a
+    /// provisioning run releases a node back to the free pool.
     async fn provision_impl(
         &self,
         node: NodeId,
+        name: String,
         profile: &SecurityProfile,
         golden: ImageId,
     ) -> Result<ProvisionedNode, ProvisionError> {
         let sim = self.env.sim().clone();
-        let name = self.services.isolation.node_name(node)?;
-        let machine = self.services.boot.machine(node);
         let mut cx = Ctx {
             node,
-            profile: profile.clone(),
-            golden,
-            name: name.clone(),
-            machine,
+            machine: self.services.boot.machine(node),
             lc: Lifecycle::new(&sim),
             timer: PhaseTimer::new(&sim),
             retry_rng: Rng::seed_from_u64(mix_seed(0x52E7_8A11, &["provision", &name])),
             image: None,
-            kernel: None,
-            cmdline: String::new(),
-            agent: None,
-            psk: Vec::new(),
-            target: None,
+            name,
         };
         let started = sim.now();
-
-        self.phase_allocate(&mut cx).await?;
-        let span = self.env.call.open_phase("tenant", "power-cycle", &cx.name);
-        self.phase_power_cycle(&mut cx).await?;
-        self.env
-            .call
-            .close_phase(span, "provision_phase_seconds", "power-cycle");
-        let span = self.env.call.open_phase("tenant", "firmware", &cx.name);
-        self.phase_firmware(&mut cx).await?;
-        self.env
-            .call
-            .close_phase(span, "provision_phase_seconds", "firmware");
-        self.phase_chain_load(&mut cx).await?;
-        self.phase_image_clone(&mut cx).await?;
-        self.phase_attestation(&mut cx).await?;
-        self.phase_enclave_join(&mut cx).await?;
-        self.phase_boot(&mut cx).await?;
-
-        let finished = sim.now();
+        let (image, agent, psk, target) = match self.run_phases(&mut cx, profile, golden).await {
+            Ok(booted) => booted,
+            Err(e) => {
+                if let ProvisionError::Exhausted { op, attempts, .. } = &e {
+                    let cause = if op == VERIFIER_ATTEST {
+                        format!("verifier unreachable after {attempts} attempts")
+                    } else {
+                        e.to_string()
+                    };
+                    self.abandon(&mut cx, &cause);
+                }
+                return Err(e);
+            }
+        };
         Ok(ProvisionedNode {
             node,
             machine: cx.machine,
-            agent: cx.agent,
-            target: cx.target.ok_or(ProvisionError::Internal(
-                "boot phase must set the iSCSI target",
-            ))?,
-            image: cx.image.ok_or(ProvisionError::Internal(
-                "image-clone phase must set the image",
-            ))?,
+            agent,
+            target,
+            image,
             report: ProvisionReport {
                 node: cx.name,
                 profile: profile.name.clone(),
                 phases: cx.timer.phases,
                 started,
-                finished,
+                finished: sim.now(),
             },
             lifecycle: cx.lc,
-            psk: cx.psk,
+            psk,
         })
+    }
+
+    /// Runs Figure 1's steps in order, each against the service traits
+    /// only, and returns the root volume, the agent (when the profile
+    /// attests), the enclave PSK and the root-disk session. The
+    /// power-cycle and firmware spans (feeding the Figure-4
+    /// `provision_phase_seconds` histogram) open and close here; phases
+    /// whose spans are conditional (registrar, luks-unlock, iscsi-attach)
+    /// open them inside their body. A failing phase leaves its span open
+    /// for the root close to pop, so the error path is visible in the
+    /// trace.
+    async fn run_phases(
+        &self,
+        cx: &mut Ctx,
+        profile: &SecurityProfile,
+        golden: ImageId,
+    ) -> Result<(ImageId, Option<Agent>, Vec<u8>, IscsiTarget), ProvisionError> {
+        self.phase_allocate(cx, profile).await?;
+        let span = self.env.call.open_phase("tenant", "power-cycle", &cx.name);
+        self.power_cycle(cx.node, &cx.name, &mut cx.retry_rng)
+            .await?;
+        self.env
+            .call
+            .close_phase(span, "provision_phase_seconds", "power-cycle");
+        let span = self.env.call.open_phase("tenant", "firmware", &cx.name);
+        self.services.boot.run_firmware(&cx.machine).await?;
+        cx.timer.mark("post");
+        self.env
+            .call
+            .close_phase(span, "provision_phase_seconds", "firmware");
+        self.phase_chain_load(cx).await?;
+        let (image, kernel, cmdline) = self.phase_image_clone(cx, golden)?;
+        let (agent, psk) = self
+            .phase_attestation(cx, profile, image, &kernel, cmdline)
+            .await?;
+        self.phase_enclave_join(cx).await?;
+        let target = self.phase_boot(cx, profile, image, kernel).await?;
+        Ok((image, agent, psk, target))
     }
 
     /// Step 1: allocate, and for attested flows enter the airlock
     /// network. (The serialising airlock *slot* is taken later, for
     /// the attestation window only.)
-    async fn phase_allocate(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
-        let sim = self.env.sim().clone();
+    async fn phase_allocate(
+        &self,
+        cx: &mut Ctx,
+        profile: &SecurityProfile,
+    ) -> Result<(), ProvisionError> {
         self.services
             .isolation
             .allocate_node(&self.project, cx.node)?;
-        if cx.profile.attested() {
-            cx.lc.transition(&sim, NodeState::Airlock)?;
-            let connect = {
-                let isolation = self.services.isolation.clone();
-                let project = self.project.clone();
-                let net = self.airlock_net;
-                let node = cx.node;
-                move || {
-                    let isolation = isolation.clone();
-                    let project = project.clone();
-                    async move { isolation.connect_node(&project, node, net) }
-                }
-            };
-            self.retry_or_abandon(
-                "hil.connect_node",
-                &mut cx.retry_rng,
-                cx.node,
-                &cx.name,
-                &mut cx.lc,
-                None,
-                connect,
-                hil_transient,
-            )
-            .await?;
+        if profile.attested() {
+            cx.lc.transition(self.env.sim(), NodeState::Airlock)?;
+            self.connect(cx, self.airlock_net).await?;
         }
-        Ok(())
-    }
-
-    /// Step 2a: power-cycle via the BMC.
-    async fn phase_power_cycle(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
-        let cycle = {
-            let isolation = self.services.isolation.clone();
-            let project = self.project.clone();
-            let node = cx.node;
-            move || {
-                let isolation = isolation.clone();
-                let project = project.clone();
-                async move { isolation.power_cycle(&project, node) }
-            }
-        };
-        self.retry_or_abandon(
-            "hil.power_cycle",
-            &mut cx.retry_rng,
-            cx.node,
-            &cx.name,
-            &mut cx.lc,
-            None,
-            cycle,
-            hil_transient,
-        )
-        .await
-    }
-
-    /// Step 2b: run the (measured) firmware through POST.
-    async fn phase_firmware(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
-        self.services.boot.run_firmware(&cx.machine).await?;
-        cx.timer.mark("post");
         Ok(())
     }
 
@@ -740,254 +680,212 @@ impl Tenant {
         Ok(())
     }
 
-    /// Clone the root volume and extract boot info (BMI).
-    async fn phase_image_clone(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
+    /// Clone the root volume and extract boot info (BMI): the volume,
+    /// the tenant kernel and its command line.
+    fn phase_image_clone(
+        &self,
+        cx: &mut Ctx,
+        golden: ImageId,
+    ) -> Result<(ImageId, KernelImage, String), ProvisionError> {
         let image = self
             .services
             .provisioning
-            .clone_for_server(cx.golden, &cx.name)?;
-        let (kernel, cmdline) = self.services.provisioning.extract_boot_info(image)?;
+            .clone_for_server(golden, &cx.name)?;
         cx.image = Some(image);
-        cx.kernel = Some(kernel);
-        cx.cmdline = cmdline;
-        Ok(())
+        let (kernel, cmdline) = self.services.provisioning.extract_boot_info(image)?;
+        Ok((image, kernel, cmdline))
     }
 
-    /// Steps 3-5: attestation (or direct download for Alice).
-    async fn phase_attestation(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
+    /// Steps 3-5: attestation (or direct download for Alice). Returns the
+    /// agent, when the profile attests, and the enclave PSK.
+    async fn phase_attestation(
+        &self,
+        cx: &mut Ctx,
+        profile: &SecurityProfile,
+        image: ImageId,
+        kernel: &KernelImage,
+        cmdline: String,
+    ) -> Result<(Option<Agent>, Vec<u8>), ProvisionError> {
         let sim = self.env.sim().clone();
-        let calib = self.env.calib.clone();
-        match cx.profile.attestation {
-            AttestationMode::None => {
-                cx.psk = Vec::new();
-                self.env
-                    .http
-                    .visit(calib.download(calib.kernel_initrd_size))
-                    .await;
-                cx.timer.mark("download-kernel");
-                cx.agent = None;
+        let calib = &self.env.calib;
+        if profile.attestation == AttestationMode::None {
+            self.env
+                .http
+                .visit(calib.download(calib.kernel_initrd_size))
+                .await;
+            cx.timer.mark("download-kernel");
+            return Ok((None, Vec::new()));
+        }
+        // The prototype supports one airlock: the attestation window
+        // (agent download through quote verification) is serialised
+        // across nodes (§7.3).
+        let airlock_permit = self.env.airlock.acquire().await;
+        cx.timer.mark("airlock-wait");
+        self.env.http.visit(calib.download(calib.agent_size)).await;
+        self.services
+            .boot
+            .measure_download(&cx.machine, "keylime-agent", agent_binary_digest())?;
+        cx.timer.mark("download-agent");
+        sim.sleep(calib.agent_startup).await;
+        let agent = Agent::start(&sim, &cx.name, &cx.machine).await;
+        let phase = self.env.call.open_phase("tenant", "registrar", &cx.name);
+        // Fork a task-local RNG: RefCell borrows must never be held
+        // across an await.
+        let mut task_rng = lock(&self.rng).fork();
+        let first_try = {
+            let mut src = SimRngSource(&mut task_rng);
+            self.services.attestation.register(&agent, &mut src).await
+        };
+        if let Err(e) = first_try {
+            if !e.is_transient() {
+                return Err(e.into());
             }
-            AttestationMode::Provider | AttestationMode::Tenant => {
-                let image = cx.image.ok_or(ProvisionError::Internal(
-                    "image-clone must run before attestation",
-                ))?;
-                let kernel = cx.kernel.clone().ok_or(ProvisionError::Internal(
-                    "image-clone must set the kernel before attestation",
-                ))?;
-                // The prototype supports one airlock: the attestation
-                // window (agent download through quote verification) is
-                // serialised across nodes (§7.3).
-                let airlock_permit = self.env.airlock.acquire().await;
-                cx.timer.mark("airlock-wait");
-                self.env.http.visit(calib.download(calib.agent_size)).await;
-                self.services.boot.measure_download(
-                    &cx.machine,
-                    "keylime-agent",
-                    agent_binary_digest(),
-                )?;
-                cx.timer.mark("download-agent");
-                sim.sleep(calib.agent_startup).await;
-                let agent = Agent::start(&sim, &cx.name, &cx.machine).await;
-                let phase = self.env.call.open_phase("tenant", "registrar", &cx.name);
-                // Fork a task-local RNG: RefCell borrows must never be
-                // held across an await.
-                let mut task_rng = lock(&self.rng).fork();
-                let first_try = {
-                    let mut src = SimRngSource(&mut task_rng);
-                    self.services.attestation.register(&agent, &mut src).await
-                };
-                if let Err(e) = first_try {
-                    if !e.is_transient() {
-                        return Err(e.into());
-                    }
-                    // The registration round-trip was dropped. Retry it
-                    // under the policy. The first attempt ran inline off
-                    // task_rng so that fault-free runs consume exactly
-                    // the same RNG stream as before this retry existed;
-                    // only the (already off-schedule) retries fork.
-                    let retry_parent = Arc::new(Mutex::new(task_rng.fork()));
-                    let reg_op = {
-                        let agent = agent.clone();
-                        let attestation = self.services.attestation.clone();
-                        let parent = retry_parent.clone();
-                        move || {
-                            let agent = agent.clone();
-                            let attestation = attestation.clone();
-                            let mut r = lock(&parent).fork();
-                            async move {
-                                let mut src = SimRngSource(&mut r);
-                                attestation.register(&agent, &mut src).await
-                            }
-                        }
-                    };
-                    self.retry_or_abandon(
-                        "keylime.register",
-                        &mut cx.retry_rng,
-                        cx.node,
-                        &cx.name,
-                        &mut cx.lc,
-                        Some(image),
-                        reg_op,
-                        RegisterError::is_transient,
-                    )
-                    .await?;
+            // The registration round-trip was dropped: retry it. The
+            // first attempt ran inline off task_rng so that fault-free
+            // runs consume exactly the same RNG stream as before this
+            // retry existed; only the (already off-schedule) retries
+            // fork, each from a parent the closure owns.
+            let mut parent = task_rng.fork();
+            let (attestation, agent) = (&self.services.attestation, &agent);
+            let register = move || {
+                let mut r = parent.fork();
+                async move {
+                    let mut src = SimRngSource(&mut r);
+                    attestation.register(agent, &mut src).await
                 }
-                self.env
-                    .call
-                    .close_phase(phase, "provision_phase_seconds", "registrar");
-                cx.timer.mark("keylime-register");
-                debug_assert!(self.verify_node_identity(cx.node, &cx.name));
-                // Build the sealed payload and split the bootstrap key.
-                let (k, u, v) = {
-                    let mut kb = [0u8; 32];
-                    task_rng.fill_bytes(&mut kb);
-                    let k = Key(kb);
-                    let mut src = SimRngSource(&mut task_rng);
-                    let (u, v) = split_key(&k, &mut src);
-                    (k, u, v)
-                };
-                cx.psk = if cx.profile.net_encryption {
-                    format!("{}-enclave-psk", self.project).into_bytes()
-                } else {
-                    Vec::new()
-                };
-                let luks_pass = if cx.profile.disk_encryption {
-                    format!("{}-luks-{}", self.project, cx.name).into_bytes()
-                } else {
-                    Vec::new()
-                };
-                let payload = TenantPayload {
-                    kernel_name: kernel.name.clone(),
-                    kernel_digest: kernel.digest,
-                    kernel_size: calib.kernel_initrd_size,
-                    cmdline: cx.cmdline.clone(),
-                    luks_passphrase: Secret::named("luks_passphrase", luks_pass),
-                    ipsec_psk: cx.psk.clone(),
-                    script: "verify-enclave-network && store-keys-in-initrd && kexec".into(),
-                };
-                let sealed = payload.seal(&k);
-                // Benign half of the split key: U alone reveals nothing.
-                self.env
-                    .call
-                    .spans()
-                    .event(&sim, "key", "u-share", &cx.name);
-                agent.deliver_u(u);
-                // The tenant also whitelists its own kernel: after kexec,
-                // continuous attestation will see it in PCR 5.
-                let mut boot_wl = self.boot_whitelist(cx.node);
-                boot_wl.insert(kernel.digest);
-                self.services.attestation.enroll(
-                    &agent,
-                    boot_wl,
-                    lock(&self.ima_whitelist).clone(),
-                    Some(v),
-                    sealed,
-                    calib.kernel_initrd_size,
-                );
-                match self.services.attestation.attest_once(&cx.name, false).await {
-                    AttestOutcome::Trusted => {}
-                    AttestOutcome::Unreachable { attempts } => {
-                        // The verifier could not *reach* the node even
-                        // after its own retries. That is an infrastructure
-                        // failure, not evidence of compromise: release the
-                        // node instead of quarantining it.
-                        self.abandon(
-                            cx.node,
-                            &cx.name,
-                            &mut cx.lc,
-                            Some(image),
-                            &format!("verifier unreachable after {attempts} attempts"),
-                        );
-                        return Err(ProvisionError::Exhausted {
-                            op: "verifier.attest".into(),
-                            attempts,
-                            last: format!("quote round-trip failed after {attempts} attempts"),
-                        });
-                    }
-                    AttestOutcome::Failed(reason) => {
-                        // Step 5 (failure): move to the rejected pool and
-                        // clean up the cloned volume.
-                        cx.lc.transition(&sim, NodeState::Rejected)?;
-                        self.services
-                            .isolation
-                            .detach_node(&self.project, cx.node)?;
-                        self.services.isolation.free_node(&self.project, cx.node)?;
-                        self.services.isolation.quarantine(cx.node);
-                        let _ = self.services.provisioning.release(image, false);
-                        return Err(ProvisionError::Rejected(reason));
-                    }
-                }
-                // Persist the bootstrap key sealed to this boot state so
-                // an identical warm reboot can skip the U/V dance.
-                agent.seal_bootstrap();
-                cx.timer.mark("attest+payload");
-                drop(airlock_permit);
-                cx.agent = Some(agent);
+            };
+            self.retry(
+                "keylime.register",
+                &cx.name,
+                &mut cx.retry_rng,
+                register,
+                RegisterError::is_transient,
+            )
+            .await?;
+        }
+        self.env
+            .call
+            .close_phase(phase, "provision_phase_seconds", "registrar");
+        cx.timer.mark("keylime-register");
+        debug_assert!(self.verify_node_identity(cx.node, &cx.name));
+        // Build the sealed payload and split the bootstrap key.
+        let (k, u, v) = {
+            let mut kb = [0u8; 32];
+            task_rng.fill_bytes(&mut kb);
+            let k = Key(kb);
+            let mut src = SimRngSource(&mut task_rng);
+            let (u, v) = split_key(&k, &mut src);
+            (k, u, v)
+        };
+        let psk = if profile.net_encryption {
+            format!("{}-enclave-psk", self.project).into_bytes()
+        } else {
+            Vec::new()
+        };
+        let luks_pass = if profile.disk_encryption {
+            format!("{}-luks-{}", self.project, cx.name).into_bytes()
+        } else {
+            Vec::new()
+        };
+        let payload = TenantPayload {
+            kernel_name: kernel.name.clone(),
+            kernel_digest: kernel.digest,
+            kernel_size: calib.kernel_initrd_size,
+            cmdline,
+            luks_passphrase: Secret::named("luks_passphrase", luks_pass),
+            ipsec_psk: psk.clone(),
+            script: "verify-enclave-network && store-keys-in-initrd && kexec".into(),
+        };
+        let sealed = payload.seal(&k);
+        // Benign half of the split key: U alone reveals nothing.
+        self.env
+            .call
+            .spans()
+            .event(&sim, "key", "u-share", &cx.name);
+        agent.deliver_u(u);
+        // The tenant also whitelists its own kernel: after kexec,
+        // continuous attestation will see it in PCR 5.
+        let mut boot_wl = self.boot_whitelist(cx.node);
+        boot_wl.insert(kernel.digest);
+        self.services.attestation.enroll(
+            &agent,
+            boot_wl,
+            lock(&self.ima_whitelist).clone(),
+            Some(v),
+            sealed,
+            calib.kernel_initrd_size,
+        );
+        match self.services.attestation.attest_once(&cx.name, false).await {
+            AttestOutcome::Trusted => {}
+            AttestOutcome::Unreachable { attempts } => {
+                // The verifier could not *reach* the node even after its
+                // own retries. That is an infrastructure failure, not
+                // evidence of compromise: the node is abandoned, not
+                // quarantined.
+                return Err(ProvisionError::Exhausted {
+                    op: VERIFIER_ATTEST.into(),
+                    attempts,
+                    last: format!("quote round-trip failed after {attempts} attempts"),
+                });
+            }
+            AttestOutcome::Failed(reason) => {
+                // Step 5 (failure): move to the rejected pool and clean
+                // up the cloned volume.
+                cx.lc.transition(&sim, NodeState::Rejected)?;
+                self.services
+                    .isolation
+                    .detach_node(&self.project, cx.node)?;
+                self.services.isolation.free_node(&self.project, cx.node)?;
+                self.services.isolation.quarantine(cx.node);
+                let _ = self.services.provisioning.release(image, false);
+                return Err(ProvisionError::Rejected(reason));
             }
         }
-        Ok(())
+        // Persist the bootstrap key sealed to this boot state so an
+        // identical warm reboot can skip the U/V dance.
+        agent.seal_bootstrap();
+        cx.timer.mark("attest+payload");
+        drop(airlock_permit);
+        Ok((Some(agent), psk))
     }
 
     /// Step 4/6: leave the airlock, join the tenant enclave.
     async fn phase_enclave_join(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
-        let sim = self.env.sim().clone();
-        let image = cx.image.ok_or(ProvisionError::Internal(
-            "image-clone must run before enclave-join",
-        ))?;
-        let join_enclave = {
-            let isolation = self.services.isolation.clone();
-            let project = self.project.clone();
-            let net = self.enclave;
-            let node = cx.node;
-            move || {
-                let isolation = isolation.clone();
-                let project = project.clone();
-                async move { isolation.connect_node(&project, node, net) }
-            }
-        };
-        self.retry_or_abandon(
-            "hil.connect_node",
-            &mut cx.retry_rng,
-            cx.node,
-            &cx.name,
-            &mut cx.lc,
-            Some(image),
-            join_enclave,
-            hil_transient,
-        )
-        .await?;
+        self.connect(cx, self.enclave).await?;
+        let sim = self.env.sim();
         sim.sleep(self.env.calib.network_move).await;
-        cx.lc.transition(&sim, NodeState::Allocated)?;
+        cx.lc.transition(sim, NodeState::Allocated)?;
         cx.timer.mark("network-move");
         Ok(())
     }
 
-    /// kexec into the tenant kernel and boot from the network disk.
-    async fn phase_boot(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
+    /// kexec into the tenant kernel and boot from the network disk;
+    /// returns the root-disk session.
+    async fn phase_boot(
+        &self,
+        cx: &mut Ctx,
+        profile: &SecurityProfile,
+        image: ImageId,
+        kernel: KernelImage,
+    ) -> Result<IscsiTarget, ProvisionError> {
         let sim = self.env.sim().clone();
-        let calib = self.env.calib.clone();
-        let image = cx
-            .image
-            .ok_or(ProvisionError::Internal("image-clone must run before boot"))?;
-        let kernel = cx.kernel.clone().ok_or(ProvisionError::Internal(
-            "image-clone must set the kernel before boot",
-        ))?;
+        let calib = &self.env.calib;
         self.services
             .boot
             .kexec(&cx.machine, kernel, &self.project)?;
         let target = self.services.provisioning.boot_target(
             image,
-            cx.profile.storage_transport(),
-            cx.profile.read_ahead,
+            profile.storage_transport(),
+            profile.read_ahead,
         );
-        if cx.profile.disk_encryption {
+        if profile.disk_encryption {
             let phase = self.env.call.open_phase("tenant", "luks-unlock", &cx.name);
             sim.sleep(calib.luks_unlock).await;
             self.env
                 .call
                 .close_phase(phase, "provision_phase_seconds", "luks-unlock");
         }
-        if cx.profile.net_encryption {
+        if profile.net_encryption {
             sim.sleep(calib.ipsec_setup).await;
         }
         // Boot is sequential: read a unit from the root disk, run init
@@ -995,37 +893,25 @@ impl Tenant {
         // (IPsec) disk directly lengthens kernel boot, as the paper
         // observes ("the major cost is ... the slower disk that is
         // accessed over IPsec").
-        {
-            let phase = self.env.call.open_phase("tenant", "iscsi-attach", &cx.name);
-            self.boot_reads(
-                &target,
-                &cx.name,
-                &mut cx.retry_rng,
-                Some((cx.node, &mut cx.lc, image)),
-            )
+        let phase = self.env.call.open_phase("tenant", "iscsi-attach", &cx.name);
+        self.boot_reads(&target, &cx.name, &mut cx.retry_rng)
             .await?;
-            self.env
-                .call
-                .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
-        }
+        self.env
+            .call
+            .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
         sim.sleep(calib.kernel_boot_cpu).await;
         cx.timer.mark("kernel-boot");
-        cx.target = Some(target);
-        Ok(())
+        Ok(target)
     }
 
     /// The boot's disk reads: `boot_touched_bytes` from `target` in
-    /// `boot_io_request` units, one `storage.read` retry per unit. With
-    /// `abandon` = `(node, lifecycle, image)` an exhausted read abandons
-    /// the node ([`Tenant::retry_or_abandon`]); without it the read only
-    /// retries ([`Tenant::retry_infra`]). The read closure borrows the
-    /// target, so a read costs no clone of it.
+    /// `boot_io_request` units, one `storage.read` retry per unit. The
+    /// read closure borrows the target, so a read costs no clone of it.
     async fn boot_reads(
         &self,
         target: &IscsiTarget,
         name: &str,
         rng: &mut Rng,
-        mut abandon: Option<(NodeId, &mut Lifecycle, ImageId)>,
     ) -> Result<(), ProvisionError> {
         let total = self.env.calib.boot_touched_bytes;
         let req = self.env.calib.boot_io_request;
@@ -1041,25 +927,8 @@ impl Tenant {
                     _ => Ok(()),
                 }
             };
-            match abandon.as_mut() {
-                Some((node, lc, image)) => {
-                    self.retry_or_abandon(
-                        "storage.read",
-                        rng,
-                        *node,
-                        name,
-                        lc,
-                        Some(*image),
-                        read,
-                        transient,
-                    )
-                    .await?
-                }
-                None => {
-                    self.retry_infra("storage.read", name, rng, read, transient)
-                        .await?
-                }
-            }
+            self.retry("storage.read", name, rng, read, transient)
+                .await?;
             off += len;
         }
         Ok(())
@@ -1127,25 +996,10 @@ impl Tenant {
         })?;
         let mut retry_rng =
             Rng::seed_from_u64(mix_seed(0x52E7_8A12, &["warm-restart", &pnode.report.node]));
-        let cycle = {
-            let isolation = self.services.isolation.clone();
-            let project = self.project.clone();
-            let node = pnode.node;
-            move || {
-                let isolation = isolation.clone();
-                let project = project.clone();
-                async move { isolation.power_cycle(&project, node) }
-            }
-        };
-        // No abandon here: the node stays the caller's either way.
-        self.retry_infra(
-            "hil.power_cycle",
-            &pnode.report.node,
-            &mut retry_rng,
-            cycle,
-            hil_transient,
-        )
-        .await?;
+        // No abandon here, even on exhaustion: the node stays the
+        // caller's either way.
+        self.power_cycle(pnode.node, &pnode.report.node, &mut retry_rng)
+            .await?;
         self.services.boot.run_firmware(machine).await?;
         timer.mark("post");
         // Re-fetch + measure the agent so PCR 4 replays the sealed policy.
@@ -1174,8 +1028,7 @@ impl Tenant {
         if profile.net_encryption {
             sim.sleep(calib.ipsec_setup).await;
         }
-        // No abandon here either: the restart keeps the node.
-        self.boot_reads(&pnode.target, &pnode.report.node, &mut retry_rng, None)
+        self.boot_reads(&pnode.target, &pnode.report.node, &mut retry_rng)
             .await?;
         sim.sleep(calib.kernel_boot_cpu).await;
         timer.mark("kernel-boot");

@@ -18,7 +18,7 @@ use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
 use bolted_sim::fault::{mix_seed, ops};
 use bolted_sim::{channel, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimDuration, SimTime};
-use bolted_sim::{CallEnv, RetryError, RetryPolicy};
+use bolted_sim::{CallEnv, RetryError};
 #[cfg(test)]
 use bolted_sim::{Faults, Metrics, Spans};
 use bolted_tpm::{index, PcrBank, TpmError};
@@ -48,7 +48,7 @@ pub const CONTINUOUS_SELECTION: [usize; 4] = [
 ];
 
 /// Timing configuration for a verifier. The quote round-trip retries
-/// dropped RPCs under [`RetryPolicy::default`]; agent rejections are not
+/// dropped RPCs through [`CallEnv::call`]; agent rejections are not
 /// retried.
 #[derive(Debug, Clone)]
 pub struct VerifierConfig {
@@ -454,37 +454,26 @@ impl Verifier {
             Dropped,
             Agent(TpmError),
         }
-        let faults = self.env.faults();
+        let (sim, faults, agent) = (self.sim(), self.env.faults(), &agent);
         let mut retry_rng = Rng::seed_from_u64(mix_seed(0x5EC0_11D5, &[node_id]));
-        let op = || {
-            let sim = self.sim().clone();
-            let faults = faults.clone();
-            let agent = agent.clone();
-            let id = node_id.to_string();
-            async move {
-                sim.sleep(RTT).await;
-                faults
-                    .gate(&sim, ops::VERIFIER_QUOTE, &id)
-                    .await
-                    .map_err(|_| RoundError::Dropped)?;
-                let ev = agent
-                    .attest(&sim, nonce, selection)
-                    .await
-                    .map_err(RoundError::Agent)?;
-                sim.sleep(RTT).await;
-                Ok(ev)
-            }
+        let op = move || async move {
+            sim.sleep(RTT).await;
+            faults
+                .gate(sim, ops::VERIFIER_QUOTE, node_id)
+                .await
+                .map_err(|_| RoundError::Dropped)?;
+            let ev = agent
+                .attest(sim, nonce, selection)
+                .await
+                .map_err(RoundError::Agent)?;
+            sim.sleep(RTT).await;
+            Ok(ev)
         };
         let evidence = match self
             .env
-            .call(
-                &RetryPolicy::default(),
-                &mut retry_rng,
-                "verifier.quote",
-                node_id,
-                op,
-                |e| matches!(e, RoundError::Dropped),
-            )
+            .call(&mut retry_rng, "verifier.quote", node_id, op, |e| {
+                matches!(e, RoundError::Dropped)
+            })
             .await
         {
             Ok(ev) => ev,
@@ -500,7 +489,7 @@ impl Verifier {
                 return AttestOutcome::Failed(reason);
             }
             Err(e) => {
-                // Exhausted/timed out on injected drops: infrastructure
+                // Exhausted on injected drops: infrastructure
                 // failure, not evidence of compromise. No fail_node, no
                 // revocation broadcast — the caller decides what to do
                 // with an unreachable node.
@@ -1037,7 +1026,7 @@ mod tests {
         // count and the node is neither marked Failed nor revoked.
         match outcome {
             AttestOutcome::Unreachable { attempts } => {
-                assert_eq!(attempts, RetryPolicy::default().max_attempts)
+                assert_eq!(attempts, bolted_sim::MAX_ATTEMPTS)
             }
             other => panic!("expected infra failure, got {other:?}"),
         }

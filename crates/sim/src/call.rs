@@ -7,9 +7,11 @@
 //!   fault + metrics handles and applies the canonical per-attempt
 //!   discipline: count the attempt, then consult the fault plan.
 //! * [`CallEnv`] sits on the *orchestration* side (a tenant script, the
-//!   verifier). It bundles the clock with fault/span/metrics handles and
-//!   fronts [`retry_if_observed`] so retried service calls are uniformly
-//!   counted and backed off, and phase spans open and close in one place.
+//!   verifier). It bundles the clock with fault/span/metrics handles.
+//!   [`CallEnv::call`] is the one retry loop: every retried service call
+//!   gets [`crate::MAX_ATTEMPTS`] attempts with the same jittered
+//!   backoff and the same counters, and phase spans open and close in
+//!   one place.
 //!
 //! Both are plain bundles of shared handles (`Faults`, `Metrics` and
 //! `Spans` each sit behind one `Arc`) that a component takes when it is
@@ -22,7 +24,7 @@ use std::future::Future;
 use crate::executor::Sim;
 use crate::fault::{FaultDecision, FaultInjected, Faults};
 use crate::metrics::Metrics;
-use crate::retry::{retry_if_observed, RetryError, RetryPolicy};
+use crate::retry::{backoff, RetryError, JITTER_CV, MAX_ATTEMPTS};
 use crate::rng::Rng;
 use crate::span::{SpanId, Spans};
 use crate::time::SimTime;
@@ -143,18 +145,23 @@ impl CallEnv {
         &self.metrics
     }
 
-    /// Runs `op` under `policy`, retrying only errors `is_transient`
-    /// accepts, with every re-attempt counted as
-    /// `retry_attempts{op,target}`. This is the uniform envelope for
-    /// retried service calls: same backoff, same jitter, same counters,
-    /// regardless of which service sits behind `op`.
+    /// Runs `op` up to [`MAX_ATTEMPTS`] times, backing off between
+    /// attempts, as long as `is_transient` accepts the error. This is
+    /// the uniform envelope for retried service calls: same backoff,
+    /// same jitter, same counters, whichever service sits behind `op`.
+    ///
+    /// `op` is called once per attempt and returns a fresh future each
+    /// time. Jitter is drawn from `rng` only when a backoff happens, so
+    /// the fault-free path costs zero draws and zero sleeps. Each
+    /// re-attempt is counted as `retry_attempts{op,target}` when the
+    /// loop decides to go around again, so a happy first try leaves the
+    /// counter untouched.
     pub async fn call<T, E, F, Fut, P>(
         &self,
-        policy: &RetryPolicy,
         rng: &mut Rng,
         op_name: &str,
         target: &str,
-        op: F,
+        mut op: F,
         is_transient: P,
     ) -> Result<T, RetryError<E>>
     where
@@ -162,17 +169,26 @@ impl CallEnv {
         Fut: Future<Output = Result<T, E>>,
         P: Fn(&E) -> bool,
     {
-        retry_if_observed(
-            &self.sim,
-            policy,
-            rng,
-            &self.metrics,
-            op_name,
-            target,
-            op,
-            is_transient,
-        )
-        .await
+        let mut failures = 0u32;
+        loop {
+            let attempts = failures + 1;
+            match op().await {
+                Ok(v) => return Ok(v),
+                Err(error) if !is_transient(&error) => {
+                    return Err(RetryError::Fatal { attempts, error });
+                }
+                Err(last) if attempts >= MAX_ATTEMPTS => {
+                    return Err(RetryError::Exhausted { attempts, last });
+                }
+                Err(_) => {}
+            }
+            self.metrics
+                .inc("retry_attempts", &[("op", op_name), ("target", target)]);
+            self.sim
+                .sleep(backoff(failures).mul_f64(rng.jitter(JITTER_CV)))
+                .await;
+            failures = attempts;
+        }
     }
 
     /// Opens a phase span under `category` and records its start time.
@@ -236,14 +252,12 @@ mod tests {
         let sim = Sim::new();
         let metrics = Metrics::new();
         let env = CallEnv::new(&sim, &Faults::disabled(), &Spans::disabled(), &metrics);
-        let policy = RetryPolicy::default();
         let result: Result<u32, RetryError<&str>> = sim.block_on({
             let env = env.clone();
             async move {
                 let mut rng = Rng::seed_from_u64(1);
                 let attempts = Arc::new(Mutex::new(0u32));
                 env.call(
-                    &policy,
                     &mut rng,
                     "svc.op",
                     "t1",

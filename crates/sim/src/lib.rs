@@ -34,7 +34,7 @@ pub use fault::{FaultDecision, FaultInjected, FaultPlan, FaultSpec, Faults};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use pool::{max_workers, run_jobs};
 pub use queue::{BoundedQueue, QueueStats, TokenBucket};
-pub use retry::{retry_if_observed, RetryError, RetryPolicy};
+pub use retry::{RetryError, MAX_ATTEMPTS};
 pub use rng::{Rng, SplitMix64};
 pub use scenario::{
     run_scenarios, Bound, CheckOutcome, Scenario, ScenarioOutcome, ScenarioRunReport, WorldFn,

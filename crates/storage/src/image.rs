@@ -233,6 +233,18 @@ impl ImageStore {
             .size)
     }
 
+    /// Rejects a write of `len` bytes at `offset`: `Frozen` for a
+    /// snapshot, `OutOfBounds` unless the range lies within the image.
+    pub(crate) fn check_write(&self, id: ImageId, offset: u64, len: u64) -> Result<(), ImageError> {
+        let inner = lock(&self.inner);
+        let meta = inner.images.get(&id).ok_or(ImageError::NoSuchImage)?;
+        if meta.frozen {
+            return Err(ImageError::Frozen);
+        }
+        range_end(offset, len, meta.size)?;
+        Ok(())
+    }
+
     /// Sets a manifest entry (e.g. extracted kernel digest).
     pub fn set_manifest(&self, id: ImageId, key: &str, value: &str) -> Result<(), ImageError> {
         lock(&self.inner)
@@ -305,15 +317,7 @@ impl ImageStore {
     /// Writes bytes at `offset`, performing COW copy-up when the target
     /// object belongs to a parent image.
     pub async fn write_at(&self, id: ImageId, offset: u64, data: &[u8]) -> Result<(), ImageError> {
-        let (size, frozen) = {
-            let inner = lock(&self.inner);
-            let meta = inner.images.get(&id).ok_or(ImageError::NoSuchImage)?;
-            (meta.size, meta.frozen)
-        };
-        if frozen {
-            return Err(ImageError::Frozen);
-        }
-        range_end(offset, data.len() as u64, size)?;
+        self.check_write(id, offset, data.len() as u64)?;
         let osize = self.cluster.object_size();
         let mut pos = offset;
         let mut written = 0usize;

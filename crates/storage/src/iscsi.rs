@@ -217,17 +217,11 @@ impl IscsiTarget {
         (start, (start + self.read_ahead).min(image_size))
     }
 
-    /// Returns `(offset + len, image size)`, or `OutOfBounds` unless
-    /// [offset, offset+len) lies within the image.
-    fn check_range(&self, offset: u64, len: u64) -> Result<(u64, u64), ImageError> {
-        let image_size = self.store.size(self.image)?;
-        Ok((range_end(offset, len, image_size)?, image_size))
-    }
-
     /// Ensures [offset, offset+len) is resident at the gateway, consuming
     /// prefetches and topping the pipeline back up.
     async fn ensure(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        let (end, image_size) = self.check_range(offset, len)?;
+        let image_size = self.store.size(self.image)?;
+        let end = range_end(offset, len, image_size)?;
         let mut pos = offset;
         while pos < end {
             // Already in the current window?
@@ -341,10 +335,12 @@ impl IscsiTarget {
         self.store.read_at(self.image, offset, len, false).await
     }
 
-    /// Writes data through to the image (write-through, replicated). An
-    /// out-of-range write is rejected before it costs any time.
+    /// Writes data through to the image (write-through, replicated). A
+    /// write to a frozen image or out of range is rejected before it
+    /// costs any time or drops the read-ahead state.
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<(), ImageError> {
-        self.check_range(offset, data.len() as u64)?;
+        self.store
+            .check_write(self.image, offset, data.len() as u64)?;
         self.sim
             .sleep(self.transport.wire_time(data.len() as u64))
             .await;
@@ -359,9 +355,10 @@ impl IscsiTarget {
         self.store.write_at(self.image, offset, data).await
     }
 
-    /// Timing-only write for large workloads.
+    /// Timing-only write for large workloads, rejected as
+    /// [`IscsiTarget::write`] rejects.
     pub async fn write_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        self.check_range(offset, len)?;
+        self.store.check_write(self.image, offset, len)?;
         self.sim.sleep(self.transport.wire_time(len)).await;
         self.gateway.charge(len).await;
         self.store.charge_write_range(self.image, offset, len).await;
@@ -551,6 +548,31 @@ mod tests {
         assert_eq!(before.1 .0, after.1 .0, "window was not dropped");
         let wire = Transport::plain_10g().wire_time(4096);
         assert_eq!(after.0.since(before.0), wire, "write cost no time");
+    }
+
+    #[test]
+    fn frozen_write_rejected_before_it_charges() {
+        let (sim, store, t) = setup(TUNED_READ_AHEAD);
+        store.snapshot(t.image()).expect("freezes");
+        let (r, warm, rejected, reread) = sim.block_on({
+            let sim = sim.clone();
+            async move {
+                t.read_timed(0, 4096).await.expect("reads");
+                let warm = (sim.now(), t.stats());
+                let r = [
+                    t.write(0, b"into a snapshot").await,
+                    t.write_timed(0, 4096).await,
+                ];
+                let rejected = sim.now();
+                // The read-ahead window survives: re-reading it fetches
+                // nothing more from the cluster.
+                t.read_timed(0, 4096).await.expect("reads");
+                (r, warm, rejected, t.stats())
+            }
+        });
+        assert_eq!(r, [const { Err(ImageError::Frozen) }; 2]);
+        assert_eq!(rejected, warm.0, "rejected writes cost no time");
+        assert_eq!(warm.1 .0, reread.0, "window was not dropped");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bolted::sim::fault::{ops, FaultPlan, FaultSpec};
 use common::{charlie_fleet, world};
 
 /// A plan that flaps every hardware-facing layer a bounded number of
-/// times (all recover within the default 4-attempt retry policy) and
+/// times (all recover within the four attempts of a retried call) and
 /// sprinkles low-probability transient storage faults on top.
 fn flaky_everything(seed: u64) -> FaultPlan {
     FaultPlan::seeded(seed)
@@ -104,6 +104,40 @@ fn abandoned_node_leaves_a_traceable_span_event() {
     );
     // Healthy nodes abandon nothing.
     assert!(cloud.spans.find("abandon", "m620-01").is_none());
+}
+
+/// Permanently faults `op` on m620-02 of a 4-node Charlie fleet, whose
+/// run gives out after its root volume was cloned, and checks the one
+/// abandon path: the node is back in the free pool, not quarantined,
+/// its clone is deleted, and the abandon span's cause contains `cause`.
+fn abandons_after_the_clone(op: &str, cause: &str) {
+    let plan = FaultPlan::seeded(7).with_target(op, "m620-02", FaultSpec::permanent());
+    let (sim, cloud, golden) = world().nodes(4).faults(plan).build();
+    let nodes = cloud.nodes();
+    let report = charlie_fleet(&sim, &cloud, golden, 4);
+    assert_eq!(report.succeeded.len(), 3, "the healthy nodes come up");
+    assert_eq!(report.failed.len(), 1);
+    assert_eq!(report.failed[0].node, nodes[1]);
+    assert_eq!(cloud.hil.free_nodes(), vec![nodes[1]]);
+    assert!(cloud.rejected_pool().is_empty());
+    assert_eq!(cloud.bmi.store().lookup("m620-02-root"), None);
+    assert!(cloud.bmi.store().lookup("m620-01-root").is_some());
+    let event = cloud
+        .spans
+        .find("abandon", "m620-02")
+        .expect("abandon event for the faulted node");
+    let got = event.attr("cause").expect("abandon cause attribute");
+    assert!(got.contains(cause), "cause must read {cause:?}, got: {got}");
+}
+
+#[test]
+fn dead_registrar_abandons_after_the_clone() {
+    abandons_after_the_clone(ops::REGISTRAR_REGISTER, "keylime.register");
+}
+
+#[test]
+fn unreachable_verifier_abandons_after_the_clone() {
+    abandons_after_the_clone(ops::VERIFIER_QUOTE, "verifier unreachable after 4 attempts");
 }
 
 #[test]
