@@ -37,9 +37,9 @@ pub use provision::{
     FleetFailure, FleetReport, ProvisionError, ProvisionReport, ProvisionedNode, Tenant,
 };
 pub use reconcile::{
-    diff, reconcile_fleet_parallel, DesiredState, ObservedState, OpBudget, ReconcileFleetSpec,
-    ReconcileOp, ReconcileRunReport, ReconcilerConfig, ShardReconcileOutcome, TenantReconciler,
-    TickReport,
+    diff, reconcile_fleet_parallel, DesiredState, ObservedState, OpBudget, QueueStats,
+    ReconcileFleetSpec, ReconcileOp, ReconcileRunReport, ReconcilerConfig, ShardReconcileOutcome,
+    TenantReconciler, TickReport,
 };
 pub use scenario::{
     airlock_starvation, noisy_neighbor_storage, paper_scenarios, quote_storm, reconciler_recovery,

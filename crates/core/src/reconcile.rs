@@ -11,14 +11,13 @@
 //! 2. **diffs** declaration against observation ([`diff`]) into a plan
 //!    of [`ReconcileOp`]s — minimal by construction: a converged tenant
 //!    plans nothing,
-//! 3. **admits** the plan through a bounded per-tenant work queue
-//!    ([`bolted_sim::BoundedQueue`]) and a token-bucket churn limiter,
-//!    deferring overflow (never dropping it — the next diff regenerates
-//!    deferred work from desired state),
-//! 4. **executes** what the shard's shared [`OpBudget`] affords, as
-//!    batched service-trait calls: releases first (they refill the free
-//!    pool), then network creation, then one batched
-//!    [`Tenant::provision_fleet_report`] claim.
+//! 3. **admits** the first `g` ops of the plan, where `g` is what both
+//!    the tenant's churn token bucket and the shard's shared
+//!    [`OpBudget`] grant; the other `planned − g` are deferred, never
+//!    dropped — the next diff regenerates them from desired state,
+//! 4. **executes** the admitted ops as batched service-trait calls:
+//!    releases first (they refill the free pool), then network creation,
+//!    then one batched [`Tenant::provision_fleet_report`] claim.
 //!
 //! Every step checks observed state before acting, so steps are
 //! idempotent and a plan applied twice is a no-op — which is exactly
@@ -42,7 +41,7 @@ use bolted_crypto::sha256::{sha256, Digest};
 use bolted_firmware::KernelImage;
 use bolted_hil::NodeId;
 use bolted_sim::fault::{mix_seed, ops, FaultPlan, FaultSpec};
-use bolted_sim::{BoundedQueue, Rng, Sim, SimDuration, TokenBucket};
+use bolted_sim::{Rng, Sim, SimDuration, SimTime};
 use bolted_storage::ImageId;
 
 use crate::cloud::{Cloud, CloudConfig};
@@ -213,7 +212,7 @@ pub fn apply_to_model(
 }
 
 // ---------------------------------------------------------------------------
-// Per-tenant reconciler: bounded queue, churn rate limit, shard budget.
+// Per-tenant reconciler: churn rate limit, shard budget.
 // ---------------------------------------------------------------------------
 
 /// A shard-wide per-tick operation budget, shared by every tenant
@@ -244,14 +243,62 @@ impl OpBudget {
     }
 }
 
+/// A deterministic virtual-time token bucket: `rate_per_sec` tokens
+/// accrue per simulated second up to `burst`. Starts full. All state
+/// advances from the [`SimTime`]s the caller hands in, so two runs that
+/// make the same calls at the same virtual instants behave identically.
+#[derive(Debug, Clone)]
+struct TokenBucket {
+    rate_per_sec: f64,
+    burst: f64,
+    tokens: f64,
+    last: Option<SimTime>,
+}
+
+impl TokenBucket {
+    /// A full bucket refilling at `rate_per_sec` up to `burst` tokens.
+    fn new(rate_per_sec: f64, burst: usize) -> TokenBucket {
+        let burst = burst.max(1) as f64;
+        TokenBucket {
+            rate_per_sec: rate_per_sec.max(0.0),
+            burst,
+            tokens: burst,
+            last: None,
+        }
+    }
+
+    fn refill(&mut self, now: SimTime) {
+        if let Some(last) = self.last {
+            if now > last {
+                let dt = now.since(last).as_secs_f64();
+                self.tokens = (self.tokens + dt * self.rate_per_sec).min(self.burst);
+            }
+        }
+        self.last = Some(self.last.map_or(now, |l| l.max(now)));
+    }
+
+    /// Whole tokens available at `now` (refills first).
+    fn available(&mut self, now: SimTime) -> usize {
+        self.refill(now);
+        self.tokens as usize
+    }
+
+    /// Takes up to `want` whole tokens, returning how many were granted.
+    fn take_up_to(&mut self, now: SimTime, want: usize) -> usize {
+        self.refill(now);
+        let granted = (self.tokens as usize).min(want);
+        self.tokens -= granted as f64;
+        granted
+    }
+}
+
+/// Sustained lifecycle-churn rate of every tenant's token bucket (ops
+/// per simulated second).
+const CHURN_RATE_PER_SEC: f64 = 1.0;
+
 /// Tuning for one tenant's reconciler.
 #[derive(Debug, Clone)]
 pub struct ReconcilerConfig {
-    /// Bound of the per-tenant work queue; plan entries beyond it are
-    /// deferred to the next tick.
-    pub queue_capacity: usize,
-    /// Sustained lifecycle-churn rate (ops per simulated second).
-    pub churn_rate_per_sec: f64,
     /// Burst size of the churn limiter — the most lifecycle ops one
     /// tick may execute after an idle period.
     pub churn_burst: usize,
@@ -259,12 +306,24 @@ pub struct ReconcilerConfig {
 
 impl Default for ReconcilerConfig {
     fn default() -> ReconcilerConfig {
-        ReconcilerConfig {
-            queue_capacity: 64,
-            churn_rate_per_sec: 1.0,
-            churn_burst: 8,
-        }
+        ReconcilerConfig { churn_burst: 8 }
     }
+}
+
+/// Lifetime admission accounting of one tenant's reconciler, read from
+/// the `queue_admitted`/`queue_deferred` counters (label
+/// `queue=<tenant>`) of the tenant's metrics registry; a disabled
+/// registry reads all zeros.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct QueueStats {
+    /// Plan entries the diffs produced.
+    pub admitted: u64,
+    /// Plan entries the churn bucket or the shard budget held back to
+    /// a later tick.
+    pub deferred: u64,
+    /// Plan entries lost. Always 0: deferred work is regenerated from
+    /// desired state, so the reconciler never drops any.
+    pub dropped: u64,
 }
 
 /// What one reconcile tick did.
@@ -272,10 +331,8 @@ impl Default for ReconcilerConfig {
 pub struct TickReport {
     /// Plan entries the diff produced.
     pub planned: usize,
-    /// Plan entries admitted into the work queue.
-    pub admitted: usize,
-    /// Work deferred to the next tick (queue overflow + budget/rate
-    /// leftovers). Never lost: the next diff regenerates it.
+    /// Plan entries the churn bucket and the shard budget did not grant
+    /// this tick. Never lost: the next diff regenerates them.
     pub deferred: usize,
     /// Operations executed.
     pub executed: usize,
@@ -299,7 +356,6 @@ pub struct TenantReconciler {
     tenant: Tenant,
     golden: ImageId,
     desired: DesiredState,
-    queue: BoundedQueue<ReconcileOp>,
     bucket: TokenBucket,
     inventory: Vec<ProvisionedNode>,
     networks_created: usize,
@@ -315,14 +371,11 @@ impl TenantReconciler {
         desired: DesiredState,
         config: &ReconcilerConfig,
     ) -> TenantReconciler {
-        let queue = BoundedQueue::new(&tenant.project, config.queue_capacity, tenant.metrics());
-        let bucket = TokenBucket::new(config.churn_rate_per_sec, config.churn_burst);
         TenantReconciler {
             tenant,
             golden,
             desired,
-            queue,
-            bucket,
+            bucket: TokenBucket::new(CHURN_RATE_PER_SEC, config.churn_burst),
             inventory: Vec::new(),
             networks_created: 0,
             net_seq: 0,
@@ -362,22 +415,29 @@ impl TenantReconciler {
         }
     }
 
-    /// Whether declaration and observation agree and no work is queued.
+    /// Whether declaration and observation agree.
     pub fn is_converged(&self) -> bool {
-        self.queue.is_empty() && diff(&self.desired, &self.observed()).is_empty()
+        diff(&self.desired, &self.observed()).is_empty()
     }
 
-    /// Lifetime queue accounting (admitted / deferred / dropped).
-    pub fn queue_stats(&self) -> bolted_sim::QueueStats {
-        self.queue.stats()
+    /// Lifetime admission accounting, from the tenant's metrics registry.
+    pub fn queue_stats(&self) -> QueueStats {
+        let metrics = self.tenant.metrics();
+        let labels = [("queue", self.tenant.project.as_str())];
+        QueueStats {
+            admitted: metrics.counter("queue_admitted", &labels),
+            deferred: metrics.counter("queue_deferred", &labels),
+            dropped: 0,
+        }
     }
 
-    /// One reconcile tick: diff → admit → rate-limit → execute.
+    /// One reconcile tick: diff → admit → execute.
     ///
-    /// `budget` is the shard's shared per-tick operation allowance;
-    /// whatever it refuses is deferred, not dropped. Execution order is
-    /// releases → networks → one batched provision claim, so capacity
-    /// freed by a profile flip is re-claimable in the same tick.
+    /// The churn bucket and the shard's shared per-tick `budget` grant
+    /// `g` of the plan's ops; the first `g` execute and the rest are
+    /// deferred, not dropped. Execution order is releases → networks →
+    /// one batched provision claim, so capacity freed by a profile flip
+    /// is re-claimable in the same tick.
     pub async fn tick(&mut self, budget: &mut OpBudget) -> TickReport {
         let metrics = self.tenant.metrics();
         let sim = self.tenant.sim();
@@ -386,31 +446,32 @@ impl TenantReconciler {
         // 1. Plan: pure diff of declaration vs. observation.
         let plan = diff(&self.desired, &self.observed());
         report.planned = plan.len();
-        for op in plan {
-            if self.queue.offer(op).is_ok() {
-                report.admitted += 1;
-            }
-        }
 
         // 2. Admission: the churn limiter and the shard budget decide
-        // how much of the queue this tick may drain.
+        // how much of the plan this tick may run. The rest is left to
+        // the next diff, which regenerates it from desired state.
         let now = sim.now();
-        let afford = self.bucket.available(now).min(self.queue.len());
+        let afford = self.bucket.available(now).min(plan.len());
         let granted = self.bucket.take_up_to(now, budget.take(afford));
+        report.deferred = plan.len() - granted;
+        let labels = [("queue", self.tenant.project.as_str())];
+        // Only non-zero adds, so an idle tick creates no series.
+        if report.planned > 0 {
+            metrics.add("queue_admitted", &labels, report.planned as u64);
+        }
+        if report.deferred > 0 {
+            metrics.add("queue_deferred", &labels, report.deferred as u64);
+        }
         let mut releases: Vec<NodeId> = Vec::new();
         let mut provisions = 0usize;
         let mut networks = 0usize;
-        for _ in 0..granted {
-            match self.queue.pop() {
-                Some(ReconcileOp::Release { node }) => releases.push(node),
-                Some(ReconcileOp::Provision) => provisions += 1,
-                Some(ReconcileOp::CreateNetwork) => networks += 1,
-                None => break,
+        for op in plan.into_iter().take(granted) {
+            match op {
+                ReconcileOp::Release { node } => releases.push(node),
+                ReconcileOp::Provision => provisions += 1,
+                ReconcileOp::CreateNetwork => networks += 1,
             }
         }
-        // Surrender whatever the budget did not cover: the next diff
-        // regenerates it from desired state (defer, never drop).
-        report.deferred = self.queue.defer_rest();
 
         // 3. Execute. Every step re-checks observed state first, so a
         // stale op (the world moved since planning) degrades to a no-op
@@ -849,11 +910,12 @@ fn run_reconcile_shard(
     });
 
     let mut m: BTreeMap<String, f64> = BTreeMap::new();
-    let dropped: u64 = recs.iter().map(|r| r.queue_stats().dropped).sum();
     m.insert("ticks".into(), tally.ticks as f64);
     m.insert("planned".into(), tally.planned as f64);
     m.insert("deferred".into(), tally.deferred as f64);
-    m.insert("dropped".into(), dropped as f64);
+    // Deferred ops are re-planned, never dropped, so `dropped` is 0 by
+    // construction; the key stays because the shard digest hashes it.
+    m.insert("dropped".into(), 0.0);
     m.insert("provision_ok".into(), tally.provisioned as f64);
     m.insert("provision_failed".into(), tally.failed as f64);
     m.insert("released".into(), tally.released as f64);
@@ -973,6 +1035,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    fn t(secs: f64) -> SimTime {
+        SimTime::default() + SimDuration::from_secs_f64(secs)
+    }
+
+    #[test]
+    fn token_bucket_starts_full_and_refills_with_virtual_time() {
+        let mut b = TokenBucket::new(2.0, 4);
+        assert_eq!(b.take_up_to(t(0.0), 10), 4, "starts at burst");
+        assert_eq!(b.available(t(0.0)), 0);
+        // 1.5 virtual seconds at 2 tokens/s = 3 tokens.
+        assert_eq!(b.take_up_to(t(1.5), 10), 3);
+        // Refill caps at burst no matter how long the idle gap.
+        assert_eq!(b.available(t(100.0)), 4);
+        assert_eq!(b.take_up_to(t(100.0), 1), 1);
+    }
+
+    #[test]
+    fn token_bucket_never_rewinds_on_stale_timestamps() {
+        let mut b = TokenBucket::new(1.0, 2);
+        assert_eq!(b.take_up_to(t(5.0), 2), 2);
+        // A timestamp earlier than the last refill must not mint tokens.
+        assert_eq!(b.available(t(1.0)), 0);
+        assert_eq!(b.available(t(6.0)), 1);
     }
 
     #[test]

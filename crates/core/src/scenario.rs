@@ -771,7 +771,6 @@ fn reconciler_world(seed: u64, nodes_n: usize, kill_worker: bool) -> WorldReport
         let desired = DesiredState::new(SecurityProfile::charlie(), nodes_n);
         let config = ReconcilerConfig {
             churn_burst: nodes_n.max(8),
-            ..ReconcilerConfig::default()
         };
         let mut rec = TenantReconciler::new(tenant, w.golden, desired, &config);
         let (first, ticks, recovery_s) = w.sim.block_on({

@@ -9,7 +9,6 @@
 //! under a second, full revocation in about three).
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use bolted_sim::lock;
@@ -125,10 +124,6 @@ struct NodeState {
     payload_wire_bytes: u64,
     status: NodeStatus,
     bootstrapped: bool,
-    /// Atomic so concurrent attestation rounds (and any future
-    /// off-sim-thread accounting) increment without read-modify-write
-    /// races; reads use `Ordering::Relaxed` — it is a plain counter.
-    quotes_verified: AtomicU64,
     detected_at: Option<SimTime>,
     stop: bool,
 }
@@ -275,7 +270,6 @@ impl Verifier {
                 payload_wire_bytes,
                 status: NodeStatus::Pending,
                 bootstrapped: false,
-                quotes_verified: AtomicU64::new(0),
                 detected_at: None,
                 stop: false,
             },
@@ -300,14 +294,6 @@ impl Verifier {
     /// When the verifier first detected a violation on the node.
     pub fn detected_at(&self, node_id: &str) -> Option<SimTime> {
         lock(&self.inner).nodes.get(node_id)?.detected_at
-    }
-
-    /// Quotes successfully verified for a node so far.
-    pub fn quotes_verified(&self, node_id: &str) -> u64 {
-        lock(&self.inner)
-            .nodes
-            .get(node_id)
-            .map_or(0, |n| n.quotes_verified.load(Ordering::Relaxed))
     }
 
     fn fresh_nonce(&self) -> [u8; 32] {
@@ -529,7 +515,6 @@ impl Verifier {
                         if !matches!(node.status, NodeStatus::Failed(_)) {
                             node.status = NodeStatus::Trusted;
                         }
-                        node.quotes_verified.fetch_add(1, Ordering::Relaxed);
                         if node.bootstrapped {
                             return None;
                         }
@@ -610,14 +595,25 @@ impl Verifier {
     }
 }
 
-/// A call envelope on `sim` that injects nothing and records nothing.
+/// Trusted verdicts `verifier` has recorded for `node_id`, read from
+/// its metrics registry (zero when the registry is disabled).
+#[cfg(test)]
+fn trusted_verdicts(verifier: &Verifier, node_id: &str) -> u64 {
+    verifier.env.metrics().counter(
+        "quote_verdicts",
+        &[("target", node_id), ("outcome", "trusted")],
+    )
+}
+
+/// A call envelope on `sim` that injects nothing and records no spans;
+/// its metrics registry is enabled so tests can read the counts.
 #[cfg(test)]
 fn quiet_env(sim: &Sim) -> CallEnv {
     CallEnv::new(
         sim,
         &Faults::disabled(),
         &Spans::disabled(),
-        &Metrics::disabled(),
+        &Metrics::new(),
     )
 }
 
@@ -649,7 +645,7 @@ mod tests {
         let machine = Machine::new("node-1", fw.clone(), 7);
         machine.power_on();
         let registrar = Registrar::new(&Faults::disabled());
-        let env = CallEnv::new(&sim, faults, &Spans::disabled(), &Metrics::disabled());
+        let env = CallEnv::new(&sim, faults, &Spans::disabled(), &Metrics::new());
         let verifier = Verifier::new(&env, &registrar, VerifierConfig::default());
         let mut boot_whitelist = HashSet::new();
         boot_whitelist.insert(fw.build_id);
@@ -962,9 +958,10 @@ mod tests {
     #[test]
     fn transient_quote_drops_retried_to_trusted() {
         use bolted_sim::fault::{FaultPlan, FaultSpec};
+        let metrics = Metrics::new();
         let faults = Faults::new(
             FaultPlan::seeded(7).with_target(ops::VERIFIER_QUOTE, "node-1", FaultSpec::flaky(2)),
-            &Metrics::disabled(),
+            &metrics,
         );
         let r = rig_faulted(&faults);
         let outcome = r.sim.block_on({
@@ -988,7 +985,13 @@ mod tests {
         });
         // Two dropped round-trips, then success on the third attempt.
         assert_eq!(outcome, AttestOutcome::Trusted);
-        assert_eq!(faults.injected(ops::VERIFIER_QUOTE), 2);
+        assert_eq!(
+            metrics.counter(
+                "faults_injected",
+                &[("op", ops::VERIFIER_QUOTE), ("target", "node-1")]
+            ),
+            2
+        );
         assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Trusted));
     }
 
@@ -1065,14 +1068,14 @@ mod tests {
                 let agent2 = boot_and_register(&rig_ref).await;
                 v.add_node(&agent2, wl, ImaWhitelist::new(), None, Vec::new(), 0);
                 let second = v.attest_once("node-1", false).await;
-                (first, second, v.quotes_verified("node-1"))
+                (first, second, trusted_verdicts(&v, "node-1"))
             }
         });
         assert_eq!(first, AttestOutcome::Trusted);
         assert_eq!(second, AttestOutcome::Trusted);
-        // add_node replaced the node state, so only the post-reboot quote
-        // is counted — proof the second round went through verification.
-        assert_eq!(quotes, 1);
+        // Both rounds reached a trusted verdict — proof the post-reboot
+        // quote went through verification against the refetched AIK.
+        assert_eq!(quotes, 2);
     }
 }
 
@@ -1155,7 +1158,7 @@ mod delivery_tests {
             "second attestation re-delivered the payload: {}",
             outcomes.2
         );
-        assert_eq!(verifier.quotes_verified("node-1"), 2);
+        assert_eq!(trusted_verdicts(&verifier, "node-1"), 2);
     }
 }
 
@@ -1195,7 +1198,7 @@ mod fleet_tests {
     }
 
     /// Satellite: hammer one node with concurrent attest_once rounds. The
-    /// accounting (quotes_verified, status, exactly-once payload flag)
+    /// accounting (trusted verdicts, status, exactly-once payload flag)
     /// must survive arbitrary interleaving at await points.
     #[test]
     fn concurrent_rounds_on_one_node_account_correctly() {
@@ -1237,14 +1240,14 @@ mod fleet_tests {
         });
         assert_eq!(outcomes.len(), ROUNDS);
         assert!(outcomes.iter().all(|o| o == &AttestOutcome::Trusted));
-        assert_eq!(verifier.quotes_verified("node-0"), ROUNDS as u64);
+        assert_eq!(trusted_verdicts(&verifier, "node-0"), ROUNDS as u64);
         assert_eq!(verifier.status("node-0"), Some(NodeStatus::Trusted));
     }
 }
 
 #[cfg(test)]
 mod aik_cache_tests {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     use super::*;
     use bolted_crypto::rsa::keypair_from_seed;

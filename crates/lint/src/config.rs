@@ -214,7 +214,6 @@ impl Config {
             control_plane_files: [
                 "crates/sim/src/executor.rs",
                 "crates/sim/src/pool.rs",
-                "crates/sim/src/queue.rs",
                 "crates/sim/src/scenario.rs",
             ]
             .iter()

@@ -66,16 +66,6 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A message delivered to a host mailbox.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Sending host.
-    pub from: HostId,
-    /// Payload exactly as it crossed the wire (ciphertext if the sender
-    /// sealed it).
-    pub payload: Vec<u8>,
-}
-
 /// Parameters of a timed transfer.
 #[derive(Debug, Clone, Copy)]
 pub struct TransferSpec {
@@ -144,8 +134,6 @@ struct HostState {
     name: String,
     link: LinkModel,
     attached: Option<(usize, usize)>,
-    mailbox: VecDeque<Message>,
-    mailbox_event: bolted_sim::Event,
     bytes_sent: u64,
     bytes_received: u64,
 }
@@ -220,8 +208,6 @@ impl Fabric {
             name: name.into(),
             link,
             attached: None,
-            mailbox: VecDeque::new(),
-            mailbox_event: bolted_sim::Event::new(),
             bytes_sent: 0,
             bytes_received: 0,
         });
@@ -397,16 +383,12 @@ impl Fabric {
         spec: TransferSpec,
     ) -> Result<SimDuration, NetError> {
         let start = self.sim.now();
-        let vlan = match self.path(from, to) {
-            Ok(v) => v,
-            Err(e) => {
-                if matches!(e, NetError::IsolationViolation) {
-                    lock(&self.inner).violations += 1;
-                }
-                return Err(e);
+        if let Err(e) = self.path(from, to) {
+            if matches!(e, NetError::IsolationViolation) {
+                lock(&self.inner).violations += 1;
             }
-        };
-        let _ = vlan;
+            return Err(e);
+        }
         let (link, latency) = {
             let inner = lock(&self.inner);
             let la = inner.hosts[from.0].link;
@@ -448,11 +430,10 @@ impl Fabric {
         Ok(self.sim.now().since(start))
     }
 
-    /// Sends a concrete payload as a message: charges transfer time, then
-    /// delivers the bytes to the destination mailbox. The payload is
-    /// recorded on the VLAN tap exactly as sent — callers that want
-    /// confidentiality must seal it (e.g. with [`crate::IpsecTunnel`])
-    /// before calling.
+    /// Sends a concrete payload: charges transfer time, then records the
+    /// frame on the VLAN tap (when taps are enabled) exactly as sent —
+    /// callers that want confidentiality must seal it (e.g. with
+    /// [`crate::IpsecTunnel`]) before calling.
     pub async fn send_msg(
         &self,
         from: HostId,
@@ -465,40 +446,11 @@ impl Fabric {
         let mut inner = lock(&self.inner);
         if inner.tap_enabled {
             // The tap sees the padded wire frame, not the logical payload.
-            let mut frame = payload.clone();
-            frame.resize(spec.padded_len(payload.len() as u64) as usize, 0);
+            let mut frame = payload;
+            frame.resize(spec.padded_len(frame.len() as u64) as usize, 0);
             inner.taps.entry(vlan).or_default().push(frame);
         }
-        inner.hosts[to.0]
-            .mailbox
-            .push_back(Message { from, payload });
-        let ev = inner.hosts[to.0].mailbox_event.clone();
-        drop(inner);
-        // Wake any receiver; re-arm for the next message.
-        ev.set();
         Ok(())
-    }
-
-    /// Receives the next mailbox message for `host`, waiting if empty.
-    pub async fn recv_msg(&self, host: HostId) -> Message {
-        loop {
-            let ev = {
-                let mut inner = lock(&self.inner);
-                if let Some(msg) = inner.hosts[host.0].mailbox.pop_front() {
-                    return msg;
-                }
-                // Replace the event so set() on the old one wakes us once.
-                let fresh = bolted_sim::Event::new();
-                inner.hosts[host.0].mailbox_event = fresh.clone();
-                fresh
-            };
-            ev.wait().await;
-        }
-    }
-
-    /// Non-blocking mailbox poll.
-    pub fn try_recv_msg(&self, host: HostId) -> Option<Message> {
-        lock(&self.inner).hosts[host.0].mailbox.pop_front()
     }
 }
 
@@ -607,11 +559,12 @@ mod tests {
     fn vlan_programming_respects_fault_plan() {
         use bolted_sim::fault::{FaultPlan, FaultSpec, Faults};
         use bolted_sim::Metrics;
+        let metrics = Metrics::new();
         let faults = Faults::new(
             FaultPlan::seeded(1).with_target(ops::SWITCH_SET_VLAN, "node-a", FaultSpec::flaky(2)),
-            &Metrics::disabled(),
+            &metrics,
         );
-        let (_sim, fabric, a, b) = setup_gated(&OpGate::new(&faults, &Metrics::disabled()));
+        let (_sim, fabric, a, b) = setup_gated(&OpGate::new(&faults, &metrics));
         // node-a's port flaps twice, then recovers.
         assert_eq!(
             fabric.set_host_vlan(a, Some(100)),
@@ -624,7 +577,13 @@ mod tests {
         assert_eq!(fabric.set_host_vlan(a, Some(100)), Ok(()));
         // Untargeted ports are unaffected throughout.
         assert_eq!(fabric.set_host_vlan(b, Some(100)), Ok(()));
-        assert_eq!(faults.injected(ops::SWITCH_SET_VLAN), 2);
+        assert_eq!(
+            metrics.counter(
+                "faults_injected",
+                &[("op", ops::SWITCH_SET_VLAN), ("target", "node-a")]
+            ),
+            2
+        );
     }
 
     #[test]
@@ -716,27 +675,11 @@ mod tests {
         fabric.set_host_vlan(b, Some(1)).expect("vlan");
         fabric.enable_taps();
         let f = fabric.clone();
-        let got = sim.block_on({
-            let fabric = fabric.clone();
-            async move {
-                let sender = f.clone();
-                let h = {
-                    let f2 = sender.clone();
-                    // Spawn the receive first to exercise blocking recv.
-                    let sim_handle = async move { f2.recv_msg(b).await };
-                    sim_handle
-                };
-                sender
-                    .send_msg(a, b, b"hello enclave".to_vec(), TransferSpec::plain())
-                    .await
-                    .expect("sends");
-                let msg = h.await;
-                let _ = fabric;
-                msg
-            }
+        sim.block_on(async move {
+            f.send_msg(a, b, b"hello enclave".to_vec(), TransferSpec::plain())
+                .await
+                .expect("sends");
         });
-        assert_eq!(got.from, a);
-        assert_eq!(got.payload, b"hello enclave");
         let taps = fabric.tapped(1);
         assert_eq!(taps.len(), 1);
         assert_eq!(taps[0], b"hello enclave");
@@ -759,9 +702,8 @@ mod tests {
         let taps = fabric.tapped(1);
         assert_eq!(taps.len(), 1);
         assert!(!taps[0].windows(6).any(|w| w == b"secret"));
-        // But the legitimate receiver opens it.
-        let msg = fabric.try_recv_msg(b).expect("delivered");
-        assert_eq!(tb.open(&msg.payload).expect("opens"), b"the secret plan");
+        // But the legitimate receiver opens the frame it carried.
+        assert_eq!(tb.open(&taps[0]).expect("opens"), b"the secret plan");
     }
 }
 

@@ -227,7 +227,6 @@ struct FaultsInner {
     plan: FaultPlan,
     streams: BTreeMap<(String, String), Rng>,
     attempts: BTreeMap<(String, String), u64>,
-    injected: BTreeMap<String, u64>,
     /// Registry receiving `faults_injected{op,target}` counts.
     metrics: Metrics,
 }
@@ -248,9 +247,9 @@ impl Faults {
         Faults::default()
     }
 
-    /// A handle evaluating `plan`. Every injected failure is also
-    /// counted into `metrics` as `faults_injected{op=.., target=..}`, in
-    /// addition to the built-in per-op tallies.
+    /// A handle evaluating `plan`. Every injected failure is counted
+    /// into `metrics` as `faults_injected{op=.., target=..}`, the one
+    /// count of injected faults.
     pub fn new(plan: FaultPlan, metrics: &Metrics) -> Self {
         Faults {
             inner: Arc::new(Mutex::new(FaultsInner {
@@ -262,8 +261,8 @@ impl Faults {
     }
 
     /// Replaces the plan in place (all clones see it) and resets the
-    /// per-key streams, attempt counters and injection tallies. The
-    /// metrics registry survives the reset.
+    /// per-key streams and attempt counters. The metrics registry, and
+    /// the `faults_injected` counts in it, survive the reset.
     pub fn install(&self, plan: FaultPlan) {
         let mut inner = lock(&self.inner);
         let metrics = inner.metrics.clone();
@@ -293,7 +292,6 @@ impl Faults {
             *c
         };
         if spec.permanent || attempt <= spec.fail_first as u64 {
-            *inner.injected.entry(op.to_string()).or_insert(0) += 1;
             inner
                 .metrics
                 .inc("faults_injected", &[("op", op), ("target", target)]);
@@ -307,7 +305,6 @@ impl Faults {
                 .or_insert_with(|| Rng::seed_from_u64(seed));
             let roll = rng.next_f64();
             if roll < spec.fail_prob {
-                *inner.injected.entry(op.to_string()).or_insert(0) += 1;
                 inner
                     .metrics
                     .inc("faults_injected", &[("op", op), ("target", target)]);
@@ -335,16 +332,6 @@ impl Faults {
             }),
         }
     }
-
-    /// How many failures have been injected for `op` so far.
-    pub fn injected(&self, op: &str) -> u64 {
-        lock(&self.inner).injected.get(op).copied().unwrap_or(0)
-    }
-
-    /// Total failures injected across all operations.
-    pub fn total_injected(&self) -> u64 {
-        lock(&self.inner).injected.values().sum()
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +350,6 @@ mod tests {
             assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Allow);
         }
         assert!(!f.enabled());
-        assert_eq!(f.total_injected(), 0);
         // No streams or counters materialised.
         assert!(lock(&f.inner).streams.is_empty());
         assert!(lock(&f.inner).attempts.is_empty());
@@ -371,13 +357,17 @@ mod tests {
 
     #[test]
     fn flap_fails_first_n_then_recovers() {
-        let f = faults(FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)));
+        let m = Metrics::new();
+        let f = Faults::new(
+            FaultPlan::seeded(1).with(ops::BMC_POWER, FaultSpec::flaky(2)),
+            &m,
+        );
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Allow);
         // Each target flaps independently.
         assert_eq!(f.decide(ops::BMC_POWER, "n2"), FaultDecision::Fail);
-        assert_eq!(f.injected(ops::BMC_POWER), 3);
+        assert_eq!(m.counter_total("faults_injected"), 3);
     }
 
     #[test]
@@ -440,15 +430,19 @@ mod tests {
 
     #[test]
     fn spikes_are_delays_not_failures() {
-        let f = faults(FaultPlan::seeded(3).with(
-            ops::VERIFIER_QUOTE,
-            FaultSpec::none().with_spike(1.0, SimDuration::from_secs(2)),
-        ));
+        let m = Metrics::new();
+        let f = Faults::new(
+            FaultPlan::seeded(3).with(
+                ops::VERIFIER_QUOTE,
+                FaultSpec::none().with_spike(1.0, SimDuration::from_secs(2)),
+            ),
+            &m,
+        );
         assert_eq!(
             f.decide(ops::VERIFIER_QUOTE, "n1"),
             FaultDecision::Delay(SimDuration::from_secs(2))
         );
-        assert_eq!(f.injected(ops::VERIFIER_QUOTE), 0);
+        assert_eq!(m.counter_total("faults_injected"), 0);
     }
 
     #[test]
@@ -483,7 +477,7 @@ mod tests {
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Fail);
         f.install(FaultPlan::none());
         assert!(!f.enabled());
-        assert_eq!(f.total_injected(), 0);
+        assert!(lock(&f.inner).attempts.is_empty());
         assert_eq!(f.decide(ops::BMC_POWER, "n1"), FaultDecision::Allow);
     }
 
@@ -512,7 +506,6 @@ mod tests {
             ),
             1
         );
-        assert_eq!(m.counter_total("faults_injected"), f.total_injected());
         // install() resets fault state but keeps the registry.
         f.install(FaultPlan::seeded(2).with(ops::BMC_POWER, FaultSpec::flaky(1)));
         let _ = f.decide(ops::BMC_POWER, "n1");

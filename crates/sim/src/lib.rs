@@ -19,7 +19,6 @@ mod executor;
 pub mod fault;
 pub mod metrics;
 pub mod pool;
-pub mod queue;
 mod retry;
 mod rng;
 pub mod scenario;
@@ -33,7 +32,6 @@ pub use executor::{join_all, lock, JoinHandle, Sim, Sleep};
 pub use fault::{FaultDecision, FaultInjected, FaultPlan, FaultSpec, Faults};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use pool::{max_workers, run_jobs};
-pub use queue::{BoundedQueue, QueueStats, TokenBucket};
 pub use retry::{RetryError, MAX_ATTEMPTS};
 pub use rng::{Rng, SplitMix64};
 pub use scenario::{
@@ -42,5 +40,5 @@ pub use scenario::{
 };
 pub use span::{SpanGuard, SpanId, SpanRecord, Spans};
 pub use stats::{OnlineStats, Samples};
-pub use sync::{channel, Acquire, Event, EventWait, Permit, Receiver, Recv, Resource, Sender};
+pub use sync::{channel, Acquire, Permit, Receiver, Recv, Resource, Sender};
 pub use time::{SimDuration, SimTime};

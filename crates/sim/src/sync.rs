@@ -4,7 +4,6 @@
 //!   (disk spindles, an airlock, an iSCSI gateway, ...). Holding a
 //!   [`Permit`] means occupying one unit of capacity; dropping it releases
 //!   the unit and admits the next waiter in arrival order.
-//! * [`Event`] — a one-shot broadcast flag (e.g. "attestation finished").
 //! * [`channel`] — an unbounded FIFO message queue between processes.
 
 use std::collections::VecDeque;
@@ -236,81 +235,6 @@ impl Drop for Acquire {
 }
 
 // ---------------------------------------------------------------------------
-// Event (one-shot broadcast)
-// ---------------------------------------------------------------------------
-
-struct EventInner {
-    set: bool,
-    waiters: Vec<Waker>,
-}
-
-/// A one-shot broadcast flag: many tasks can [`Event::wait`]; a single
-/// [`Event::set`] releases all of them (and any future waiter returns
-/// immediately).
-#[derive(Clone)]
-pub struct Event {
-    inner: Arc<Mutex<EventInner>>,
-}
-
-impl Default for Event {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Event {
-    /// Creates an unset event.
-    pub fn new() -> Self {
-        Event {
-            inner: Arc::new(Mutex::new(EventInner {
-                set: false,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Sets the event, waking all current waiters. Idempotent.
-    pub fn set(&self) {
-        let mut inner = lock(&self.inner);
-        inner.set = true;
-        for w in inner.waiters.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// True if the event has been set.
-    pub fn is_set(&self) -> bool {
-        lock(&self.inner).set
-    }
-
-    /// Waits until the event is set.
-    pub fn wait(&self) -> EventWait {
-        EventWait {
-            event: self.clone(),
-        }
-    }
-}
-
-/// Future returned by [`Event::wait`].
-pub struct EventWait {
-    event: Event,
-}
-
-impl Future for EventWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut inner = lock(&self.event.inner);
-        if inner.set {
-            Poll::Ready(())
-        } else {
-            inner.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Channel (unbounded FIFO)
 // ---------------------------------------------------------------------------
 
@@ -510,36 +434,6 @@ mod tests {
     fn zero_capacity_rejected() {
         let sim = Sim::new();
         let _ = Resource::new(&sim, 0);
-    }
-
-    #[test]
-    fn event_broadcasts_to_all_waiters() {
-        let sim = Sim::new();
-        let ev = Event::new();
-        let count = Arc::new(Mutex::new(0));
-        for _ in 0..4 {
-            let (ev2, count2) = (ev.clone(), Arc::clone(&count));
-            sim.spawn(async move {
-                ev2.wait().await;
-                *lock(&count2) += 1;
-            });
-        }
-        let (sim2, ev2) = (sim.clone(), ev.clone());
-        sim.spawn(async move {
-            sim2.sleep(SimDuration::from_secs(5)).await;
-            ev2.set();
-        });
-        assert_eq!(sim.run(), 0);
-        assert_eq!(*lock(&count), 4);
-        assert!(ev.is_set());
-    }
-
-    #[test]
-    fn event_wait_after_set_is_immediate() {
-        let sim = Sim::new();
-        let ev = Event::new();
-        ev.set();
-        sim.block_on(async move { ev.wait().await });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Stress and edge-case tests for the virtual-time executor.
 
-use bolted_sim::{channel, join_all, lock, Event, Resource, Rng, Sim, SimDuration, SimTime};
+use bolted_sim::{channel, join_all, lock, Resource, Rng, Sim, SimDuration, SimTime};
 
 use std::sync::{Arc, Mutex};
 
@@ -96,35 +96,6 @@ fn resource_pipeline_through_channel() {
     assert_eq!(*lock(&out), (0..20).collect::<Vec<_>>());
     // 20 items at 10ms service, arrivals every 5ms: consumer-bound.
     assert!((0.20..0.22).contains(&sim.now().as_secs_f64()));
-}
-
-#[test]
-fn event_set_before_and_after_waiters_mix() {
-    let sim = Sim::new();
-    let ev = Event::new();
-    let count = Arc::new(Mutex::new(0));
-    // Two early waiters.
-    for _ in 0..2 {
-        let (ev2, c2) = (ev.clone(), Arc::clone(&count));
-        sim.spawn(async move {
-            ev2.wait().await;
-            *lock(&c2) += 1;
-        });
-    }
-    let (sim2, ev2) = (sim.clone(), ev.clone());
-    sim.spawn(async move {
-        sim2.sleep(SimDuration::from_secs(1)).await;
-        ev2.set();
-    });
-    // A late waiter arriving after set.
-    let (sim3, ev3, c3) = (sim.clone(), ev.clone(), Arc::clone(&count));
-    sim.spawn(async move {
-        sim3.sleep(SimDuration::from_secs(2)).await;
-        ev3.wait().await;
-        *lock(&c3) += 1;
-    });
-    assert_eq!(sim.run(), 0);
-    assert_eq!(*lock(&count), 3);
 }
 
 #[test]

@@ -581,8 +581,9 @@ mod tests {
         use bolted_sim::{Faults, Metrics};
         // Installed after the target opened: the gate holds the shared
         // handle, so the swapped-in plan still reaches the read path.
-        let faults = Faults::disabled();
-        let gate = OpGate::new(&faults, &Metrics::disabled());
+        let metrics = Metrics::new();
+        let faults = Faults::new(FaultPlan::none(), &metrics);
+        let gate = OpGate::new(&faults, &metrics);
         let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &gate);
         faults.install(
             FaultPlan::seeded(4)
@@ -600,7 +601,13 @@ mod tests {
                 assert_eq!(t.read_timed(0, 4096).await, Ok(()), "flap recovered");
             }
         });
-        assert_eq!(faults.injected(ops::STORAGE_READ), 1);
+        assert_eq!(
+            metrics.counter(
+                "faults_injected",
+                &[("op", ops::STORAGE_READ), ("target", "root")]
+            ),
+            1
+        );
     }
 
     #[test]

@@ -48,14 +48,19 @@ fn transient_faults_are_retried_and_the_fleet_comes_up() {
     );
     assert!(report.failed.is_empty());
     assert!(
-        cloud.faults.total_injected() > 0,
+        cloud.metrics.counter_total("faults_injected") > 0,
         "the plan must actually have fired"
     );
     // Each flapped layer was exercised.
-    assert_eq!(cloud.faults.injected(ops::BMC_POWER), 2);
-    assert_eq!(cloud.faults.injected(ops::SWITCH_SET_VLAN), 1);
-    assert_eq!(cloud.faults.injected(ops::REGISTRAR_REGISTER), 2);
-    assert_eq!(cloud.faults.injected(ops::VERIFIER_QUOTE), 2);
+    let injected = |op: &str, target: &str| {
+        cloud
+            .metrics
+            .counter("faults_injected", &[("op", op), ("target", target)])
+    };
+    assert_eq!(injected(ops::BMC_POWER, "m620-01"), 2);
+    assert_eq!(injected(ops::SWITCH_SET_VLAN, "m620-02"), 1);
+    assert_eq!(injected(ops::REGISTRAR_REGISTER, "m620-03"), 2);
+    assert_eq!(injected(ops::VERIFIER_QUOTE, "m620-04"), 2);
 }
 
 #[test]
@@ -151,7 +156,8 @@ fn chaos_runs_are_deterministic_under_a_seed() {
             .map(|p| p.report.node.clone())
             .collect();
         names.sort();
-        (names, cloud.faults.total_injected(), sim.now().as_nanos())
+        let injected = cloud.metrics.counter_total("faults_injected");
+        (names, injected, sim.now().as_nanos())
     };
     let a = run();
     let b = run();
@@ -177,7 +183,7 @@ fn empty_fault_plan_is_entirely_free() {
                 }
             })
             .expect("provisions");
-        assert_eq!(cloud.faults.total_injected(), 0);
+        assert_eq!(cloud.metrics.counter_total("faults_injected"), 0);
         (p.report.total().as_nanos(), sim.now().as_nanos())
     };
     assert_eq!(run(FaultPlan::none()), run(FaultPlan::seeded(0x5EED)));
@@ -208,8 +214,14 @@ fn plan_installed_after_build_reaches_every_gated_layer() {
             .provision_fleet_report(&nodes, &SecurityProfile::charlie(), golden)
             .await
     });
-    for (op, _) in layers {
-        assert_eq!(cloud.faults.injected(op), 1, "{op} missed the plan");
+    for (op, target) in layers {
+        assert_eq!(
+            cloud
+                .metrics
+                .counter("faults_injected", &[("op", op), ("target", target)]),
+            1,
+            "{op} missed the plan"
+        );
     }
     // A BMI clone is not retried: only its node fails.
     let failed: Vec<&str> = report.failed.iter().map(|f| f.name.as_str()).collect();

@@ -152,11 +152,6 @@ fn fault_plan_counts_land_exactly_per_op_and_target() {
     // Nothing bled onto the unfaulted node.
     assert_eq!(c("faults_injected", ops::BMC_POWER, "m620-02"), 0);
     assert_eq!(c("retry_attempts", "hil.power_cycle", "m620-02"), 0);
-    // Registry totals agree with the fault layer's own ledger.
-    assert_eq!(
-        cloud.metrics.counter_total("faults_injected"),
-        cloud.faults.total_injected()
-    );
 }
 
 #[test]

@@ -104,17 +104,13 @@ fn applying_a_plan_twice_is_a_no_op() {
 
 #[test]
 fn rate_limited_churn_is_deferred_never_dropped() {
-    // A queue bound of 2 and a 2-op burst against a 6-node declaration:
-    // convergence takes several ticks, the overflow is deferred, and the
-    // drop counter stays at zero — rate limiting slows churn down, it
-    // never loses desired state.
+    // A 2-op burst against a 6-node declaration: convergence takes
+    // several ticks, the overflow is deferred, and the drop counter
+    // stays at zero — rate limiting slows churn down, it never loses
+    // desired state.
     let (sim, cloud, golden) = world().nodes(6).build();
     let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
-    let config = ReconcilerConfig {
-        queue_capacity: 2,
-        churn_rate_per_sec: 1.0,
-        churn_burst: 2,
-    };
+    let config = ReconcilerConfig { churn_burst: 2 };
     let desired = DesiredState::new(SecurityProfile::charlie(), 6);
     let mut rec = TenantReconciler::new(tenant, golden, desired, &config);
     let (ticks, stats, held) = sim.block_on(async move {
@@ -133,6 +129,30 @@ fn rate_limited_churn_is_deferred_never_dropped() {
     );
     assert_eq!(stats.dropped, 0, "rate limiting must never drop work");
     assert!(stats.deferred > 0, "overflow must be accounted as deferred");
+}
+
+#[test]
+fn admission_defers_exactly_what_the_grant_leaves() {
+    // A 70-provision declaration on a 1-node world. Under a zero budget
+    // nothing executes and the whole plan is admitted and deferred;
+    // under a budget of 3 exactly three ops run and the rest wait.
+    let (sim, cloud, golden) = world().nodes(1).build();
+    let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
+    let desired = DesiredState::new(SecurityProfile::charlie(), 70);
+    let mut rec = TenantReconciler::new(tenant, golden, desired, &ReconcilerConfig::default());
+    let metrics = cloud.metrics.clone();
+    let (starved, stats, admitted, granted) = sim.block_on(async move {
+        let starved = rec.tick(&mut OpBudget::new(0)).await;
+        let stats = rec.queue_stats();
+        let admitted = metrics.counter("queue_admitted", &[("queue", "tenant-00")]);
+        let granted = rec.tick(&mut OpBudget::new(3)).await;
+        (starved, stats, admitted, granted)
+    });
+    assert_eq!((starved.planned, starved.deferred), (70, 70));
+    assert_eq!(starved.executed, 0, "a zero budget runs nothing");
+    assert_eq!(stats.deferred, 70);
+    assert_eq!(admitted, 70, "the whole plan is admitted");
+    assert_eq!(granted.deferred, granted.planned - 3);
 }
 
 #[test]
