@@ -11,7 +11,9 @@
 //! * hold every isolation invariant (zero cross-tenant paths, nothing
 //!   quarantined, key releases exactly tracking attested provisions),
 //! * exercise convergent recovery (the injected faults abandon nodes
-//!   that the next tick re-claims), and
+//!   that the next tick re-claims),
+//! * account for every planned and deferred plan entry in the
+//!   `queue_admitted`/`queue_deferred` counters, and
 //! * produce a byte-identical run digest at every worker count.
 //!
 //! ```text
@@ -140,7 +142,7 @@ fn main() {
     write_artifact(smoke, "BENCH_reconcile.json", &json);
     require_byte_identical(&sweep, "reconcile digest");
     if !violations.is_empty() {
-        eprintln!("FAIL: isolation invariants violated under churn");
+        eprintln!("FAIL: isolation or admission-ledger invariants violated under churn");
         std::process::exit(1);
     }
     if !report.converged() {
@@ -149,10 +151,6 @@ fn main() {
     }
     if report.total("provision_failed") == 0.0 {
         eprintln!("FAIL: injected faults never exercised abandon-to-Free recovery");
-        std::process::exit(1);
-    }
-    if report.total("dropped") > 0.0 {
-        eprintln!("FAIL: reconciler dropped work — backpressure must defer");
         std::process::exit(1);
     }
 }

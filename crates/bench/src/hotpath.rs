@@ -5,14 +5,29 @@
 //! an in-repo "before" reference (a rolled SHA-256 compression loop,
 //! and for every RSA row the schoolbook `BigUint::modpow`, the one
 //! reference the fixed-width Montgomery kernel is checked against), so
-//! the speedup is recorded next to the code that earned it. Plain
+//! the speedup is recorded next to the code that earned it. The
+//! `attest_round` rows time a whole continuous-attestation round at 0,
+//! 1k and 10k IMA entries against a copy of the clone-and-replay
+//! verification, and how the round grows from 0 to 10k entries. Plain
 //! `std::time::Instant`, JSON-lines output, no external crates: it runs
 //! in the offline build where criterion cannot.
 
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::time::Instant;
 
 use bolted_crypto::prime::{gen_prime, random_below};
+use bolted_crypto::rsa::PublicKey;
+use bolted_crypto::sha256::Digest;
 use bolted_crypto::{keypair_from_seed, BigUint, RandomSource, XorShiftSource};
+use bolted_firmware::{FirmwareKind, FirmwareSource, Machine};
+use bolted_keylime::verifier::CONTINUOUS_SELECTION;
+use bolted_keylime::{
+    agent_binary_digest, Agent, AttestOutcome, AttestationEvidence, ImaWhitelist, LogOffsets,
+    Registrar, Verifier, VerifierConfig,
+};
+use bolted_sim::{CallEnv, Faults, Metrics, Sim, Spans};
+use bolted_tpm::{index, PcrBank, NUM_PCRS};
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
 /// for `cargo test`, `Smoke` for the pre-commit verify gate (seconds,
@@ -417,6 +432,156 @@ impl GenericCrtKey {
     }
 }
 
+/// One node enrolled with a continuous verifier, its IMA list holding
+/// `entries` whitelisted measurements that a first, full round has
+/// already verified.
+struct AttestRig {
+    sim: Sim,
+    agent: Agent,
+    verifier: Verifier,
+    aik: PublicKey,
+    boot_whitelist: HashSet<Digest>,
+    ima_whitelist: ImaWhitelist,
+    nonces: Cell<u64>,
+}
+
+impl AttestRig {
+    const NODE: &'static str = "node-0";
+
+    fn new(entries: usize) -> AttestRig {
+        let sim = Sim::new();
+        let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
+        let machine = Machine::new(Self::NODE, fw.clone(), 7);
+        machine.power_on();
+        let registrar = Registrar::new(&Faults::disabled());
+        let env = CallEnv::new(
+            &sim,
+            &Faults::disabled(),
+            &Spans::disabled(),
+            &Metrics::disabled(),
+        );
+        let verifier = Verifier::new(&env, &registrar, VerifierConfig::default());
+        let agent = sim.block_on({
+            let (sim, machine, registrar) = (sim.clone(), machine.clone(), registrar.clone());
+            async move {
+                machine.run_firmware(&sim).await.expect("boots");
+                machine
+                    .measure_download("keylime-agent", agent_binary_digest())
+                    .expect("measures");
+                let agent = Agent::start(&sim, Self::NODE, &machine).await;
+                let mut rng = XorShiftSource::new(11);
+                agent
+                    .register(&sim, &registrar, &mut rng)
+                    .await
+                    .expect("registers");
+                agent
+            }
+        });
+        let boot_whitelist = HashSet::from([fw.build_id, agent_binary_digest()]);
+        let mut ima_whitelist = ImaWhitelist::new();
+        for i in 0..entries {
+            let (path, content) = (format!("/usr/lib/f{i}"), i.to_le_bytes());
+            ima_whitelist.allow_content(&path, &content);
+            agent.ima_measure(&path, &content);
+        }
+        verifier.add_node(
+            &agent,
+            boot_whitelist.clone(),
+            ima_whitelist.clone(),
+            None,
+            Vec::new(),
+            0,
+        );
+        let aik = registrar.certified_aik(Self::NODE).expect("certified");
+        let rig = AttestRig {
+            sim,
+            agent,
+            verifier,
+            aik,
+            boot_whitelist,
+            ima_whitelist,
+            nonces: Cell::new(0),
+        };
+        assert_eq!(rig.incremental(), AttestOutcome::Trusted, "first round");
+        assert_eq!(
+            rig.verifier.log_offsets(Self::NODE).map(|o| o.ima),
+            Some(entries),
+            "the first round verified every entry"
+        );
+        rig
+    }
+
+    /// One production round: the verifier asks for the evidence past
+    /// its verified prefix and checks only that.
+    fn incremental(&self) -> AttestOutcome {
+        let v = self.verifier.clone();
+        self.sim
+            .block_on(async move { v.attest_once(AttestRig::NODE, true).await })
+    }
+
+    /// One round as continuous attestation ran before the verifier kept
+    /// a verified prefix: the agent ships both logs whole, and the
+    /// verifier replays them from zero and whitelist-checks every entry.
+    fn full_replay(&self) -> Result<(), String> {
+        self.nonces.set(self.nonces.get() + 1);
+        let mut nonce = [0xF0; 32];
+        nonce[..8].copy_from_slice(&self.nonces.get().to_le_bytes());
+        let (sim, agent) = (self.sim.clone(), self.agent.clone());
+        let evidence = self.sim.block_on(async move {
+            agent
+                .attest(&sim, nonce, &CONTINUOUS_SELECTION, &LogOffsets::START)
+                .await
+                .expect("attests")
+        });
+        self.full_replay_verify(&nonce, &evidence)
+    }
+
+    fn full_replay_verify(&self, nonce: &[u8; 32], ev: &AttestationEvidence) -> Result<(), String> {
+        let selection = &CONTINUOUS_SELECTION;
+        if !ev.quote.verify(&self.aik) {
+            return Err("quote signature invalid".into());
+        }
+        if &ev.quote.nonce != nonce {
+            return Err("stale nonce (replay?)".into());
+        }
+        if ev.quote.selection != selection {
+            return Err("quote covers wrong PCR selection".into());
+        }
+        let mut boot_pcrs = [Digest::ZERO; NUM_PCRS];
+        for e in &ev.boot_events {
+            if let Some(pcr) = boot_pcrs.get_mut(e.pcr_index) {
+                *pcr = PcrBank::extend_value(pcr, &e.digest);
+            }
+        }
+        let ima_pcr = ev.ima_entries.iter().fold(Digest::ZERO, |pcr, e| {
+            PcrBank::extend_value(&pcr, &e.template_digest())
+        });
+        let expected = PcrBank::composite_of(selection, |i| {
+            if i == index::IMA {
+                ima_pcr
+            } else {
+                boot_pcrs[i]
+            }
+        });
+        let quoted = PcrBank::composite_of(&ev.quote.selection, |i| {
+            let pos = ev.quote.selection.iter().position(|&s| s == i);
+            ev.quote.pcr_values[pos.expect("a selected index")]
+        });
+        if expected != quoted {
+            return Err("event log does not replay to quoted PCRs".into());
+        }
+        for e in &ev.boot_events {
+            if e.pcr_index != index::IMA && !self.boot_whitelist.contains(&e.digest) {
+                return Err(format!("unapproved boot measurement: {}", e.description));
+            }
+        }
+        if let Err(v) = self.ima_whitelist.check(&ev.ima_entries) {
+            return Err(format!("IMA violation: {} ({})", v.path, v.digest));
+        }
+        Ok(())
+    }
+}
+
 /// Runs every hot-path benchmark at the given [`Effort`].
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
@@ -563,6 +728,70 @@ pub fn run(effort: Effort) -> Vec<Record> {
         (ns.0 / per_sig, ns.1 / per_sig),
         None,
     );
+
+    // --- Continuous attestation: one round at 0, 1k and 10k entries --
+    // Both variants run the same agent, quote and signature check; the
+    // reference ships and replays both logs whole, the production round
+    // only what is past the verified prefix. Each list is verified
+    // once before timing, and both variants must agree on a violation.
+    let (rounds, iters_full, iters_incr) = effort.pick((16, 2, 100), (4, 1, 25), (2, 1, 10));
+    let benches = ["attest_round_0", "attest_round_1k", "attest_round_10k"];
+    let rigs = [0, 1_000, 10_000].map(AttestRig::new);
+    for (bench, rig) in benches.iter().zip(&rigs) {
+        assert_eq!(
+            rig.full_replay(),
+            Ok(()),
+            "{bench}: full replay cross-check"
+        );
+        // Full replays do not move the prefix, so every timed
+        // production round starts from the whole list verified.
+        let ns = time_pair(
+            rounds,
+            iters_full,
+            iters_incr,
+            || {
+                std::hint::black_box(rig.full_replay()).expect("trusted");
+            },
+            || {
+                let outcome = std::hint::black_box(rig.incremental());
+                assert_eq!(outcome, AttestOutcome::Trusted);
+            },
+        );
+        record_pair(
+            &mut records,
+            bench,
+            ("full_replay", "incremental"),
+            (rounds * iters_full, rounds * iters_incr),
+            ns,
+            None,
+        );
+    }
+    // How a production round grows with the list: 10k entries against
+    // none, interleaved in short batches so that machine load lands on
+    // both sides alike. The recorded ratio is the growth factor.
+    let (rounds, iters) = effort.pick((64, 25), (16, 10), (4, 5));
+    let round = |rig: &AttestRig| {
+        let outcome = std::hint::black_box(rig.incremental());
+        assert_eq!(outcome, AttestOutcome::Trusted);
+    };
+    let ns = time_pair(rounds, iters, iters, || round(&rigs[2]), || round(&rigs[0]));
+    record_pair(
+        &mut records,
+        "attest_round_growth",
+        ("10k_entries", "empty"),
+        (rounds * iters, rounds * iters),
+        ns,
+        None,
+    );
+    for (bench, rig) in benches.iter().zip(&rigs) {
+        rig.agent.ima_measure("/tmp/unlisted", b"x");
+        let reference = rig.full_replay().unwrap_err();
+        assert_eq!(
+            rig.incremental(),
+            AttestOutcome::Failed(reference),
+            "{bench}: both variants must reject an unlisted file alike"
+        );
+    }
 
     records
 }

@@ -1,6 +1,7 @@
 //! Smoke test for the hot-path micro-bench: the kernels must keep their
-//! speedups (generous margins — CI boxes are noisy) and the binary must
-//! run end to end in `--quick` and `--smoke` modes.
+//! speedups (generous margins — CI boxes are noisy), a continuous
+//! attestation round must cost the same at any list length, and the
+//! binary must run end to end in `--quick` and `--smoke` modes.
 
 use std::sync::Mutex;
 
@@ -19,7 +20,16 @@ fn exclusive_cpu() -> std::sync::MutexGuard<'static, ()> {
 fn quick_run_reports_kernel_speedups() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Quick);
-    for bench in ["rsa_verify_2048", "sha256", "keygen_512", "rsa_sign_512"] {
+    for bench in [
+        "rsa_verify_2048",
+        "sha256",
+        "keygen_512",
+        "rsa_sign_512",
+        "attest_round_0",
+        "attest_round_1k",
+        "attest_round_10k",
+        "attest_round_growth",
+    ] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
             2,
@@ -56,6 +66,19 @@ fn quick_run_reports_kernel_speedups() {
         sign >= sign_floor,
         "rsa_sign_512 speedup {sign:.2}x < {sign_floor}x"
     );
+    // A round past a verified prefix of 10k IMA entries checks only the
+    // new evidence: hundreds of times faster than replaying the lists
+    // from zero, and within 2x of a round over an empty list.
+    let attest = hotpath::speedup(&records, "attest_round_10k").expect("pair");
+    assert!(
+        attest >= 20.0,
+        "attest_round_10k speedup {attest:.1}x < 20x"
+    );
+    let growth = hotpath::speedup(&records, "attest_round_growth").expect("pair");
+    assert!(
+        growth <= 2.0,
+        "an incremental round at 10k entries costs {growth:.2}x an empty-list round"
+    );
 }
 
 #[test]
@@ -65,7 +88,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 4, "all four benches present: {benches:?}");
+    assert_eq!(benches.len(), 8, "all eight benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

@@ -1481,6 +1481,47 @@ mod warm_restart_tests {
         }
     }
 
+    /// The kernel's IMA list does not survive the reboot: the first
+    /// continuous round after a warm restart sees a fresh list and a
+    /// new TPM reset count, replays both logs from zero, and trusts the
+    /// node.
+    #[test]
+    fn continuous_attestation_after_warm_restart_with_ima_entries() {
+        let (sim, cloud, golden, tenant) = setup();
+        let node = cloud.nodes()[0];
+        let mut wl = ImaWhitelist::new();
+        wl.allow_content("/usr/bin/top", b"top");
+        tenant.set_ima_whitelist(wl);
+        let (before_restart, after_restart, before, after, boot_log) = sim.block_on({
+            let tenant = tenant.clone();
+            let cloud = cloud.clone();
+            async move {
+                let p = tenant
+                    .provision(node, &SecurityProfile::charlie(), golden)
+                    .await
+                    .expect("provisions");
+                let agent = p.agent.clone().expect("attested");
+                let name = agent.id().to_string();
+                agent.ima_measure("/usr/bin/top", b"top");
+                let before_restart = tenant.verifier.attest_once(&name, true).await;
+                let before = tenant.verifier.log_offsets(&name).expect("enrolled");
+                tenant
+                    .warm_restart(&p, &SecurityProfile::charlie())
+                    .await
+                    .expect("warm restarts");
+                let after_restart = tenant.verifier.attest_once(&name, true).await;
+                let after = tenant.verifier.log_offsets(&name).expect("enrolled");
+                let boot_log = cloud.machine(node).with_tpm(|t| t.event_log().len());
+                (before_restart, after_restart, before, after, boot_log)
+            }
+        });
+        assert_eq!(before_restart, AttestOutcome::Trusted);
+        assert_eq!(before.ima, 1);
+        assert_eq!(after_restart, AttestOutcome::Trusted);
+        assert_eq!(after.reset_count, before.reset_count + 1, "a new boot");
+        assert_eq!((after.boot, after.ima), (boot_log, 0), "a full replay");
+    }
+
     #[test]
     fn warm_restart_requires_an_attested_node() {
         let (sim, cloud, golden, tenant) = setup();

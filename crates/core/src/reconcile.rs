@@ -689,8 +689,9 @@ pub struct ShardReconcileOutcome {
     pub shard: usize,
     /// Scalar counters, in name order (ticks, ops, convergence...).
     pub measurements: BTreeMap<String, f64>,
-    /// Isolation-invariant violations observed at epoch boundaries
-    /// (empty on a passing run).
+    /// Isolation-invariant violations observed at epoch boundaries, and
+    /// an admission-ledger mismatch found at the end (empty on a
+    /// passing run).
     pub violations: Vec<String>,
     /// SHA-256 over the shard's counters, violations, span tree and
     /// metrics snapshot.
@@ -863,7 +864,7 @@ fn run_reconcile_shard(
     // tally when the sim drains.
     let loop_spec = spec.clone();
     let loop_cloud = cloud.clone();
-    let (recs, tally, violations, converged_epochs) = sim.block_on(async move {
+    let (recs, tally, mut violations, converged_epochs) = sim.block_on(async move {
         let mut recs = recs;
         let mut tally = Tally::default();
         let mut violations: Vec<String> = Vec::new();
@@ -908,6 +909,17 @@ fn run_reconcile_shard(
         }
         (recs, tally, violations, converged_epochs)
     });
+    // The metrics registry is the admission ledger: it must account for
+    // every entry the ticks planned and deferred.
+    let admitted: u64 = recs.iter().map(|r| r.queue_stats().admitted).sum();
+    let deferred: u64 = recs.iter().map(|r| r.queue_stats().deferred).sum();
+    if (admitted, deferred) != (tally.planned, tally.deferred) {
+        violations.push(format!(
+            "admission ledger: shard {shard} counted {admitted} admitted and {deferred} \
+             deferred, its ticks {} planned and {} deferred",
+            tally.planned, tally.deferred
+        ));
+    }
 
     let mut m: BTreeMap<String, f64> = BTreeMap::new();
     m.insert("ticks".into(), tally.ticks as f64);

@@ -52,14 +52,26 @@ impl std::error::Error for RsaError {}
 ///
 /// No Montgomery context is kept with it: each verification or
 /// encryption builds one on the stack, which costs less than the
-/// exponentiation by 65537 it serves.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// exponentiation by 65537 it serves. Its fingerprint is kept: every
+/// quote is signed and checked against it, so it is hashed once, when
+/// the key is built. Equality follows `(n, e)` alone.
+#[derive(Debug, Clone)]
 pub struct PublicKey {
     n: BigUint,
     e: BigUint,
     /// Modulus length in bytes.
     k: usize,
+    /// SHA-256 over `n || e`.
+    fingerprint: Digest,
 }
+
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &PublicKey) -> bool {
+        self.n == other.n && self.e == other.e
+    }
+}
+
+impl Eq for PublicKey {}
 
 /// CRT parameters (RFC 8017 §3.2, second representation): the private
 /// key's only exponent, and the only source of the per-call fixed-width
@@ -212,8 +224,7 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
             q,
             qinv,
         };
-        let k = bits.div_ceil(8);
-        let public = PublicKey { n, e, k };
+        let public = PublicKey::new(n, e, bits.div_ceil(8));
         return KeyPair {
             private: PrivateKey {
                 public: public.clone(),
@@ -225,6 +236,19 @@ pub fn generate_keypair(bits: usize, rng: &mut dyn RandomSource) -> KeyPair {
 }
 
 impl PublicKey {
+    /// The key `(n, e)` with a `k`-byte modulus, fingerprinted.
+    fn new(n: BigUint, e: BigUint, k: usize) -> PublicKey {
+        let mut data = n.to_bytes_be();
+        data.extend_from_slice(&e.to_bytes_be());
+        let fingerprint = sha256(&data);
+        PublicKey {
+            n,
+            e,
+            k,
+            fingerprint,
+        }
+    }
+
     /// Modulus size in bytes.
     pub fn modulus_len(&self) -> usize {
         self.k
@@ -237,9 +261,7 @@ impl PublicKey {
 
     /// A stable fingerprint of the key (SHA-256 over `n || e`).
     pub fn fingerprint(&self) -> Digest {
-        let mut data = self.n.to_bytes_be();
-        data.extend_from_slice(&self.e.to_bytes_be());
-        sha256(&data)
+        self.fingerprint
     }
 
     /// Verifies a PKCS#1 v1.5 SHA-256 signature over `message`.
@@ -712,11 +734,7 @@ mod public_exp_tests {
                     random_below(&n, &mut rng),
                 ];
                 for e in exps {
-                    let key = PublicKey {
-                        n: n.clone(),
-                        e: e.clone(),
-                        k: bits.div_ceil(8),
-                    };
+                    let key = PublicKey::new(n.clone(), e.clone(), bits.div_ceil(8));
                     for m in &bases {
                         assert_eq!(
                             key.public_exp(m),

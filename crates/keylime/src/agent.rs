@@ -12,10 +12,10 @@ use bolted_crypto::sha256::{sha256, Digest};
 use bolted_firmware::Machine;
 use bolted_sim::lock;
 use bolted_sim::{Sim, SimDuration};
-use bolted_tpm::{CredentialBlob, EventLog, Quote, SealedBlob, TpmError};
+use bolted_tpm::{CredentialBlob, MeasuredEvent, Quote, SealedBlob, TpmError};
 use std::sync::{Arc, Mutex};
 
-use crate::ima::ImaLog;
+use crate::ima::{ImaEntry, ImaLog};
 use crate::payload::{combine_key, KeyShare, TenantPayload};
 use crate::registrar::{Registrar, RegistrarError};
 
@@ -76,15 +76,44 @@ impl From<RegistrarError> for RegisterError {
     }
 }
 
+/// How much of a node's two logs a verifier has verified, and under
+/// which boot and AIK. The verifier sends it with every nonce, and the
+/// agent answers with the entries past it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogOffsets {
+    /// Fingerprint of the AIK whose quotes verified the prefix.
+    pub aik: Digest,
+    /// TPM reset count of the boot the prefix belongs to.
+    pub reset_count: u64,
+    /// Boot events verified.
+    pub boot: usize,
+    /// IMA entries verified.
+    pub ima: usize,
+}
+
+impl LogOffsets {
+    /// Nothing verified: the agent answers with both logs whole.
+    pub const START: LogOffsets = LogOffsets {
+        aik: Digest::ZERO,
+        reset_count: 0,
+        boot: 0,
+        ima: 0,
+    };
+}
+
 /// Everything a verifier receives in response to an attestation request.
 #[derive(Debug, Clone)]
 pub struct AttestationEvidence {
     /// The signed quote.
     pub quote: Quote,
-    /// The boot event log (replayed by the verifier).
-    pub boot_log: EventLog,
-    /// The IMA measurement list (replayed and whitelist-checked).
-    pub ima_log: ImaLog,
+    /// Position in the boot event log of `boot_events[0]`.
+    pub boot_from: usize,
+    /// The boot event log from `boot_from` on.
+    pub boot_events: Vec<MeasuredEvent>,
+    /// Position in the IMA measurement list of `ima_entries[0]`.
+    pub ima_from: usize,
+    /// The IMA measurement list from `ima_from` on.
+    pub ima_entries: Vec<ImaEntry>,
 }
 
 struct AgentInner {
@@ -164,23 +193,39 @@ impl Agent {
     }
 
     /// Produces attestation evidence for the verifier's nonce, charging
-    /// the TPM quote latency.
+    /// the TPM quote latency. The evidence carries the boot events and
+    /// IMA entries past `since`, or both logs whole when `since` was
+    /// verified under another boot or AIK or lies past a log's end.
     pub async fn attest(
         &self,
         sim: &Sim,
         nonce: [u8; 32],
         selection: &[usize],
+        since: &LogOffsets,
     ) -> Result<AttestationEvidence, TpmError> {
         let quote_ns = self.machine.with_tpm(|t| t.timings().quote_ns);
         sim.sleep(SimDuration::from_nanos(quote_ns)).await;
-        let (quote, boot_log) = self.machine.with_tpm(|t| {
-            let q = t.quote(selection, nonce);
-            (q, t.event_log().clone())
-        });
-        Ok(AttestationEvidence {
-            quote: quote?,
-            boot_log,
-            ima_log: lock(&self.ima).clone(),
+        let mut ima = lock(&self.ima);
+        self.machine.with_tpm(|t| {
+            ima.follow_boot(t.reset_count());
+            let quote = t.quote(selection, nonce)?;
+            let boot = t.event_log().events();
+            let continues = since.aik == quote.aik_fingerprint
+                && since.reset_count == quote.reset_count
+                && since.boot <= boot.len()
+                && since.ima <= ima.len();
+            let (boot_from, ima_from) = if continues {
+                (since.boot, since.ima)
+            } else {
+                (0, 0)
+            };
+            Ok(AttestationEvidence {
+                boot_from,
+                boot_events: boot.get(boot_from..).unwrap_or_default().to_vec(),
+                ima_from,
+                ima_entries: ima.entries().get(ima_from..).unwrap_or_default().to_vec(),
+                quote,
+            })
         })
     }
 
@@ -325,18 +370,26 @@ mod tests {
             async move {
                 let agent = booted_agent(&sim2, &m).await;
                 agent
-                    .attest(&sim2, [9; 32], &[index::FIRMWARE, index::BOOT_CODE])
+                    .attest(
+                        &sim2,
+                        [9; 32],
+                        &[index::FIRMWARE, index::BOOT_CODE],
+                        &LogOffsets::START,
+                    )
                     .await
                     .expect("attests")
             }
         });
         let aik = m.with_tpm(|t| t.aik_pub().expect("aik").clone());
         assert!(ev.quote.verify(&aik));
+        let log = m.with_tpm(|t| t.event_log().clone());
+        assert_eq!(ev.boot_from, 0);
+        assert_eq!(ev.boot_events, log.events(), "the whole boot log");
+        let replayed = log.replay();
         assert_eq!(
-            ev.boot_log
-                .replay_composite(&[index::FIRMWARE, index::BOOT_CODE]),
-            ev.quote.composite(),
-            "event log replays to the quoted composite"
+            ev.quote.pcr_values,
+            vec![replayed[index::FIRMWARE], replayed[index::BOOT_CODE]],
+            "event log replays to the quoted values"
         );
     }
 
@@ -367,13 +420,97 @@ mod tests {
                 let agent = booted_agent(&sim2, &m).await;
                 agent.ima_measure("/usr/bin/top", b"top binary");
                 let ev = agent
-                    .attest(&sim2, [1; 32], &[index::IMA])
+                    .attest(&sim2, [1; 32], &[index::IMA], &LogOffsets::START)
                     .await
                     .expect("attests");
-                assert_eq!(ev.ima_log.len(), 1);
-                assert_eq!(ev.ima_log.replay_pcr(), ev.quote.pcr_values[0]);
+                assert_eq!(ev.ima_entries.len(), 1);
+                assert_eq!(
+                    crate::ima::extend_pcr(Digest::ZERO, &ev.ima_entries),
+                    ev.quote.pcr_values[0]
+                );
             }
         });
+    }
+
+    #[test]
+    fn evidence_starts_at_offsets_of_the_same_boot_and_aik_only() {
+        let sim = Sim::new();
+        let m = machine();
+        let agent = sim.block_on({
+            let (sim2, m) = (sim.clone(), m.clone());
+            async move { booted_agent(&sim2, &m).await }
+        });
+        for path in ["/usr/bin/a", "/usr/bin/b", "/usr/bin/c"] {
+            agent.ima_measure(path, path.as_bytes());
+        }
+        let attest = |since: LogOffsets| {
+            sim.block_on({
+                let (sim2, agent) = (sim.clone(), agent.clone());
+                async move {
+                    agent
+                        .attest(&sim2, [2; 32], &[index::IMA], &since)
+                        .await
+                        .expect("attests")
+                }
+            })
+        };
+        let whole = attest(LogOffsets::START);
+        let boot_len = whole.boot_events.len();
+        assert_eq!((whole.boot_from, whole.ima_from), (0, 0));
+        assert_eq!(whole.ima_entries.len(), 3);
+        let since = LogOffsets {
+            aik: whole.quote.aik_fingerprint,
+            reset_count: whole.quote.reset_count,
+            boot: boot_len - 1,
+            ima: 2,
+        };
+        let tail = attest(since);
+        assert_eq!((tail.boot_from, tail.ima_from), (boot_len - 1, 2));
+        assert_eq!(
+            tail.boot_events.as_slice(),
+            &whole.boot_events[boot_len - 1..]
+        );
+        assert_eq!(tail.ima_entries.as_slice(), &whole.ima_entries[2..]);
+        // Another boot, another AIK, or an offset past the end: whole logs.
+        for other in [
+            LogOffsets {
+                reset_count: since.reset_count + 1,
+                ..since
+            },
+            LogOffsets {
+                aik: Digest::ZERO,
+                ..since
+            },
+            LogOffsets { ima: 4, ..since },
+        ] {
+            let ev = attest(other);
+            assert_eq!((ev.boot_from, ev.ima_from), (0, 0), "{other:?}");
+            assert_eq!(ev.ima_entries.len(), 3);
+        }
+    }
+
+    #[test]
+    fn a_reboot_starts_a_fresh_ima_list() {
+        let sim = Sim::new();
+        let m = machine();
+        let agent = sim.block_on({
+            let (sim2, m) = (sim.clone(), m.clone());
+            async move { booted_agent(&sim2, &m).await }
+        });
+        agent.ima_measure("/usr/bin/top", b"top binary");
+        m.power_cycle();
+        let ev = sim.block_on({
+            let (sim2, m, agent) = (sim.clone(), m.clone(), agent.clone());
+            async move {
+                m.run_firmware(&sim2).await.expect("boots");
+                agent
+                    .attest(&sim2, [3; 32], &[index::IMA], &LogOffsets::START)
+                    .await
+                    .expect("attests")
+            }
+        });
+        assert!(ev.ima_entries.is_empty(), "the old boot's list is gone");
+        assert_eq!(ev.quote.pcr_values[0], Digest::ZERO);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! programs, libraries, and critical configuration files that have been
 //! executed or read by the system" (§5). Every measured file appends an
 //! entry to the measurement list and extends PCR 10; the Cloud Verifier
-//! replays the list against the quoted PCR and checks every entry
-//! against a tenant whitelist.
+//! extends its verified PCR-10 aggregate with the entries it has not
+//! seen yet, compares the result with the quoted PCR and checks those
+//! entries against a tenant whitelist.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -33,9 +34,16 @@ impl ImaEntry {
     }
 }
 
-/// The kernel-maintained measurement list for one node.
+/// The kernel-maintained measurement list for one node's current boot.
+///
+/// The kernel keeps the list in memory, so every boot starts an empty
+/// one, just as the platform reset zeroes PCR 10. The list remembers
+/// the TPM reset count of its boot and starts afresh when it sees
+/// another.
 #[derive(Debug, Clone, Default)]
 pub struct ImaLog {
+    /// TPM reset count of the boot these entries belong to.
+    boot: u64,
     entries: Vec<ImaEntry>,
 }
 
@@ -54,12 +62,22 @@ impl ImaLog {
 
     /// Measures a file access by a known content digest.
     pub fn measure_digest(&mut self, tpm: &mut Tpm, path: &str, digest: Digest) {
+        self.follow_boot(tpm.reset_count());
         let entry = ImaEntry {
             path: path.to_string(),
             digest,
         };
         tpm.extend_measured(index::IMA, entry.template_digest(), format!("ima:{path}"));
         self.entries.push(entry);
+    }
+
+    /// Empties the list when the TPM has been reset since its boot
+    /// (`reset_count` is the TPM's current count).
+    pub fn follow_boot(&mut self, reset_count: u64) {
+        if self.boot != reset_count {
+            self.boot = reset_count;
+            self.entries.clear();
+        }
     }
 
     /// All entries in measurement order.
@@ -79,12 +97,16 @@ impl ImaLog {
 
     /// Replays the list to the expected PCR-10 value.
     pub fn replay_pcr(&self) -> Digest {
-        let mut pcr = Digest::ZERO;
-        for e in &self.entries {
-            pcr = PcrBank::extend_value(&pcr, &e.template_digest());
-        }
-        pcr
+        extend_pcr(Digest::ZERO, &self.entries)
     }
+}
+
+/// PCR 10 after `entries` are extended into `pcr`, in order: a list's
+/// aggregate is its verified prefix's aggregate extended by the rest.
+pub fn extend_pcr(pcr: Digest, entries: &[ImaEntry]) -> Digest {
+    entries.iter().fold(pcr, |pcr, e| {
+        PcrBank::extend_value(&pcr, &e.template_digest())
+    })
 }
 
 /// A whitelist violation found by [`ImaWhitelist::check`].
@@ -139,9 +161,9 @@ impl ImaWhitelist {
         self.approved.is_empty()
     }
 
-    /// Checks every log entry; returns the first violation, if any.
-    pub fn check(&self, log: &ImaLog) -> Result<(), ImaViolation> {
-        for e in log.entries() {
+    /// Checks every entry; returns the first violation, if any.
+    pub fn check(&self, entries: &[ImaEntry]) -> Result<(), ImaViolation> {
+        for e in entries {
             match self.approved.get(&e.path) {
                 Some(digests) if digests.contains(&e.digest) => {}
                 Some(_) => {
@@ -204,7 +226,7 @@ mod tests {
         wl.allow_content("/usr/bin/bash", b"bash");
         wl.allow_content("/usr/bin/python", b"python");
         log.measure(&mut t, "/usr/bin/bash", b"bash");
-        assert_eq!(wl.check(&log), Ok(()));
+        assert_eq!(wl.check(log.entries()), Ok(()));
     }
 
     #[test]
@@ -213,7 +235,7 @@ mod tests {
         let mut log = ImaLog::new();
         let wl = ImaWhitelist::new();
         log.measure(&mut t, "/tmp/dropper", b"malware");
-        let v = wl.check(&log).unwrap_err();
+        let v = wl.check(log.entries()).unwrap_err();
         assert_eq!(v.path, "/tmp/dropper");
         assert!(!v.known_path);
     }
@@ -225,7 +247,7 @@ mod tests {
         let mut wl = ImaWhitelist::new();
         wl.allow_content("/usr/bin/sshd", b"good sshd");
         log.measure(&mut t, "/usr/bin/sshd", b"trojaned sshd");
-        let v = wl.check(&log).unwrap_err();
+        let v = wl.check(log.entries()).unwrap_err();
         assert!(v.known_path, "path known, content wrong");
     }
 
@@ -237,7 +259,34 @@ mod tests {
         let mut t = tpm();
         let mut log = ImaLog::new();
         log.measure(&mut t, "/usr/bin/bash", b"bash-5.1");
-        assert_eq!(wl.check(&log), Ok(()));
+        assert_eq!(wl.check(log.entries()), Ok(()));
+    }
+
+    #[test]
+    fn a_platform_reset_starts_a_fresh_list() {
+        let mut t = tpm();
+        let mut log = ImaLog::new();
+        log.measure(&mut t, "/usr/bin/top", b"top");
+        t.platform_reset();
+        log.follow_boot(t.reset_count());
+        assert!(log.is_empty(), "the list of the old boot is gone");
+        log.measure(&mut t, "/usr/bin/ps", b"ps");
+        assert_eq!(log.len(), 1);
+        assert_eq!(t.pcr_read(index::IMA), log.replay_pcr());
+    }
+
+    #[test]
+    fn aggregate_extends_from_a_verified_prefix() {
+        let mut t = tpm();
+        let mut log = ImaLog::new();
+        for i in 0..5u8 {
+            log.measure(&mut t, "/usr/bin/f", &[i]);
+        }
+        let (head, tail) = log.entries().split_at(2);
+        assert_eq!(
+            extend_pcr(extend_pcr(Digest::ZERO, head), tail),
+            log.replay_pcr()
+        );
     }
 
     #[test]

@@ -22,7 +22,9 @@ pub mod payload;
 pub mod registrar;
 pub mod verifier;
 
-pub use agent::{agent_binary_digest, Agent, AttestationEvidence, RegisterError, AGENT_BINARY};
+pub use agent::{
+    agent_binary_digest, Agent, AttestationEvidence, LogOffsets, RegisterError, AGENT_BINARY,
+};
 pub use ima::{ImaEntry, ImaLog, ImaViolation, ImaWhitelist};
 pub use payload::{combine_key, split_key, KeyShare, TenantPayload};
 pub use registrar::{Registrar, RegistrarError};

@@ -7,6 +7,13 @@
 //! first success, and on any failure broadcasts a revocation so the rest
 //! of the enclave can cryptographically ban the node (§7.4: detection in
 //! under a second, full revocation in about three).
+//!
+//! As Keylime's verifier does, it keeps a verified prefix of each
+//! node's logs: how many boot events and IMA entries it has verified,
+//! and the PCR values they replay to. A round asks the agent only for
+//! the entries past that prefix, extends the stored values with them
+//! and whitelist-checks only them, so a round costs time in the new
+//! evidence, not in the node's uptime.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -20,10 +27,10 @@ use bolted_sim::{channel, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimD
 use bolted_sim::{CallEnv, RetryError};
 #[cfg(test)]
 use bolted_sim::{Faults, Metrics, Spans};
-use bolted_tpm::{index, PcrBank, TpmError};
+use bolted_tpm::{extend_bank, index, TpmError, NUM_PCRS};
 
-use crate::agent::{Agent, AttestationEvidence};
-use crate::ima::ImaWhitelist;
+use crate::agent::{Agent, AttestationEvidence, LogOffsets};
+use crate::ima::{extend_pcr, ImaWhitelist};
 use crate::payload::KeyShare;
 use crate::registrar::Registrar;
 
@@ -113,8 +120,33 @@ pub enum NodeStatus {
     Failed(String),
 }
 
+/// What a verifier has verified of one node's logs: the offsets it
+/// asks the agent for next, and the PCR values the verified entries
+/// replay to. It holds only for the boot and AIK named in its offsets.
+#[derive(Debug, Clone)]
+struct VerifiedPrefix {
+    offsets: LogOffsets,
+    /// Every PCR replayed from the first `offsets.boot` boot events.
+    boot_pcrs: [Digest; NUM_PCRS],
+    /// PCR 10 replayed from the first `offsets.ima` IMA entries.
+    ima_pcr: Digest,
+}
+
+impl VerifiedPrefix {
+    /// Nothing verified.
+    const START: VerifiedPrefix = VerifiedPrefix {
+        offsets: LogOffsets::START,
+        boot_pcrs: [Digest::ZERO; NUM_PCRS],
+        ima_pcr: Digest::ZERO,
+    };
+}
+
 struct NodeState {
     agent: Agent,
+    /// Which `add_node` call made this entry: a round stores its prefix
+    /// only into the enrolment it started under.
+    enrolment: u64,
+    prefix: VerifiedPrefix,
     boot_whitelist: HashSet<Digest>,
     ima_whitelist: ImaWhitelist,
     v_share: Option<KeyShare>,
@@ -132,6 +164,7 @@ struct VerifierInner {
     nodes: BTreeMap<String, NodeState>,
     subscribers: Vec<Sender<RevocationEvent>>,
     nonce_counter: u64,
+    enrolments: u64,
 }
 
 /// AIK→verified-key cache: repeated quotes from the same node skip the
@@ -233,6 +266,7 @@ impl Verifier {
                 nodes: BTreeMap::new(),
                 subscribers: Vec::new(),
                 nonce_counter: 0,
+                enrolments: 0,
             })),
             aik_cache: Arc::new(AikCache::default()),
         }
@@ -249,7 +283,8 @@ impl Verifier {
 
     /// Registers a node for verification with its whitelists and (for
     /// security-sensitive tenants) the V share + sealed payload to
-    /// release on first success.
+    /// release on first success. Re-enrolling a node drops whatever of
+    /// its logs was verified, so its next round replays them whole.
     pub fn add_node(
         &self,
         agent: &Agent,
@@ -259,10 +294,15 @@ impl Verifier {
         sealed_payload: Vec<u8>,
         payload_wire_bytes: u64,
     ) {
-        lock(&self.inner).nodes.insert(
+        let mut inner = lock(&self.inner);
+        inner.enrolments += 1;
+        let enrolment = inner.enrolments;
+        inner.nodes.insert(
             agent.id().to_string(),
             NodeState {
                 agent: agent.clone(),
+                enrolment,
+                prefix: VerifiedPrefix::START,
                 boot_whitelist,
                 ima_whitelist,
                 v_share,
@@ -296,6 +336,13 @@ impl Verifier {
         lock(&self.inner).nodes.get(node_id)?.detected_at
     }
 
+    /// How much of the node's logs is verified: the offsets its next
+    /// round asks the agent for ([`LogOffsets::START`] until a trusted
+    /// round).
+    pub fn log_offsets(&self, node_id: &str) -> Option<LogOffsets> {
+        Some(lock(&self.inner).nodes.get(node_id)?.prefix.offsets)
+    }
+
     fn fresh_nonce(&self) -> [u8; 32] {
         let mut inner = lock(&self.inner);
         inner.nonce_counter += 1;
@@ -322,8 +369,10 @@ impl Verifier {
         Some(aik)
     }
 
-    /// Verifies evidence against the node's whitelists (pure check, no
-    /// timing). Exposed for tests and custom tenant flows.
+    /// Verifies evidence that carries both logs whole against the
+    /// node's whitelists (pure check, no timing, stores nothing).
+    /// Exposed for tests and custom tenant flows; it is the check every
+    /// round runs, from an empty prefix.
     pub fn verify_evidence(
         &self,
         node_id: &str,
@@ -331,6 +380,23 @@ impl Verifier {
         selection: &[usize],
         evidence: &AttestationEvidence,
     ) -> Result<(), String> {
+        self.verify_from(node_id, &VerifiedPrefix::START, nonce, selection, evidence)
+            .map(drop)
+    }
+
+    /// Verifies evidence against the node's whitelists, starting from
+    /// `prefix`, and returns the verified prefix the evidence extends it
+    /// to. The prefix counts only if the quote comes from the boot and
+    /// AIK it was verified under; otherwise the evidence must carry both
+    /// logs whole.
+    fn verify_from(
+        &self,
+        node_id: &str,
+        prefix: &VerifiedPrefix,
+        nonce: &[u8; 32],
+        selection: &[usize],
+        evidence: &AttestationEvidence,
+    ) -> Result<VerifiedPrefix, String> {
         if !lock(&self.inner).nodes.contains_key(node_id) {
             return Err("unknown node".into());
         }
@@ -339,7 +405,8 @@ impl Verifier {
             .certified_aik_cached(node_id)
             .ok_or("AIK not certified by registrar")?;
         // 2. Signature and freshness.
-        let mut sig_ok = evidence.quote.verify(&aik);
+        let quote = &evidence.quote;
+        let mut sig_ok = quote.verify(&aik);
         if !sig_ok {
             // The node may have re-registered with a fresh AIK since the
             // cache entry was filled (remediation reboot, warm restart):
@@ -350,7 +417,7 @@ impl Verifier {
                 .certified_aik_cached(node_id)
                 .ok_or("AIK not certified by registrar")?;
             if fresh != aik {
-                sig_ok = evidence.quote.verify(&fresh);
+                sig_ok = quote.verify(&fresh);
             }
         }
         if !sig_ok {
@@ -358,40 +425,64 @@ impl Verifier {
         }
         let inner = lock(&self.inner);
         let node = inner.nodes.get(node_id).ok_or("unknown node")?;
-        if &evidence.quote.nonce != nonce {
+        if &quote.nonce != nonce {
             return Err("stale nonce (replay?)".into());
         }
-        if evidence.quote.selection != selection {
+        if quote.selection != selection {
             return Err("quote covers wrong PCR selection".into());
         }
-        // 3. The supplied logs must replay to the quoted PCR values.
-        let boot_pcrs = evidence.boot_log.replay();
-        let expected = PcrBank::composite_of(selection, |i| {
-            if i == index::IMA {
-                evidence.ima_log.replay_pcr()
-            } else {
-                // lint: allow(L1-index: selection equals the verifier's own
-                // configured PCR list (checked above), whose indices are
-                // bounded by the TPM's PCR count)
-                boot_pcrs[i]
-            }
-        });
-        if expected != evidence.quote.composite() {
-            return Err("event log does not replay to quoted PCRs".into());
+        // 3. The evidence must start where the verified prefix ends. A
+        //    platform reset or a new AIK voids the prefix; without one, a
+        //    list that starts earlier was cut short.
+        let base = if prefix.offsets.aik == quote.aik_fingerprint
+            && prefix.offsets.reset_count == quote.reset_count
+        {
+            prefix
+        } else {
+            &VerifiedPrefix::START
+        };
+        let from = (evidence.boot_from, evidence.ima_from);
+        let verified = (base.offsets.boot, base.offsets.ima);
+        if from.0 < verified.0 || from.1 < verified.1 {
+            return Err("log shorter than its verified prefix".into());
         }
-        // 4. Every boot measurement must be whitelisted.
-        for ev in evidence.boot_log.events() {
+        if from != verified {
+            return Err("evidence skips unverified log entries".into());
+        }
+        // 4. The new entries must extend the prefix to the quoted PCRs.
+        let mut next = base.clone();
+        next.offsets.aik = quote.aik_fingerprint;
+        next.offsets.reset_count = quote.reset_count;
+        next.offsets.boot += evidence.boot_events.len();
+        extend_bank(&mut next.boot_pcrs, &evidence.boot_events);
+        let quotes_ima = selection.contains(&index::IMA);
+        if quotes_ima {
+            next.offsets.ima += evidence.ima_entries.len();
+            next.ima_pcr = extend_pcr(next.ima_pcr, &evidence.ima_entries);
+        }
+        for (&i, quoted) in quote.selection.iter().zip(&quote.pcr_values) {
+            let expected = if i == index::IMA {
+                Some(&next.ima_pcr)
+            } else {
+                next.boot_pcrs.get(i)
+            };
+            if expected != Some(quoted) {
+                return Err("event log does not replay to quoted PCRs".into());
+            }
+        }
+        // 5. Every new boot measurement must be whitelisted.
+        for ev in &evidence.boot_events {
             if ev.pcr_index != index::IMA && !node.boot_whitelist.contains(&ev.digest) {
                 return Err(format!("unapproved boot measurement: {}", ev.description));
             }
         }
-        // 5. Every IMA entry must be whitelisted (continuous only).
-        if selection.contains(&index::IMA) {
-            if let Err(v) = node.ima_whitelist.check(&evidence.ima_log) {
+        // 6. Every new IMA entry must be whitelisted (continuous only).
+        if quotes_ima {
+            if let Err(v) = node.ima_whitelist.check(&evidence.ima_entries) {
                 return Err(format!("IMA violation: {} ({})", v.path, v.digest));
             }
         }
-        Ok(())
+        Ok(next)
     }
 
     async fn broadcast_revocation(&self, node_id: &str, reason: &str) {
@@ -411,7 +502,7 @@ impl Verifier {
     /// Runs one attestation round against a node, charging quote,
     /// network and verification time. `continuous` selects the PCR set.
     pub async fn attest_once(&self, node_id: &str, continuous: bool) -> AttestOutcome {
-        let (agent, selection) = {
+        let (agent, selection, enrolment, prefix) = {
             let inner = lock(&self.inner);
             let Some(node) = inner.nodes.get(node_id) else {
                 return AttestOutcome::Failed("unknown node".into());
@@ -421,7 +512,7 @@ impl Verifier {
             } else {
                 &BOOT_SELECTION
             };
-            (node.agent.clone(), sel)
+            (node.agent.clone(), sel, node.enrolment, node.prefix.clone())
         };
         let nonce = self.fresh_nonce();
         let spans = self.env.spans();
@@ -440,7 +531,7 @@ impl Verifier {
             Dropped,
             Agent(TpmError),
         }
-        let (sim, faults, agent) = (self.sim(), self.env.faults(), &agent);
+        let (sim, faults, agent, since) = (self.sim(), self.env.faults(), &agent, &prefix.offsets);
         let mut retry_rng = Rng::seed_from_u64(mix_seed(0x5EC0_11D5, &[node_id]));
         let op = move || async move {
             sim.sleep(RTT).await;
@@ -449,7 +540,7 @@ impl Verifier {
                 .await
                 .map_err(|_| RoundError::Dropped)?;
             let ev = agent
-                .attest(sim, nonce, selection)
+                .attest(sim, nonce, selection, since)
                 .await
                 .map_err(RoundError::Agent)?;
             sim.sleep(RTT).await;
@@ -495,8 +586,8 @@ impl Verifier {
             None => self.sim().sleep(self.config.verify_cost).await,
         }
         let metrics = self.env.metrics();
-        match self.verify_evidence(node_id, &nonce, selection, &evidence) {
-            Ok(()) => {
+        match self.verify_from(node_id, &prefix, &nonce, selection, &evidence) {
+            Ok(verified) => {
                 // Close the span at the verdict — strictly before any key
                 // material moves, so span ordering proves the invariant.
                 spans.attr(span, "outcome", "trusted");
@@ -514,6 +605,9 @@ impl Verifier {
                         // un-revoke it.
                         if !matches!(node.status, NodeStatus::Failed(_)) {
                             node.status = NodeStatus::Trusted;
+                        }
+                        if node.enrolment == enrolment {
+                            node.prefix = verified;
                         }
                         if node.bootstrapped {
                             return None;
@@ -908,7 +1002,10 @@ mod tests {
                 // Capture evidence for an old nonce, then present it
                 // against a new nonce.
                 let sel = BOOT_SELECTION;
-                let old = agent.attest(&sim, [1; 32], &sel).await.expect("attests");
+                let old = agent
+                    .attest(&sim, [1; 32], &sel, &LogOffsets::START)
+                    .await
+                    .expect("attests");
                 v.verify_evidence("node-1", &[2; 32], &sel, &old)
                     .unwrap_err()
             }
@@ -943,12 +1040,12 @@ mod tests {
                 agent.ima_measure("/tmp/evil", b"malware");
                 let sel = CONTINUOUS_SELECTION;
                 let nonce = [3u8; 32];
-                let mut ev = agent.attest(&sim, nonce, &sel).await.expect("attests");
+                let mut ev = agent
+                    .attest(&sim, nonce, &sel, &LogOffsets::START)
+                    .await
+                    .expect("attests");
                 // Strip the incriminating entry.
-                let mut clean = crate::ima::ImaLog::new();
-                let mut scratch = bolted_tpm::Tpm::new(99, 512);
-                clean.measure(&mut scratch, "/usr/bin/ls", b"ls");
-                ev.ima_log = clean;
+                ev.ima_entries.retain(|e| e.path != "/tmp/evil");
                 v.verify_evidence("node-1", &nonce, &sel, &ev).unwrap_err()
             }
         });
@@ -1332,5 +1429,336 @@ mod aik_cache_tests {
         if let Some(served) = cache.get("node-0") {
             assert_eq!(served, final_key, "cache serves a pre-invalidation AIK");
         }
+    }
+}
+
+/// The verified prefix: each round checks only the evidence past what
+/// earlier trusted rounds verified, and every way the prefix can go
+/// stale sends the node back to a full replay.
+#[cfg(test)]
+mod prefix_tests {
+    use super::*;
+    use crate::agent::agent_binary_digest;
+    use bolted_crypto::prime::XorShiftSource;
+    use bolted_firmware::{FirmwareKind, FirmwareSource, Machine};
+
+    const NODE: &str = "node-1";
+
+    #[derive(Clone)]
+    struct Rig {
+        sim: Sim,
+        machine: Machine,
+        registrar: Registrar,
+        verifier: Verifier,
+        boot_whitelist: HashSet<Digest>,
+    }
+
+    fn rig() -> Rig {
+        let sim = Sim::new();
+        let fw = FirmwareSource::from_tree(FirmwareKind::LinuxBoot, "heads-1.0", b"src").build();
+        let machine = Machine::new(NODE, fw.clone(), 7);
+        machine.power_on();
+        let registrar = Registrar::new(&Faults::disabled());
+        let verifier = Verifier::new(&quiet_env(&sim), &registrar, VerifierConfig::default());
+        let boot_whitelist = HashSet::from([fw.build_id, agent_binary_digest()]);
+        Rig {
+            sim,
+            machine,
+            registrar,
+            verifier,
+            boot_whitelist,
+        }
+    }
+
+    /// Boots the machine's firmware and the agent binary.
+    async fn boot(r: &Rig) {
+        r.machine.run_firmware(&r.sim).await.expect("boots");
+        r.machine
+            .measure_download("keylime-agent", agent_binary_digest())
+            .expect("measures");
+    }
+
+    /// Boots, starts and registers an agent and enrols it with `r`'s
+    /// verifier; only `/usr/bin/ok` is on its IMA whitelist.
+    fn enrolled(r: &Rig) -> Agent {
+        let agent = r.sim.block_on({
+            let r = r.clone();
+            async move {
+                boot(&r).await;
+                let agent = Agent::start(&r.sim, NODE, &r.machine).await;
+                let mut rng = XorShiftSource::new(11);
+                agent
+                    .register(&r.sim, &r.registrar, &mut rng)
+                    .await
+                    .expect("registers");
+                agent
+            }
+        });
+        enrol(&r.verifier, r, &agent);
+        agent
+    }
+
+    fn enrol(verifier: &Verifier, r: &Rig, agent: &Agent) {
+        let mut ima = ImaWhitelist::new();
+        ima.allow_content("/usr/bin/ok", b"ok");
+        verifier.add_node(agent, r.boot_whitelist.clone(), ima, None, Vec::new(), 0);
+    }
+
+    fn round(r: &Rig, verifier: &Verifier) -> AttestOutcome {
+        let v = verifier.clone();
+        r.sim
+            .block_on(async move { v.attest_once(NODE, true).await })
+    }
+
+    fn evidence(r: &Rig, agent: &Agent, since: LogOffsets) -> AttestationEvidence {
+        let (sim, agent) = (r.sim.clone(), agent.clone());
+        r.sim.block_on(async move {
+            agent
+                .attest(&sim, [7; 32], &CONTINUOUS_SELECTION, &since)
+                .await
+                .expect("attests")
+        })
+    }
+
+    fn stored(verifier: &Verifier) -> VerifiedPrefix {
+        lock(&verifier.inner).nodes[NODE].prefix.clone()
+    }
+
+    fn check(
+        verifier: &Verifier,
+        prefix: &VerifiedPrefix,
+        ev: &AttestationEvidence,
+    ) -> Result<VerifiedPrefix, String> {
+        verifier.verify_from(NODE, prefix, &[7; 32], &CONTINUOUS_SELECTION, ev)
+    }
+
+    fn boot_log_len(r: &Rig) -> usize {
+        r.machine.with_tpm(|t| t.event_log().len())
+    }
+
+    #[test]
+    fn rounds_verify_only_the_new_evidence() {
+        let r = rig();
+        let agent = enrolled(&r);
+        assert_eq!(r.verifier.log_offsets(NODE), Some(LogOffsets::START));
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let first = stored(&r.verifier);
+        assert_eq!(first.offsets.ima, 1);
+        assert_eq!(first.offsets.boot, boot_log_len(&r));
+        // The next round's evidence is what was measured since.
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        let ev = evidence(&r, &agent, first.offsets);
+        assert_eq!((ev.boot_from, ev.ima_from), (first.offsets.boot, 1));
+        assert_eq!(ev.ima_entries.len(), 1);
+        // Only PCR 10 changed in between, so one new boot event: the
+        // IMA extend the TPM logged.
+        assert_eq!(ev.boot_events.len(), 1);
+        let next = check(&r.verifier, &first, &ev).expect("trusted");
+        assert_eq!(next.offsets.ima, 2);
+        // The stored values equal a replay of the whole logs from zero.
+        let whole = evidence(&r, &agent, LogOffsets::START);
+        let replayed = check(&r.verifier, &VerifiedPrefix::START, &whole).expect("trusted");
+        assert_eq!(replayed.offsets, next.offsets);
+        assert_eq!(replayed.boot_pcrs, next.boot_pcrs);
+        assert_eq!(replayed.ima_pcr, next.ima_pcr);
+    }
+
+    #[test]
+    fn boot_rounds_leave_the_ima_prefix_alone() {
+        let r = rig();
+        let agent = enrolled(&r);
+        agent.ima_measure("/tmp/unlisted", b"x");
+        let v = r.verifier.clone();
+        let boot = r
+            .sim
+            .block_on(async move { v.attest_once(NODE, false).await });
+        assert_eq!(boot, AttestOutcome::Trusted, "PCR 10 is not quoted");
+        assert_eq!(stored(&r.verifier).offsets.ima, 0);
+        match round(&r, &r.verifier) {
+            AttestOutcome::Failed(reason) => assert!(reason.contains("/tmp/unlisted"), "{reason}"),
+            other => panic!("the unchecked entry must be checked now, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_ima_list_rejected() {
+        let r = rig();
+        let agent = enrolled(&r);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let prefix = stored(&r.verifier);
+        assert_eq!(prefix.offsets.ima, 2);
+        // A node whose list was cut to one entry cannot answer from
+        // offset 2, and answers from the start with what is left. The
+        // quote is of the same boot and AIK, so that is a truncation.
+        let mut ev = evidence(&r, &agent, prefix.offsets);
+        assert_eq!(ev.ima_from, 2);
+        let mut whole = evidence(&r, &agent, LogOffsets::START);
+        whole.ima_entries.truncate(1);
+        ev.ima_from = 0;
+        ev.ima_entries = whole.ima_entries;
+        let err = check(&r.verifier, &prefix, &ev).unwrap_err();
+        assert!(err.contains("shorter than its verified prefix"), "{err}");
+    }
+
+    #[test]
+    fn stripped_or_forged_new_entry_rejected() {
+        let r = rig();
+        let agent = enrolled(&r);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let prefix = stored(&r.verifier);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        agent.ima_measure("/tmp/evil", b"malware");
+        let honest = evidence(&r, &agent, prefix.offsets);
+        assert_eq!(honest.ima_entries.len(), 2);
+        let err = check(&r.verifier, &prefix, &honest).unwrap_err();
+        assert!(err.contains("/tmp/evil"), "{err}");
+        // Strip the incriminating new entry...
+        let mut stripped = honest.clone();
+        stripped.ima_entries.retain(|e| e.path != "/tmp/evil");
+        let err = check(&r.verifier, &prefix, &stripped).unwrap_err();
+        assert!(err.contains("does not replay"), "{err}");
+        // ...or forge it into an approved one.
+        let mut forged = honest;
+        forged.ima_entries[1] = forged.ima_entries[0].clone();
+        let err = check(&r.verifier, &prefix, &forged).unwrap_err();
+        assert!(err.contains("does not replay"), "{err}");
+    }
+
+    #[test]
+    fn violation_after_a_verified_prefix_detected_within_one_poll() {
+        let r = rig();
+        let agent = enrolled(&r);
+        let poll = r.verifier.config().poll_interval;
+        let (malware_at, offsets_before) = r.sim.block_on({
+            let (sim, v, agent) = (r.sim.clone(), r.verifier.clone(), agent.clone());
+            async move {
+                let handle = v.spawn_continuous(NODE);
+                for _ in 0..50 {
+                    agent.ima_measure("/usr/bin/ok", b"ok");
+                }
+                sim.sleep(poll * 5).await;
+                let before = v.log_offsets(NODE).expect("enrolled");
+                let at = sim.now();
+                agent.ima_measure("/tmp/cryptominer", b"evil");
+                // Bound the run: a verifier that misses the file stops
+                // polling after five more rounds instead of never.
+                let (sim2, v2) = (sim.clone(), v.clone());
+                sim.spawn(async move {
+                    sim2.sleep(poll * 5).await;
+                    v2.stop(NODE);
+                });
+                handle.await;
+                (at, before)
+            }
+        });
+        assert_eq!(offsets_before.ima, 50, "the clean entries were verified");
+        let detected = r.verifier.detected_at(NODE).expect("detected");
+        let round = RTT
+            + RTT
+            + SimDuration::from_nanos(r.machine.with_tpm(|t| t.timings().quote_ns))
+            + r.verifier.config().verify_cost;
+        assert!(
+            detected.since(malware_at) <= poll + round,
+            "detected {} after the violation",
+            detected.since(malware_at)
+        );
+        assert!(matches!(
+            r.verifier.status(NODE),
+            Some(NodeStatus::Failed(reason)) if reason.contains("cryptominer")
+        ));
+    }
+
+    #[test]
+    fn a_changed_reset_count_forces_a_full_replay() {
+        let r = rig();
+        let agent = enrolled(&r);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let before = stored(&r.verifier);
+        // Reboot the same machine: the TPM keeps its AIK, so the agent
+        // needs no new registration, but every log starts over.
+        r.machine.power_cycle();
+        r.sim.block_on({
+            let r = r.clone();
+            async move { boot(&r).await }
+        });
+        let rebooted = boot_log_len(&r);
+        assert_eq!(rebooted, before.offsets.boot - 1, "no IMA extend yet");
+        // Evidence of the new boot that starts past its first entries
+        // is refused: nothing of this boot was verified.
+        let stale = evidence(
+            &r,
+            &agent,
+            LogOffsets {
+                reset_count: before.offsets.reset_count + 1,
+                boot: rebooted,
+                ima: 0,
+                ..before.offsets
+            },
+        );
+        assert_eq!(stale.boot_from, rebooted);
+        let err = check(&r.verifier, &before, &stale).unwrap_err();
+        assert!(err.contains("skips unverified"), "{err}");
+        // The round itself replays both logs from zero.
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let after = stored(&r.verifier).offsets;
+        assert_eq!(after.reset_count, before.offsets.reset_count + 1);
+        assert_eq!((after.boot, after.ima), (boot_log_len(&r), 0));
+    }
+
+    #[test]
+    fn an_aik_change_drops_the_prefix() {
+        let r = rig();
+        let agent = enrolled(&r);
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let before = stored(&r.verifier).offsets;
+        // A new AIK on the same boot, registered but never re-enrolled.
+        r.sim.block_on({
+            let r = r.clone();
+            async move {
+                let fresh = Agent::start(&r.sim, NODE, &r.machine).await;
+                let mut rng = XorShiftSource::new(12);
+                fresh
+                    .register(&r.sim, &r.registrar, &mut rng)
+                    .await
+                    .expect("registers");
+            }
+        });
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let after = stored(&r.verifier).offsets;
+        assert_ne!(after.aik, before.aik);
+        assert_eq!(after.reset_count, before.reset_count);
+        assert_eq!(after.boot, boot_log_len(&r));
+        drop(agent);
+    }
+
+    #[test]
+    fn a_fresh_verifier_replays_from_zero_and_trusts_no_stale_prefix() {
+        let r = rig();
+        let agent = enrolled(&r);
+        for _ in 0..3 {
+            agent.ima_measure("/usr/bin/ok", b"ok");
+            assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        }
+        let old = stored(&r.verifier);
+        assert_eq!(old.offsets.ima, 3);
+        let fresh = Verifier::new(&quiet_env(&r.sim), &r.registrar, VerifierConfig::default());
+        enrol(&fresh, &r, &agent);
+        assert_eq!(fresh.log_offsets(NODE), Some(LogOffsets::START));
+        // Evidence cut at the old verifier's offsets means nothing to it.
+        let tail = evidence(&r, &agent, old.offsets);
+        let err = check(&fresh, &stored(&fresh), &tail).unwrap_err();
+        assert!(err.contains("skips unverified"), "{err}");
+        assert_eq!(round(&r, &fresh), AttestOutcome::Trusted);
+        let replayed = stored(&fresh);
+        assert_eq!(replayed.offsets, old.offsets);
+        assert_eq!(replayed.ima_pcr, old.ima_pcr);
+        // Re-enrolment drops the prefix the same way.
+        enrol(&r.verifier, &r, &agent);
+        assert_eq!(r.verifier.log_offsets(NODE), Some(LogOffsets::START));
     }
 }

@@ -81,6 +81,10 @@ pub struct Quote {
     pub nonce: [u8; 32],
     /// TPM monotonic clock at signing time.
     pub clock: u64,
+    /// Platform resets the TPM has seen (TPM2 `clockInfo.resetCount`):
+    /// quotes with equal counts come from the same boot, so a verifier
+    /// can keep what it verified of that boot's logs.
+    pub reset_count: u64,
     /// Fingerprint of the signing AIK.
     pub aik_fingerprint: Digest,
     /// RSA signature over the canonical serialisation.
@@ -93,9 +97,10 @@ impl Quote {
         pcr_values: &[Digest],
         nonce: &[u8; 32],
         clock: u64,
+        reset_count: u64,
     ) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(64 + selection.len() * 36);
-        msg.extend_from_slice(b"BOLTED_TPM_QUOTE_V1");
+        let mut msg = Vec::with_capacity(72 + selection.len() * 36);
+        msg.extend_from_slice(b"BOLTED_TPM_QUOTE_V2");
         msg.extend_from_slice(&(selection.len() as u32).to_be_bytes());
         for (&idx, val) in selection.iter().zip(pcr_values.iter()) {
             msg.extend_from_slice(&(idx as u32).to_be_bytes());
@@ -103,6 +108,7 @@ impl Quote {
         }
         msg.extend_from_slice(nonce);
         msg.extend_from_slice(&clock.to_be_bytes());
+        msg.extend_from_slice(&reset_count.to_be_bytes());
         msg
     }
 
@@ -114,20 +120,14 @@ impl Quote {
         if aik.fingerprint() != self.aik_fingerprint {
             return false;
         }
-        let msg = Self::message(&self.selection, &self.pcr_values, &self.nonce, self.clock);
+        let msg = Self::message(
+            &self.selection,
+            &self.pcr_values,
+            &self.nonce,
+            self.clock,
+            self.reset_count,
+        );
         aik.verify(&msg, &self.signature)
-    }
-
-    /// The composite digest over the quoted values (what whitelists match).
-    pub fn composite(&self) -> Digest {
-        PcrBank::composite_of(&self.selection, |i| {
-            let pos = self
-                .selection
-                .iter()
-                .position(|&s| s == i)
-                .expect("composite_of only queries selected indices");
-            self.pcr_values[pos]
-        })
     }
 }
 
@@ -182,6 +182,7 @@ pub struct Tpm {
     nvram: BTreeMap<u32, Vec<u8>>,
     timings: TpmTimings,
     clock: u64,
+    reset_count: u64,
 }
 
 impl Tpm {
@@ -198,6 +199,7 @@ impl Tpm {
             nvram: BTreeMap::new(),
             timings: TpmTimings::default(),
             clock: 0,
+            reset_count: 0,
         }
     }
 
@@ -254,13 +256,14 @@ impl Tpm {
         let aik = self.aik.as_ref().ok_or(TpmError::NoAik)?;
         self.clock += 1;
         let pcr_values: Vec<Digest> = selection.iter().map(|&i| self.pcrs.read(i)).collect();
-        let msg = Quote::message(selection, &pcr_values, &nonce, self.clock);
+        let msg = Quote::message(selection, &pcr_values, &nonce, self.clock, self.reset_count);
         let signature = aik.private.sign(&msg);
         Ok(Quote {
             selection: selection.to_vec(),
             pcr_values,
             nonce,
             clock: self.clock,
+            reset_count: self.reset_count,
             aik_fingerprint: aik.public.fingerprint(),
             signature,
         })
@@ -298,10 +301,17 @@ impl Tpm {
             .ok_or(TpmError::NvUndefined)
     }
 
-    /// Platform reset: PCRs and event log clear; keys and NVRAM persist.
+    /// Platform reset: PCRs and event log clear and the reset count
+    /// goes up; keys and NVRAM persist.
     pub fn platform_reset(&mut self) {
         self.pcrs.reset();
         self.event_log.clear();
+        self.reset_count += 1;
+    }
+
+    /// Platform resets since manufacture (TPM2 `clockInfo.resetCount`).
+    pub fn reset_count(&self) -> u64 {
+        self.reset_count
     }
 
     /// The TPM's internal storage seed — never exported; used only by the
@@ -363,10 +373,13 @@ mod tests {
         let mut q3 = t.quote(&[0], [1; 32]).expect("quotes");
         q3.clock += 1;
         assert!(!q3.verify(&aik), "clock is signed");
+        let mut q4 = t.quote(&[0], [1; 32]).expect("quotes");
+        q4.reset_count += 1;
+        assert!(!q4.verify(&aik), "reset count is signed");
     }
 
     #[test]
-    fn quote_composite_matches_bank() {
+    fn quote_values_match_bank() {
         let mut t = tpm();
         t.create_aik();
         t.extend_measured(0, sha256(b"fw"), "fw");
@@ -375,7 +388,7 @@ mod tests {
         let mut bank = PcrBank::new();
         bank.extend(0, &sha256(b"fw"));
         bank.extend(4, &sha256(b"ipxe"));
-        assert_eq!(q.composite(), bank.composite(&[0, 4]));
+        assert_eq!(q.pcr_values, vec![bank.read(0), bank.read(4)]);
     }
 
     #[test]
@@ -385,7 +398,8 @@ mod tests {
         t.extend_measured(0, sha256(b"fw"), "fw");
         t.extend_measured(4, sha256(b"heads"), "heads");
         let q = t.quote(&[0, 4], [0; 32]).expect("quotes");
-        assert_eq!(t.event_log().replay_composite(&[0, 4]), q.composite());
+        let replayed = t.event_log().replay();
+        assert_eq!(q.pcr_values, vec![replayed[0], replayed[4]]);
     }
 
     #[test]
@@ -434,7 +448,11 @@ mod tests {
         let ek_fp = t.ek_pub().fingerprint();
         t.extend_measured(0, sha256(b"fw"), "fw");
         t.nv_write(1, vec![1, 2, 3]);
+        let before = t.quote(&[0], [0; 32]).expect("quotes");
         t.platform_reset();
+        let after = t.quote(&[0], [0; 32]).expect("quotes");
+        assert_eq!(after.reset_count, before.reset_count + 1);
+        assert_eq!(t.reset_count(), after.reset_count);
         assert_eq!(t.pcr_read(0), Digest::ZERO);
         assert!(t.event_log().is_empty());
         assert_eq!(t.ek_pub().fingerprint(), ek_fp);
@@ -499,21 +517,26 @@ mod quote_edge_tests {
         let q = t.quote(&[0, 0], [1; 32]).expect("quotes");
         assert!(q.verify(&aik));
         assert_eq!(q.pcr_values[0], q.pcr_values[1]);
-        // Composite over [0,0] differs from composite over [0]: selection
-        // is part of the hash, so whitelists cannot be confused.
-        let single = t.quote(&[0], [1; 32]).expect("quotes");
-        assert_ne!(q.composite(), single.composite());
+        // The selection is signed, so a quote over [0,0] cannot pass as
+        // one over [0].
+        let mut single = q.clone();
+        single.selection.pop();
+        single.pcr_values.pop();
+        assert!(!single.verify(&aik));
     }
 
     #[test]
-    fn selection_order_changes_composite() {
+    fn selection_order_is_signed() {
         let mut t = Tpm::new(4, 512);
-        t.create_aik();
+        let aik = t.create_aik();
         t.extend_measured(0, sha256(b"a"), "a");
         t.extend_measured(4, sha256(b"b"), "b");
-        let q1 = t.quote(&[0, 4], [1; 32]).expect("quotes");
-        let q2 = t.quote(&[4, 0], [1; 32]).expect("quotes");
-        assert_ne!(q1.composite(), q2.composite());
+        let q = t.quote(&[0, 4], [1; 32]).expect("quotes");
+        let mut swapped = q.clone();
+        swapped.selection.reverse();
+        swapped.pcr_values.reverse();
+        assert!(q.verify(&aik));
+        assert!(!swapped.verify(&aik));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Each measurement extended into a PCR is also appended to an event log
 //! with a human-readable description. A verifier replays the log to
-//! recompute the expected PCR values and compares against the quoted
-//! composite — and can match each entry against a whitelist.
+//! recompute the expected PCR values and compares them with the quoted
+//! ones — and can match each entry against a whitelist.
 
 use crate::pcr::{PcrBank, NUM_PCRS};
 use bolted_crypto::sha256::Digest;
@@ -64,19 +64,19 @@ impl EventLog {
     /// each PCR. This is what a remote verifier computes.
     pub fn replay(&self) -> [Digest; NUM_PCRS] {
         let mut pcrs = [Digest::ZERO; NUM_PCRS];
-        for ev in &self.events {
-            if ev.pcr_index < NUM_PCRS {
-                pcrs[ev.pcr_index] = PcrBank::extend_value(&pcrs[ev.pcr_index], &ev.digest);
-            }
-        }
+        extend_bank(&mut pcrs, &self.events);
         pcrs
     }
+}
 
-    /// Replays and computes the composite over `selection`, for comparing
-    /// against a quote.
-    pub fn replay_composite(&self, selection: &[usize]) -> Digest {
-        let pcrs = self.replay();
-        PcrBank::composite_of(selection, |i| pcrs[i])
+/// Extends `pcrs` with `events` in log order, skipping any event for a
+/// PCR outside the bank. A replay extends an all-zero bank; a verifier
+/// that has replayed a prefix of a log extends its bank with the rest.
+pub fn extend_bank(pcrs: &mut [Digest; NUM_PCRS], events: &[MeasuredEvent]) {
+    for ev in events {
+        if let Some(pcr) = pcrs.get_mut(ev.pcr_index) {
+            *pcr = PcrBank::extend_value(pcr, &ev.digest);
+        }
     }
 }
 
@@ -98,7 +98,6 @@ mod tests {
         for (i, digest) in replayed.iter().enumerate() {
             assert_eq!(*digest, bank.read(i), "pcr {i}");
         }
-        assert_eq!(log.replay_composite(&[0, 4, 5]), bank.composite(&[0, 4, 5]));
     }
 
     #[test]

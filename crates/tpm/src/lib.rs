@@ -18,6 +18,6 @@ pub mod pcr;
 pub mod seal;
 
 pub use device::{make_credential, CredentialBlob, Quote, Tpm, TpmError, TpmTimings};
-pub use eventlog::{EventLog, MeasuredEvent};
+pub use eventlog::{extend_bank, EventLog, MeasuredEvent};
 pub use pcr::{index, PcrBank, NUM_PCRS};
 pub use seal::SealedBlob;

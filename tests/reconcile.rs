@@ -105,29 +105,38 @@ fn applying_a_plan_twice_is_a_no_op() {
 #[test]
 fn rate_limited_churn_is_deferred_never_dropped() {
     // A 2-op burst against a 6-node declaration: convergence takes
-    // several ticks, the overflow is deferred, and the drop counter
-    // stays at zero — rate limiting slows churn down, it never loses
-    // desired state.
+    // several ticks, the overflow is deferred, and the admission ledger
+    // accounts for every planned and every deferred entry — rate
+    // limiting slows churn down, it never loses desired state.
     let (sim, cloud, golden) = world().nodes(6).build();
     let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
     let config = ReconcilerConfig { churn_burst: 2 };
     let desired = DesiredState::new(SecurityProfile::charlie(), 6);
     let mut rec = TenantReconciler::new(tenant, golden, desired, &config);
-    let (ticks, stats, held) = sim.block_on(async move {
-        let mut ticks = 0usize;
+    let (ticks, stats, held, planned, deferred) = sim.block_on(async move {
+        let (mut ticks, mut planned, mut deferred) = (0usize, 0u64, 0u64);
         while !rec.is_converged() && ticks < 16 {
             let mut budget = OpBudget::new(64);
-            rec.tick(&mut budget).await;
+            let tr = rec.tick(&mut budget).await;
+            planned += tr.planned as u64;
+            deferred += tr.deferred as u64;
             ticks += 1;
         }
-        (ticks, rec.queue_stats(), rec.holdings().len())
+        (
+            ticks,
+            rec.queue_stats(),
+            rec.holdings().len(),
+            planned,
+            deferred,
+        )
     });
     assert_eq!(held, 6, "declaration must fully converge");
     assert!(
         ticks >= 3,
         "a 2-op burst cannot converge 6 nodes in {ticks} ticks"
     );
-    assert_eq!(stats.dropped, 0, "rate limiting must never drop work");
+    assert_eq!(stats.admitted, planned, "every planned entry is admitted");
+    assert_eq!(stats.deferred, deferred, "every deferral is on the ledger");
     assert!(stats.deferred > 0, "overflow must be accounted as deferred");
 }
 
@@ -158,7 +167,8 @@ fn admission_defers_exactly_what_the_grant_leaves() {
 #[test]
 fn shard_budget_exhaustion_is_backpressure_not_loss() {
     // Two tenants sharing a 3-op budget per tick: the second tenant is
-    // starved early, converges late, and nothing is dropped.
+    // starved early, converges late, and each tenant's admission ledger
+    // accounts for every entry its ticks planned and deferred.
     let (sim, cloud, golden) = world().nodes(8).build();
     let config = ReconcilerConfig::default();
     let mut recs: Vec<TenantReconciler> = (0..2)
@@ -172,25 +182,38 @@ fn shard_budget_exhaustion_is_backpressure_not_loss() {
             )
         })
         .collect();
-    let (ticks, dropped, held) = sim.block_on(async move {
+    let (ticks, ledgers, tallies, held) = sim.block_on(async move {
         let mut ticks = 0usize;
+        let mut tallies = vec![(0u64, 0u64); recs.len()];
         while recs.iter().any(|r| !r.is_converged()) && ticks < 16 {
             let mut budget = OpBudget::new(3);
-            for rec in recs.iter_mut() {
-                rec.tick(&mut budget).await;
+            for (rec, tally) in recs.iter_mut().zip(tallies.iter_mut()) {
+                let tr = rec.tick(&mut budget).await;
+                tally.0 += tr.planned as u64;
+                tally.1 += tr.deferred as u64;
             }
             ticks += 1;
         }
-        let dropped: u64 = recs.iter().map(|r| r.queue_stats().dropped).sum();
+        let ledgers: Vec<(u64, u64)> = recs
+            .iter()
+            .map(|r| (r.queue_stats().admitted, r.queue_stats().deferred))
+            .collect();
         let held: Vec<usize> = recs.iter().map(|r| r.holdings().len()).collect();
-        (ticks, dropped, held)
+        (ticks, ledgers, tallies, held)
     });
     assert_eq!(held, vec![4, 4], "both tenants must converge");
     assert!(
         ticks >= 3,
         "a 3-op shard budget cannot converge 8 nodes in {ticks} ticks"
     );
-    assert_eq!(dropped, 0, "budget exhaustion must defer, not drop");
+    assert_eq!(
+        ledgers, tallies,
+        "queue_admitted and queue_deferred must sum each tenant's ticks"
+    );
+    assert!(
+        tallies[1].1 > 0,
+        "the starved tenant's overflow must be accounted as deferred"
+    );
 }
 
 #[test]

@@ -6,7 +6,7 @@ use bolted::core::{
 };
 use bolted::firmware::{FirmwareKind, KernelImage};
 use bolted::keylime::verifier::BOOT_SELECTION;
-use bolted::keylime::ImaWhitelist;
+use bolted::keylime::{ImaWhitelist, LogOffsets};
 use bolted::sim::{Sim, SimDuration};
 use bolted::storage::ImageId;
 
@@ -312,7 +312,7 @@ fn quote_replay_across_nodes_fails() {
                 .expect("clean node");
             let agent = p0.agent.clone().expect("agent");
             let ev = agent
-                .attest(&tenant.sim(), [9; 32], &BOOT_SELECTION)
+                .attest(&tenant.sim(), [9; 32], &BOOT_SELECTION, &LogOffsets::START)
                 .await
                 .expect("attests");
             (ev, tenant.verifier.clone())
