@@ -8,12 +8,19 @@
 //! the speedup is recorded next to the code that earned it. The
 //! `attest_round` rows time a whole continuous-attestation round at 0,
 //! 1k and 10k IMA entries against a copy of the clone-and-replay
-//! verification, and how the round grows from 0 to 10k entries. Plain
+//! verification, and how the round grows from 0 to 10k entries. The
+//! `sim_event` row times one poll of a sleeping task on the executor
+//! against a copy of the loop it replaced. Plain
 //! `std::time::Instant`, JSON-lines output, no external crates: it runs
 //! in the offline build where criterion cannot.
 
 use std::cell::Cell;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::future::Future;
+use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
 use bolted_crypto::prime::{gen_prime, random_below};
@@ -26,7 +33,7 @@ use bolted_keylime::{
     agent_binary_digest, Agent, AttestOutcome, AttestationEvidence, ImaWhitelist, LogOffsets,
     Registrar, Verifier, VerifierConfig,
 };
-use bolted_sim::{CallEnv, Faults, Metrics, Sim, Spans};
+use bolted_sim::{lock, CallEnv, Faults, Metrics, Sim, SimDuration, SimTime, Spans};
 use bolted_tpm::{index, PcrBank, NUM_PCRS};
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -582,6 +589,216 @@ impl AttestRig {
     }
 }
 
+/// What the `sim_event` workload needs of an executor, so one
+/// workload drives both the production [`Sim`] and [`LegacySim`].
+trait SleepSim: Clone + Send + Sync + 'static {
+    fn spawn_task(&self, fut: impl Future<Output = ()> + Send + 'static);
+    fn nap(&self, d: SimDuration) -> impl Future<Output = ()> + Send + '_;
+    fn run_all(&self) -> usize;
+    fn clock(&self) -> SimTime;
+    fn polls(&self) -> u64;
+}
+
+impl SleepSim for Sim {
+    fn spawn_task(&self, fut: impl Future<Output = ()> + Send + 'static) {
+        self.spawn(fut);
+    }
+    fn nap(&self, d: SimDuration) -> impl Future<Output = ()> + Send + '_ {
+        self.sleep(d)
+    }
+    fn run_all(&self) -> usize {
+        self.run()
+    }
+    fn clock(&self) -> SimTime {
+        self.now()
+    }
+    fn polls(&self) -> u64 {
+        self.events_processed()
+    }
+}
+
+/// Each sleeper's index and finishing time, in finishing order.
+type FinishLog = Arc<Mutex<Vec<(u64, SimTime)>>>;
+
+/// `tasks` tasks that only sleep, `events` polls in all, on a fresh
+/// `sim`. Returns the poll count, and when `log` is set every task's
+/// finishing time in finishing order.
+fn sleepers<S: SleepSim>(sim: S, tasks: u64, events: u64, log: Option<&FinishLog>) -> u64 {
+    let naps = events / tasks;
+    for task in 0..tasks {
+        let (s, log) = (sim.clone(), log.cloned());
+        sim.spawn_task(async move {
+            for k in 0..naps {
+                let nanos = 1 + (task * 7_919 + k * 104_729) % 1_000;
+                s.nap(SimDuration::from_nanos(nanos)).await;
+            }
+            if let Some(log) = log {
+                lock(&log).push((task, s.clock()));
+            }
+        });
+    }
+    assert_eq!(sim.run_all(), 0, "every sleeper finishes");
+    sim.polls()
+}
+
+/// The executor as it was before each task owned its future and one
+/// waker: a `BTreeMap` task table the future leaves and re-enters on
+/// every poll, a fresh `Arc` waker per poll, one lock per ready-queue
+/// pop, and a relock per same-instant timer. Spawned tasks keep no join
+/// handle; nothing else differs from the loop it copies.
+#[derive(Clone)]
+struct LegacySim {
+    inner: Arc<LegacyInner>,
+}
+
+type LegacyFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+
+struct LegacyInner {
+    now_nanos: AtomicU64,
+    next_task_id: AtomicU64,
+    next_seq: AtomicU64,
+    tasks: Mutex<BTreeMap<u64, LegacyFuture>>,
+    timers: Mutex<BinaryHeap<LegacyTimer>>,
+    ready: Arc<Mutex<VecDeque<u64>>>,
+    events_processed: AtomicU64,
+}
+
+struct LegacyWaker {
+    ready: Arc<Mutex<VecDeque<u64>>>,
+    id: u64,
+}
+
+impl Wake for LegacyWaker {
+    fn wake(self: Arc<Self>) {
+        lock(&self.ready).push_back(self.id);
+    }
+}
+
+struct LegacyTimer {
+    deadline: SimTime,
+    seq: u64,
+    waker: Waker,
+}
+
+impl PartialEq for LegacyTimer {
+    fn eq(&self, other: &Self) -> bool {
+        (self.deadline, self.seq) == (other.deadline, other.seq)
+    }
+}
+impl Eq for LegacyTimer {}
+impl PartialOrd for LegacyTimer {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for LegacyTimer {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.deadline, other.seq).cmp(&(self.deadline, self.seq))
+    }
+}
+
+struct LegacySleep {
+    sim: LegacySim,
+    deadline: SimTime,
+}
+
+impl Future for LegacySleep {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if self.sim.clock() >= self.deadline {
+            return Poll::Ready(());
+        }
+        let inner = &self.sim.inner;
+        let seq = inner.next_seq.fetch_add(1, Ordering::SeqCst);
+        lock(&inner.timers).push(LegacyTimer {
+            deadline: self.deadline,
+            seq,
+            waker: cx.waker().clone(),
+        });
+        Poll::Pending
+    }
+}
+
+impl LegacySim {
+    fn new() -> LegacySim {
+        LegacySim {
+            inner: Arc::new(LegacyInner {
+                now_nanos: AtomicU64::new(0),
+                next_task_id: AtomicU64::new(0),
+                next_seq: AtomicU64::new(0),
+                tasks: Mutex::default(),
+                timers: Mutex::default(),
+                ready: Arc::default(),
+                events_processed: AtomicU64::new(0),
+            }),
+        }
+    }
+}
+
+impl SleepSim for LegacySim {
+    fn spawn_task(&self, fut: impl Future<Output = ()> + Send + 'static) {
+        let id = self.inner.next_task_id.fetch_add(1, Ordering::SeqCst);
+        lock(&self.inner.tasks).insert(id, Box::pin(fut));
+        lock(&self.inner.ready).push_back(id);
+    }
+
+    fn nap(&self, d: SimDuration) -> impl Future<Output = ()> + Send + '_ {
+        LegacySleep {
+            sim: self.clone(),
+            deadline: self.clock() + d,
+        }
+    }
+
+    fn run_all(&self) -> usize {
+        let inner = &self.inner;
+        loop {
+            loop {
+                let next = lock(&inner.ready).pop_front();
+                let Some(id) = next else { break };
+                let fut = lock(&inner.tasks).remove(&id);
+                let Some(mut fut) = fut else { continue };
+                inner.events_processed.fetch_add(1, Ordering::Relaxed);
+                let waker = Waker::from(Arc::new(LegacyWaker {
+                    ready: Arc::clone(&inner.ready),
+                    id,
+                }));
+                if fut
+                    .as_mut()
+                    .poll(&mut Context::from_waker(&waker))
+                    .is_pending()
+                {
+                    lock(&inner.tasks).insert(id, fut);
+                }
+            }
+            let next = lock(&inner.timers).pop();
+            let Some(entry) = next else { break };
+            inner
+                .now_nanos
+                .store(entry.deadline.as_nanos(), Ordering::SeqCst);
+            entry.waker.wake();
+            loop {
+                let mut timers = lock(&inner.timers);
+                if timers.peek().is_some_and(|e| e.deadline == entry.deadline) {
+                    let e = timers.pop().expect("peeked entry");
+                    drop(timers);
+                    e.waker.wake();
+                } else {
+                    break;
+                }
+            }
+        }
+        lock(&inner.tasks).len()
+    }
+
+    fn clock(&self) -> SimTime {
+        SimTime::from_nanos(self.inner.now_nanos.load(Ordering::SeqCst))
+    }
+
+    fn polls(&self) -> u64 {
+        self.inner.events_processed.load(Ordering::Relaxed)
+    }
+}
+
 /// Runs every hot-path benchmark at the given [`Effort`].
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
@@ -792,6 +1009,52 @@ pub fn run(effort: Effort) -> Vec<Record> {
             "{bench}: both variants must reject an unlisted file alike"
         );
     }
+
+    // --- Simulated events: one poll of a sleeping task --------------
+    // 16 and 256 tasks that only sleep, the same events at each size,
+    // on the production executor and on a copy of the loop it
+    // replaced. Both must poll alike and finish every task at the same
+    // instant, in the same order.
+    let events = effort.pick(200_000, 40_000, 4_000);
+    let sizes = [16, 256];
+    let mut per_round = 0;
+    for tasks in sizes {
+        let (legacy_log, log) = (Arc::default(), Arc::default());
+        let legacy_polls = sleepers(LegacySim::new(), tasks, events, Some(&legacy_log));
+        let polls = sleepers(Sim::new(), tasks, events, Some(&log));
+        assert_eq!(legacy_polls, polls, "sim_event: {tasks} tasks poll alike");
+        assert_eq!(
+            *lock(&legacy_log),
+            *lock(&log),
+            "sim_event: {tasks} tasks finish alike"
+        );
+        per_round += polls;
+    }
+    let rounds = effort.pick(10, 4, 2);
+    let (ns_legacy, ns_sim) = time_pair(
+        rounds,
+        1,
+        1,
+        || {
+            for tasks in sizes {
+                std::hint::black_box(sleepers(LegacySim::new(), tasks, events, None));
+            }
+        },
+        || {
+            for tasks in sizes {
+                std::hint::black_box(sleepers(Sim::new(), tasks, events, None));
+            }
+        },
+    );
+    let polls = rounds * per_round as u32;
+    record_pair(
+        &mut records,
+        "sim_event",
+        ("legacy_loop", "task_slab"),
+        (polls, polls),
+        (ns_legacy / per_round as f64, ns_sim / per_round as f64),
+        None,
+    );
 
     records
 }

@@ -1,6 +1,7 @@
 //! Smoke test for the hot-path micro-bench: the kernels must keep their
 //! speedups (generous margins — CI boxes are noisy), a continuous
-//! attestation round must cost the same at any list length, and the
+//! attestation round must cost the same at any list length, a simulated
+//! event must stay cheaper than on the executor loop it replaced, and the
 //! binary must run end to end in `--quick` and `--smoke` modes.
 
 use std::sync::Mutex;
@@ -29,6 +30,7 @@ fn quick_run_reports_kernel_speedups() {
         "attest_round_1k",
         "attest_round_10k",
         "attest_round_growth",
+        "sim_event",
     ] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
@@ -79,6 +81,11 @@ fn quick_run_reports_kernel_speedups() {
         growth <= 2.0,
         "an incremental round at 10k entries costs {growth:.2}x an empty-list round"
     );
+    // A simulated event on the task slab against the copy of the loop
+    // it replaced: about 3x in release builds; 1.3x leaves room for a
+    // loaded box and the test profile.
+    let event = hotpath::speedup(&records, "sim_event").expect("pair");
+    assert!(event >= 1.3, "sim_event speedup {event:.2}x < 1.3x");
 }
 
 #[test]
@@ -88,7 +95,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 8, "all eight benches present: {benches:?}");
+    assert_eq!(benches.len(), 9, "all nine benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

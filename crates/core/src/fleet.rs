@@ -155,10 +155,15 @@ where
 /// thread. The shard's [`Sim`] never escapes this function, so it has
 /// exactly one driver for its whole life.
 fn run_shard(spec: &FleetSpec, shard: usize) -> Result<ShardOutcome, ProvisionError> {
-    let sim = Sim::new();
+    run_shard_on(&Sim::new(), spec, shard)
+}
+
+/// [`run_shard`] on a fresh `sim` the caller keeps, to read its engine
+/// counters afterwards.
+fn run_shard_on(sim: &Sim, spec: &FleetSpec, shard: usize) -> Result<ShardOutcome, ProvisionError> {
     let idx = shard.to_string();
     let cloud = Cloud::build(
-        &sim,
+        sim,
         CloudConfig {
             nodes: spec.shard_nodes(shard),
             seed: mix_seed(spec.seed, &["fleet-shard", &idx]),
@@ -272,6 +277,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_charlie_shard_polls_a_pinned_number_of_events() {
+        // Shard 0 of perfbench's `provision` fleet at seed 1: sixteen
+        // attested, encrypted nodes. The executor's poll count is the
+        // deterministic witness that a change to it altered no poll.
+        let sim = Sim::new();
+        let out = run_shard_on(&sim, &FleetSpec::new(8, 16, 1), 0).expect("shard");
+        assert_eq!((out.ok, out.failed), (16, 0));
+        assert_eq!(sim.events_processed(), 19_616);
     }
 
     #[test]

@@ -1357,6 +1357,38 @@ mod tests {
     }
 
     #[test]
+    fn a_released_node_leaves_no_key_material_in_the_verifier() {
+        let (sim, cloud) = build(FirmwareKind::LinuxBoot, 1);
+        let g = golden(&cloud);
+        let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
+        let node = cloud.nodes()[0];
+        let (held, released_with) = sim.block_on({
+            let tenant = tenant.clone();
+            async move {
+                let p = tenant
+                    .provision(node, &SecurityProfile::charlie(), g)
+                    .await
+                    .expect("provisions");
+                let name = p.agent.as_ref().expect("attested").id().to_string();
+                tenant.release(p, false).await.expect("releases");
+                let held = tenant.verifier.holds_key_material(&name);
+                tenant.verifier.attest_once(&name, false).await;
+                (held, name)
+            }
+        });
+        assert!(
+            !held,
+            "the verifier still holds key material for {released_with}"
+        );
+        assert!(!tenant.verifier.holds_key_material(&released_with));
+        assert_eq!(
+            cloud.metrics.counter_total("key_releases"),
+            1,
+            "one release, at provisioning; none after release"
+        );
+    }
+
+    #[test]
     fn two_tenants_enclaves_are_isolated() {
         let (sim, cloud) = build(FirmwareKind::LinuxBoot, 2);
         let g = golden(&cloud);

@@ -149,13 +149,16 @@ struct NodeState {
     prefix: VerifiedPrefix,
     boot_whitelist: HashSet<Digest>,
     ima_whitelist: ImaWhitelist,
+    /// The V share and the payload sealed under the node's key. Both
+    /// are taken when the first trusted round releases them, and
+    /// dropped when the node is stopped, so they leave the verifier
+    /// once at most and never outlive the tenancy.
     v_share: Option<KeyShare>,
     sealed_payload: Vec<u8>,
     /// Extra bytes (kernel + initrd) shipped alongside the sealed blob,
     /// for delivery timing.
     payload_wire_bytes: u64,
     status: NodeStatus,
-    bootstrapped: bool,
     detected_at: Option<SimTime>,
     stop: bool,
 }
@@ -309,7 +312,6 @@ impl Verifier {
                 sealed_payload,
                 payload_wire_bytes,
                 status: NodeStatus::Pending,
-                bootstrapped: false,
                 detected_at: None,
                 stop: false,
             },
@@ -334,6 +336,16 @@ impl Verifier {
     /// When the verifier first detected a violation on the node.
     pub fn detected_at(&self, node_id: &str) -> Option<SimTime> {
         lock(&self.inner).nodes.get(node_id)?.detected_at
+    }
+
+    /// True while the verifier holds a V share or a sealed payload for
+    /// the node: from enrolment until the first trusted round releases
+    /// them or the node is stopped.
+    pub fn holds_key_material(&self, node_id: &str) -> bool {
+        lock(&self.inner)
+            .nodes
+            .get(node_id)
+            .is_some_and(|n| n.v_share.is_some() || !n.sealed_payload.is_empty())
     }
 
     /// How much of the node's logs is verified: the offsets its next
@@ -609,12 +621,9 @@ impl Verifier {
                         if node.enrolment == enrolment {
                             node.prefix = verified;
                         }
-                        if node.bootstrapped {
-                            return None;
-                        }
-                        let v = node.v_share.clone()?;
-                        node.bootstrapped = true;
-                        Some((v, node.sealed_payload.clone(), node.payload_wire_bytes))
+                        let v = node.v_share.take()?;
+                        let sealed = std::mem::take(&mut node.sealed_payload);
+                        Some((v, sealed, node.payload_wire_bytes))
                     })
                 };
                 if let Some((v, sealed, wire)) = deliver {
@@ -681,10 +690,15 @@ impl Verifier {
         })
     }
 
-    /// Stops a node's continuous-attestation loop.
+    /// Stops a node's continuous-attestation loop and drops the V share
+    /// and sealed payload the verifier still holds for it, so a released
+    /// node leaves no key material behind and a later round on it
+    /// releases none.
     pub fn stop(&self, node_id: &str) {
         if let Some(n) = lock(&self.inner).nodes.get_mut(node_id) {
             n.stop = true;
+            n.v_share = None;
+            n.sealed_payload = Vec::new();
         }
     }
 }
@@ -922,6 +936,14 @@ mod tests {
                 v.add_node(&agent, wl, ima_wl, None, Vec::new(), 0);
                 let rx = v.subscribe_revocations();
                 let handle = v.spawn_continuous("node-1");
+                // Bound the run: a verifier that misses the file stops
+                // polling after twenty rounds instead of never.
+                let poll = v.config().poll_interval;
+                let (sim3, v3) = (sim.clone(), v.clone());
+                sim.spawn(async move {
+                    sim3.sleep(poll * 20).await;
+                    v3.stop("node-1");
+                });
                 // Behave for a while, then run malware.
                 let sim2 = sim.clone();
                 let agent2 = agent.clone();
@@ -945,6 +967,60 @@ mod tests {
         assert_eq!(ev.node_id, "node-1");
         assert!(ev.reason.contains("cryptominer"));
         assert_eq!(ev.detected_at, detected);
+    }
+
+    #[test]
+    fn a_stopped_node_keeps_no_key_material_and_releases_none() {
+        let r = rig();
+        let k = Key([5u8; 32]);
+        let mut rng = XorShiftSource::new(3);
+        let (u, v_share) = split_key(&k, &mut rng);
+        let payload = TenantPayload {
+            kernel_name: "fedora".into(),
+            kernel_digest: KernelImage::from_bytes("fedora", b"vmlinuz").digest,
+            kernel_size: 1 << 20,
+            cmdline: "quiet".into(),
+            luks_passphrase: Secret::named("luks_passphrase", b"pw".to_vec()),
+            ipsec_psk: b"psk".to_vec(),
+            script: "kexec".into(),
+        };
+        let sealed = payload.seal(&k);
+        let (enrolled, stopped, outcome, delivered) = r.sim.block_on({
+            let sim = r.sim.clone();
+            let m = r.machine.clone();
+            let reg = r.registrar.clone();
+            let v = r.verifier.clone();
+            let wl = r.boot_whitelist.clone();
+            async move {
+                let rig_ref = Rig {
+                    sim: sim.clone(),
+                    machine: m,
+                    registrar: reg,
+                    verifier: v.clone(),
+                    boot_whitelist: wl.clone(),
+                };
+                let agent = boot_and_register(&rig_ref).await;
+                agent.deliver_u(u);
+                v.add_node(
+                    &agent,
+                    wl,
+                    ImaWhitelist::new(),
+                    Some(v_share),
+                    sealed,
+                    1 << 20,
+                );
+                let enrolled = v.holds_key_material("node-1");
+                v.stop("node-1");
+                let stopped = v.holds_key_material("node-1");
+                let outcome = v.attest_once("node-1", false).await;
+                (enrolled, stopped, outcome, agent.payload().is_some())
+            }
+        });
+        assert!(enrolled, "enrolment hands the verifier its V share");
+        assert!(!stopped, "stop drops the V share and the sealed payload");
+        assert_eq!(outcome, AttestOutcome::Trusted);
+        assert!(!delivered, "a round after stop releases no key");
+        assert!(!r.verifier.holds_key_material("node-1"));
     }
 
     #[test]

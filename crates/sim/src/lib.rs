@@ -8,8 +8,8 @@
 //!
 //! Design goals, in order: determinism (bit-identical runs for a given
 //! seed), fidelity of queueing behaviour (FIFO stations, capacity limits),
-//! and speed (a full 16-node provisioning run simulates in well under a
-//! millisecond of wall time).
+//! and speed (a simulated event costs about 0.1–0.15 µs of host time;
+//! a 16-node attested provisioning run polls about 20,000 of them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

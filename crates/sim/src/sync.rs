@@ -38,6 +38,19 @@ struct ResInner {
     max_queue_len: usize,
 }
 
+impl ResInner {
+    /// The front waiter's waker when a unit is free, for the caller to
+    /// fire once it has released the lock: a waker takes the executor's
+    /// ready-queue lock, and no lock is taken while another is held.
+    fn waker_to_admit(&mut self) -> Option<Waker> {
+        if self.in_use < self.capacity {
+            self.waiters.front_mut()?.waker.take()
+        } else {
+            None
+        }
+    }
+}
+
 /// A capacity-limited resource with strict FIFO admission.
 ///
 /// # Examples
@@ -130,10 +143,10 @@ impl Resource {
         let mut inner = lock(&self.inner);
         debug_assert!(inner.in_use > 0, "release without acquire");
         inner.in_use -= 1;
-        if let Some(front) = inner.waiters.front_mut() {
-            if let Some(w) = front.waker.take() {
-                w.wake();
-            }
+        let admit = inner.waker_to_admit();
+        drop(inner);
+        if let Some(w) = admit {
+            w.wake();
         }
     }
 }
@@ -193,14 +206,11 @@ impl Future for Acquire {
                     inner.total_wait += waited;
                     // Cascade: if capacity remains, let the next waiter run
                     // too (e.g. after a multi-release burst).
-                    if inner.in_use < inner.capacity {
-                        if let Some(front) = inner.waiters.front_mut() {
-                            if let Some(w) = front.waker.take() {
-                                w.wake();
-                            }
-                        }
-                    }
+                    let admit = inner.waker_to_admit();
                     drop(inner);
+                    if let Some(w) = admit {
+                        w.wake();
+                    }
                     this.ticket = None; // mark granted so Drop won't dequeue
                     Poll::Ready(Permit {
                         res: this.res.clone(),
@@ -223,12 +233,10 @@ impl Drop for Acquire {
         if let Some(ticket) = self.ticket {
             let mut inner = lock(&self.res.inner);
             inner.waiters.retain(|w| w.ticket != ticket);
-            if inner.in_use < inner.capacity {
-                if let Some(front) = inner.waiters.front_mut() {
-                    if let Some(w) = front.waker.take() {
-                        w.wake();
-                    }
-                }
+            let admit = inner.waker_to_admit();
+            drop(inner);
+            if let Some(w) = admit {
+                w.wake();
             }
         }
     }
@@ -286,9 +294,9 @@ impl<T> Drop for Sender<T> {
         let mut inner = lock(&self.inner);
         inner.senders -= 1;
         if inner.senders == 0 {
-            for w in inner.recv_wakers.drain(..) {
-                w.wake();
-            }
+            let wakers = std::mem::take(&mut inner.recv_wakers);
+            drop(inner);
+            wakers.into_iter().for_each(Waker::wake);
         }
     }
 }
@@ -298,9 +306,9 @@ impl<T> Sender<T> {
     pub fn send(&self, value: T) {
         let mut inner = lock(&self.inner);
         inner.queue.push_back(value);
-        for w in inner.recv_wakers.drain(..) {
-            w.wake();
-        }
+        let wakers = std::mem::take(&mut inner.recv_wakers);
+        drop(inner);
+        wakers.into_iter().for_each(Waker::wake);
     }
 }
 
