@@ -554,22 +554,19 @@ impl AttestRig {
         if ev.quote.selection != selection {
             return Err("quote covers wrong PCR selection".into());
         }
-        let mut boot_pcrs = [Digest::ZERO; NUM_PCRS];
+        if let Some(e) = ev.boot_events.iter().find(|e| e.pcr_index == index::IMA) {
+            return Err(format!("boot event on the IMA PCR: {}", e.description));
+        }
+        let mut pcrs = [Digest::ZERO; NUM_PCRS];
         for e in &ev.boot_events {
-            if let Some(pcr) = boot_pcrs.get_mut(e.pcr_index) {
+            if let Some(pcr) = pcrs.get_mut(e.pcr_index) {
                 *pcr = PcrBank::extend_value(pcr, &e.digest);
             }
         }
-        let ima_pcr = ev.ima_entries.iter().fold(Digest::ZERO, |pcr, e| {
+        pcrs[index::IMA] = ev.ima_entries.iter().fold(Digest::ZERO, |pcr, e| {
             PcrBank::extend_value(&pcr, &e.template_digest())
         });
-        let expected = PcrBank::composite_of(selection, |i| {
-            if i == index::IMA {
-                ima_pcr
-            } else {
-                boot_pcrs[i]
-            }
-        });
+        let expected = PcrBank::composite_of(selection, |i| pcrs[i]);
         let quoted = PcrBank::composite_of(&ev.quote.selection, |i| {
             let pos = ev.quote.selection.iter().position(|&s| s == i);
             ev.quote.pcr_values[pos.expect("a selected index")]
@@ -578,7 +575,7 @@ impl AttestRig {
             return Err("event log does not replay to quoted PCRs".into());
         }
         for e in &ev.boot_events {
-            if e.pcr_index != index::IMA && !self.boot_whitelist.contains(&e.digest) {
+            if !self.boot_whitelist.contains(&e.digest) {
                 return Err(format!("unapproved boot measurement: {}", e.description));
             }
         }

@@ -1362,7 +1362,7 @@ mod tests {
         let g = golden(&cloud);
         let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
         let node = cloud.nodes()[0];
-        let (held, released_with) = sim.block_on({
+        let (held, released_with, after) = sim.block_on({
             let tenant = tenant.clone();
             async move {
                 let p = tenant
@@ -1372,8 +1372,8 @@ mod tests {
                 let name = p.agent.as_ref().expect("attested").id().to_string();
                 tenant.release(p, false).await.expect("releases");
                 let held = tenant.verifier.holds_key_material(&name);
-                tenant.verifier.attest_once(&name, false).await;
-                (held, name)
+                let after = tenant.verifier.attest_once(&name, false).await;
+                (held, name, after)
             }
         });
         assert!(
@@ -1381,6 +1381,10 @@ mod tests {
             "the verifier still holds key material for {released_with}"
         );
         assert!(!tenant.verifier.holds_key_material(&released_with));
+        assert!(
+            matches!(after, AttestOutcome::Unreachable { .. }),
+            "a powered-off machine answers no quote, got {after:?}"
+        );
         assert_eq!(
             cloud.metrics.counter_total("key_releases"),
             1,

@@ -60,14 +60,15 @@ impl ImaLog {
         self.measure_digest(tpm, path, sha256(content));
     }
 
-    /// Measures a file access by a known content digest.
+    /// Measures a file access by a known content digest. The list is PCR
+    /// 10's only log: the extend writes no TPM boot-log event.
     pub fn measure_digest(&mut self, tpm: &mut Tpm, path: &str, digest: Digest) {
         self.follow_boot(tpm.reset_count());
         let entry = ImaEntry {
             path: path.to_string(),
             digest,
         };
-        tpm.extend_measured(index::IMA, entry.template_digest(), format!("ima:{path}"));
+        tpm.extend(index::IMA, entry.template_digest());
         self.entries.push(entry);
     }
 

@@ -16,12 +16,12 @@
 //! evidence, not in the node's uptime.
 
 use std::collections::{BTreeMap, HashSet};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex};
 
 use bolted_sim::lock;
 
-use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
+use bolted_firmware::PowerState;
 use bolted_sim::fault::{mix_seed, ops};
 use bolted_sim::{channel, JoinHandle, Receiver, Resource, Rng, Sender, Sim, SimDuration, SimTime};
 use bolted_sim::{CallEnv, RetryError};
@@ -89,9 +89,10 @@ pub enum AttestOutcome {
     Trusted,
     /// Verification failed; node is revoked.
     Failed(String),
-    /// The quote round-trip never completed: injected RPC drops outlived
-    /// the retry budget. Infrastructure gave out — the node is *not*
-    /// revoked or quarantined; the caller decides whether to release it.
+    /// The quote round-trip never completed: injected RPC drops, or a
+    /// machine that is not powered on, outlived the retry budget.
+    /// Infrastructure gave out — the node is *not* revoked or
+    /// quarantined; the caller decides whether to release it.
     Unreachable {
         /// Quote attempts made before giving up.
         attempts: u32,
@@ -126,18 +127,16 @@ pub enum NodeStatus {
 #[derive(Debug, Clone)]
 struct VerifiedPrefix {
     offsets: LogOffsets,
-    /// Every PCR replayed from the first `offsets.boot` boot events.
-    boot_pcrs: [Digest; NUM_PCRS],
-    /// PCR 10 replayed from the first `offsets.ima` IMA entries.
-    ima_pcr: Digest,
+    /// The PCR bank replayed from the first `offsets.boot` boot events
+    /// and, into PCR 10, the first `offsets.ima` IMA entries.
+    pcrs: [Digest; NUM_PCRS],
 }
 
 impl VerifiedPrefix {
     /// Nothing verified.
     const START: VerifiedPrefix = VerifiedPrefix {
         offsets: LogOffsets::START,
-        boot_pcrs: [Digest::ZERO; NUM_PCRS],
-        ima_pcr: Digest::ZERO,
+        pcrs: [Digest::ZERO; NUM_PCRS],
     };
 }
 
@@ -170,72 +169,6 @@ struct VerifierInner {
     enrolments: u64,
 }
 
-/// AIK→verified-key cache: repeated quotes from the same node skip the
-/// registrar lookup. The cached [`PublicKey`] is plain `(n, e)`: each
-/// verification builds its own fixed-width Montgomery context on the
-/// stack.
-///
-/// Entries are invalidated on signature mismatch so a node that
-/// re-registers with a fresh AIK is re-fetched, not rejected. Under
-/// concurrent attestation that invalidation races the fill path
-/// (check-miss → registrar fetch → insert): a reader that fetched the
-/// *old* key before an invalidation must not re-insert it afterwards.
-/// Each node therefore carries an invalidation epoch; a fill records the
-/// epoch before its fetch and only lands if no invalidation intervened —
-/// **a stale entry re-inserted after invalidation always loses**.
-#[derive(Default)]
-struct AikCache {
-    inner: RwLock<AikCacheInner>,
-}
-
-#[derive(Default)]
-struct AikCacheInner {
-    keys: BTreeMap<String, PublicKey>,
-    /// Per-node invalidation epoch; bumped by every [`AikCache::invalidate`].
-    epochs: BTreeMap<String, u64>,
-}
-
-impl AikCache {
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, AikCacheInner> {
-        self.inner.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, AikCacheInner> {
-        self.inner.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The cached key, if any.
-    fn get(&self, node_id: &str) -> Option<PublicKey> {
-        self.read().keys.get(node_id).cloned()
-    }
-
-    /// The node's current invalidation epoch. Read *before* fetching
-    /// from the registrar; pass to [`AikCache::insert_if_current`].
-    fn epoch(&self, node_id: &str) -> u64 {
-        self.read().epochs.get(node_id).copied().unwrap_or(0)
-    }
-
-    /// Inserts a freshly fetched key unless the node was invalidated
-    /// since `fetch_epoch` was read. Returns whether the insert landed.
-    fn insert_if_current(&self, node_id: &str, key: PublicKey, fetch_epoch: u64) -> bool {
-        let mut inner = self.write();
-        let current = inner.epochs.get(node_id).copied().unwrap_or(0);
-        if current != fetch_epoch {
-            return false; // invalidated mid-fetch: the stale key loses
-        }
-        inner.keys.insert(node_id.to_string(), key);
-        true
-    }
-
-    /// Drops the node's entry and bumps its epoch, so any in-flight fill
-    /// that started before this call is rejected when it lands.
-    fn invalidate(&self, node_id: &str) {
-        let mut inner = self.write();
-        inner.keys.remove(node_id);
-        *inner.epochs.entry(node_id.to_string()).or_insert(0) += 1;
-    }
-}
-
 /// The Cloud Verifier service (tenant-deployable).
 #[derive(Clone)]
 pub struct Verifier {
@@ -248,7 +181,6 @@ pub struct Verifier {
     /// counters; quote round-trips consult the fault plan.
     env: CallEnv,
     inner: Arc<Mutex<VerifierInner>>,
-    aik_cache: Arc<AikCache>,
     /// FIFO verification slots when [`VerifierConfig::verify_slots`] is
     /// bounded; `None` means infinite capacity (no queue, no contention).
     verify_slots: Option<Resource>,
@@ -271,7 +203,6 @@ impl Verifier {
                 nonce_counter: 0,
                 enrolments: 0,
             })),
-            aik_cache: Arc::new(AikCache::default()),
         }
     }
 
@@ -366,36 +297,6 @@ impl Verifier {
         *d.as_bytes()
     }
 
-    /// Looks up a node's certified AIK, consulting the verifier's cache
-    /// before the registrar. The fill is epoch-guarded: if the node is
-    /// invalidated while the registrar fetch is in flight, the fetched
-    /// key is returned to this caller but *not* cached (see [`AikCache`]).
-    fn certified_aik_cached(&self, node_id: &str) -> Option<PublicKey> {
-        if let Some(aik) = self.aik_cache.get(node_id) {
-            return Some(aik);
-        }
-        let fetch_epoch = self.aik_cache.epoch(node_id);
-        let aik = self.registrar.certified_aik(node_id)?;
-        self.aik_cache
-            .insert_if_current(node_id, aik.clone(), fetch_epoch);
-        Some(aik)
-    }
-
-    /// Verifies evidence that carries both logs whole against the
-    /// node's whitelists (pure check, no timing, stores nothing).
-    /// Exposed for tests and custom tenant flows; it is the check every
-    /// round runs, from an empty prefix.
-    pub fn verify_evidence(
-        &self,
-        node_id: &str,
-        nonce: &[u8; 32],
-        selection: &[usize],
-        evidence: &AttestationEvidence,
-    ) -> Result<(), String> {
-        self.verify_from(node_id, &VerifiedPrefix::START, nonce, selection, evidence)
-            .map(drop)
-    }
-
     /// Verifies evidence against the node's whitelists, starting from
     /// `prefix`, and returns the verified prefix the evidence extends it
     /// to. The prefix counts only if the quote comes from the boot and
@@ -412,27 +313,15 @@ impl Verifier {
         if !lock(&self.inner).nodes.contains_key(node_id) {
             return Err("unknown node".into());
         }
-        // 1. The AIK must be certified by the registrar.
+        // 1. The AIK must be certified by the registrar, the one place
+        //    that holds it: a node that re-registered is read afresh.
         let aik = self
-            .certified_aik_cached(node_id)
+            .registrar
+            .certified_aik(node_id)
             .ok_or("AIK not certified by registrar")?;
         // 2. Signature and freshness.
         let quote = &evidence.quote;
-        let mut sig_ok = quote.verify(&aik);
-        if !sig_ok {
-            // The node may have re-registered with a fresh AIK since the
-            // cache entry was filled (remediation reboot, warm restart):
-            // invalidate, re-fetch, and retry once before declaring the
-            // quote bad. Genuinely forged quotes still fail — twice.
-            self.aik_cache.invalidate(node_id);
-            let fresh = self
-                .certified_aik_cached(node_id)
-                .ok_or("AIK not certified by registrar")?;
-            if fresh != aik {
-                sig_ok = quote.verify(&fresh);
-            }
-        }
-        if !sig_ok {
+        if !quote.verify(&aik) {
             return Err("quote signature invalid".into());
         }
         let inner = lock(&self.inner);
@@ -462,29 +351,35 @@ impl Verifier {
             return Err("evidence skips unverified log entries".into());
         }
         // 4. The new entries must extend the prefix to the quoted PCRs.
+        //    PCR 10's only log is the IMA list, so a boot event that
+        //    names it is forged.
+        if let Some(ev) = evidence
+            .boot_events
+            .iter()
+            .find(|e| e.pcr_index == index::IMA)
+        {
+            return Err(format!("boot event on the IMA PCR: {}", ev.description));
+        }
         let mut next = base.clone();
         next.offsets.aik = quote.aik_fingerprint;
         next.offsets.reset_count = quote.reset_count;
         next.offsets.boot += evidence.boot_events.len();
-        extend_bank(&mut next.boot_pcrs, &evidence.boot_events);
+        extend_bank(&mut next.pcrs, &evidence.boot_events);
         let quotes_ima = selection.contains(&index::IMA);
         if quotes_ima {
             next.offsets.ima += evidence.ima_entries.len();
-            next.ima_pcr = extend_pcr(next.ima_pcr, &evidence.ima_entries);
+            if let Some(pcr) = next.pcrs.get_mut(index::IMA) {
+                *pcr = extend_pcr(*pcr, &evidence.ima_entries);
+            }
         }
         for (&i, quoted) in quote.selection.iter().zip(&quote.pcr_values) {
-            let expected = if i == index::IMA {
-                Some(&next.ima_pcr)
-            } else {
-                next.boot_pcrs.get(i)
-            };
-            if expected != Some(quoted) {
+            if next.pcrs.get(i) != Some(quoted) {
                 return Err("event log does not replay to quoted PCRs".into());
             }
         }
         // 5. Every new boot measurement must be whitelisted.
         for ev in &evidence.boot_events {
-            if ev.pcr_index != index::IMA && !node.boot_whitelist.contains(&ev.digest) {
+            if !node.boot_whitelist.contains(&ev.digest) {
                 return Err(format!("unapproved boot measurement: {}", ev.description));
             }
         }
@@ -533,9 +428,11 @@ impl Verifier {
         // close.
         let span = spans.begin(self.sim(), "keylime", "quote-verify", node_id);
         // The quote round-trip [rtt → RPC → rtt] can be dropped by the
-        // fault plan; dropped rounds retry with backoff. Agent *errors*
-        // (the TPM refused to quote) are protocol outcomes, not network
-        // noise: they abort immediately and revoke, exactly as before.
+        // fault plan, and a machine that is not powered on answers no
+        // quote; either way the round retries with backoff. Agent
+        // *errors* (the TPM refused to quote) are protocol outcomes, not
+        // network noise: they abort immediately and revoke, exactly as
+        // before.
         // On the fault-free path the retry wrapper adds zero sleeps and
         // zero RNG draws, and the per-node jitter stream is seeded
         // locally, so timing is byte-identical to the pre-retry code.
@@ -551,6 +448,9 @@ impl Verifier {
                 .gate(sim, ops::VERIFIER_QUOTE, node_id)
                 .await
                 .map_err(|_| RoundError::Dropped)?;
+            if agent.machine().power() != PowerState::On {
+                return Err(RoundError::Dropped);
+            }
             let ev = agent
                 .attest(sim, nonce, selection, since)
                 .await
@@ -578,10 +478,10 @@ impl Verifier {
                 return AttestOutcome::Failed(reason);
             }
             Err(e) => {
-                // Exhausted on injected drops: infrastructure
-                // failure, not evidence of compromise. No fail_node, no
-                // revocation broadcast — the caller decides what to do
-                // with an unreachable node.
+                // Exhausted on drops or a powered-off machine:
+                // infrastructure failure, not evidence of compromise. No
+                // fail_node, no revocation broadcast — the caller decides
+                // what to do with an unreachable node.
                 spans.attr(span, "outcome", "rpc-fault");
                 spans.end(self.sim(), span);
                 return AttestOutcome::Unreachable {
@@ -1082,7 +982,7 @@ mod tests {
                     .attest(&sim, [1; 32], &sel, &LogOffsets::START)
                     .await
                     .expect("attests");
-                v.verify_evidence("node-1", &[2; 32], &sel, &old)
+                v.verify_from("node-1", &VerifiedPrefix::START, &[2; 32], &sel, &old)
                     .unwrap_err()
             }
         });
@@ -1122,7 +1022,8 @@ mod tests {
                     .expect("attests");
                 // Strip the incriminating entry.
                 ev.ima_entries.retain(|e| e.path != "/tmp/evil");
-                v.verify_evidence("node-1", &nonce, &sel, &ev).unwrap_err()
+                v.verify_from("node-1", &VerifiedPrefix::START, &nonce, &sel, &ev)
+                    .unwrap_err()
             }
         });
         assert!(err.contains("does not replay"), "got: {err}");
@@ -1211,12 +1112,55 @@ mod tests {
         assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Pending));
     }
 
-    /// A remediation reboot creates a fresh AIK under the same EK; the
-    /// verifier's AIK cache still holds the old key. The invalidate-and
-    /// -retry-once path must refetch from the registrar and accept the
-    /// new quote rather than declaring the signature forged.
+    /// A machine that is off answers no quote: the round is an
+    /// infrastructure failure, like an exhausted RPC, and the node is
+    /// neither failed nor revoked, and trusted no more than before.
     #[test]
-    fn aik_cache_refreshed_after_reregistration() {
+    fn a_powered_off_machine_is_unreachable() {
+        let r = rig();
+        let (outcome, revocation) = r.sim.block_on({
+            let sim = r.sim.clone();
+            let m = r.machine.clone();
+            let reg = r.registrar.clone();
+            let v = r.verifier.clone();
+            let wl = r.boot_whitelist.clone();
+            async move {
+                let rig_ref = Rig {
+                    sim: sim.clone(),
+                    machine: m.clone(),
+                    registrar: reg,
+                    verifier: v.clone(),
+                    boot_whitelist: wl.clone(),
+                };
+                let agent = boot_and_register(&rig_ref).await;
+                v.add_node(&agent, wl, ImaWhitelist::new(), None, Vec::new(), 0);
+                let rx = v.subscribe_revocations();
+                m.power_off();
+                let outcome = v.attest_once("node-1", false).await;
+                (outcome, rx.try_recv())
+            }
+        });
+        assert_eq!(
+            outcome,
+            AttestOutcome::Unreachable {
+                attempts: bolted_sim::MAX_ATTEMPTS
+            }
+        );
+        assert!(
+            revocation.is_none(),
+            "no revocation for a machine that is off"
+        );
+        assert!(r.verifier.detected_at("node-1").is_none());
+        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Pending));
+        assert_eq!(trusted_verdicts(&r.verifier, "node-1"), 0);
+    }
+
+    /// A remediation reboot creates a fresh AIK under the same EK and
+    /// re-registers it. Every round reads the AIK from the registrar, so
+    /// the round after the reboot verifies the quote against the new key
+    /// rather than declaring the signature forged.
+    #[test]
+    fn a_reregistered_aik_is_read_from_the_registrar() {
         let r = rig();
         let (first, second, quotes) = r.sim.block_on({
             let sim = r.sim.clone();
@@ -1234,9 +1178,9 @@ mod tests {
                 };
                 let agent = boot_and_register(&rig_ref).await;
                 v.add_node(&agent, wl.clone(), ImaWhitelist::new(), None, Vec::new(), 0);
-                let first = v.attest_once("node-1", false).await; // warms the AIK cache
-                                                                  // Reboot: fresh AIK on the same TPM (same EK), re-register,
-                                                                  // re-add. The verifier's cache entry is now stale.
+                let first = v.attest_once("node-1", false).await;
+                // Reboot: fresh AIK on the same TPM (same EK), re-register,
+                // re-add. The AIK the first round verified is stale.
                 m.power_cycle();
                 let agent2 = boot_and_register(&rig_ref).await;
                 v.add_node(&agent2, wl, ImaWhitelist::new(), None, Vec::new(), 0);
@@ -1247,7 +1191,7 @@ mod tests {
         assert_eq!(first, AttestOutcome::Trusted);
         assert_eq!(second, AttestOutcome::Trusted);
         // Both rounds reached a trusted verdict — proof the post-reboot
-        // quote went through verification against the refetched AIK.
+        // quote went through verification against the re-registered AIK.
         assert_eq!(quotes, 2);
     }
 }
@@ -1418,96 +1362,6 @@ mod fleet_tests {
     }
 }
 
-#[cfg(test)]
-mod aik_cache_tests {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    use super::*;
-    use bolted_crypto::rsa::keypair_from_seed;
-
-    /// Satellite: the exact interleaving the old check-then-insert cache
-    /// got wrong. A fill reads the registrar, an invalidation lands
-    /// while the fetch is in flight, and the stale key is inserted
-    /// afterwards — under the epoch guard the stale insert must lose.
-    #[test]
-    fn stale_fill_reinserted_after_invalidation_loses() {
-        let cache = AikCache::default();
-        let old_key = keypair_from_seed(512, 1).public;
-        let new_key = keypair_from_seed(512, 2).public;
-        // Fill path: cache miss, epoch read, registrar fetch starts...
-        let fetch_epoch = cache.epoch("node-0");
-        // ...the node re-registers; its entry is invalidated mid-fetch.
-        cache.invalidate("node-0");
-        // The stale fill lands late and must be rejected.
-        assert!(
-            !cache.insert_if_current("node-0", old_key, fetch_epoch),
-            "stale AIK re-inserted after invalidation won the race"
-        );
-        assert_eq!(cache.get("node-0"), None);
-        // A fill that starts after the invalidation lands normally.
-        let e2 = cache.epoch("node-0");
-        assert!(cache.insert_if_current("node-0", new_key.clone(), e2));
-        assert_eq!(cache.get("node-0"), Some(new_key));
-    }
-
-    /// Satellite: concurrent invalidate-vs-attest hammer. Readers race
-    /// the miss→fetch→insert fill path against a writer that keeps
-    /// re-registering (fresh key) and invalidating. After the writer's
-    /// final re-registration, no stale key may ever be served again.
-    #[test]
-    fn concurrent_invalidate_vs_attest_never_resurrects_a_stale_key() {
-        const SWAPS: usize = 50;
-        let cache = Arc::new(AikCache::default());
-        let keys: Vec<PublicKey> = (0..4)
-            .map(|i| keypair_from_seed(512, 10 + i as u64).public)
-            .collect();
-        // Registrar stand-in: the currently certified key.
-        let registrar = Arc::new(Mutex::new(keys[0].clone()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..2)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let registrar = Arc::clone(&registrar);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        // The attest fill path: miss → epoch → fetch →
-                        // guarded insert, with a yield to widen the
-                        // fetch window the invalidation races into.
-                        if cache.get("node-0").is_none() {
-                            let e = cache.epoch("node-0");
-                            let fetched = lock(&registrar).clone();
-                            std::thread::yield_now();
-                            cache.insert_if_current("node-0", fetched, e);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for i in 1..=SWAPS {
-            // Re-registration: the registrar certifies a fresh AIK,
-            // then the verifier invalidates its cache entry.
-            let key = keys[i % keys.len()].clone();
-            *lock(&registrar) = key;
-            cache.invalidate("node-0");
-            std::thread::yield_now();
-        }
-        let final_key = lock(&registrar).clone();
-        stop.store(true, Ordering::SeqCst);
-        for r in readers {
-            // lint: allow(L1-panic: test-only join; a panicked reader is
-            // itself the failure being surfaced)
-            r.join().expect("reader panicked");
-        }
-        // Every insert that landed after the final invalidation read the
-        // final epoch, and therefore fetched the final key. Anything
-        // else would be the stale-resurrection bug.
-        if let Some(served) = cache.get("node-0") {
-            assert_eq!(served, final_key, "cache serves a pre-invalidation AIK");
-        }
-    }
-}
-
 /// The verified prefix: each round checks only the evidence past what
 /// earlier trusted rounds verified, and every way the prefix can go
 /// stale sends the node back to a full replay.
@@ -1517,6 +1371,7 @@ mod prefix_tests {
     use crate::agent::agent_binary_digest;
     use bolted_crypto::prime::XorShiftSource;
     use bolted_firmware::{FirmwareKind, FirmwareSource, Machine};
+    use bolted_tpm::MeasuredEvent;
 
     const NODE: &str = "node-1";
 
@@ -1627,17 +1482,59 @@ mod prefix_tests {
         let ev = evidence(&r, &agent, first.offsets);
         assert_eq!((ev.boot_from, ev.ima_from), (first.offsets.boot, 1));
         assert_eq!(ev.ima_entries.len(), 1);
-        // Only PCR 10 changed in between, so one new boot event: the
-        // IMA extend the TPM logged.
-        assert_eq!(ev.boot_events.len(), 1);
+        // Only PCR 10 changed in between, and its only log is the IMA
+        // list: no new boot event.
+        assert!(ev.boot_events.is_empty());
         let next = check(&r.verifier, &first, &ev).expect("trusted");
         assert_eq!(next.offsets.ima, 2);
         // The stored values equal a replay of the whole logs from zero.
         let whole = evidence(&r, &agent, LogOffsets::START);
         let replayed = check(&r.verifier, &VerifiedPrefix::START, &whole).expect("trusted");
         assert_eq!(replayed.offsets, next.offsets);
-        assert_eq!(replayed.boot_pcrs, next.boot_pcrs);
-        assert_eq!(replayed.ima_pcr, next.ima_pcr);
+        assert_eq!(replayed.pcrs, next.pcrs);
+    }
+
+    #[test]
+    fn a_boot_event_on_the_ima_pcr_is_rejected() {
+        let r = rig();
+        let agent = enrolled(&r);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        assert_eq!(round(&r, &r.verifier), AttestOutcome::Trusted);
+        let prefix = stored(&r.verifier);
+        agent.ima_measure("/usr/bin/ok", b"ok");
+        // PCR 10's only log is the IMA list, so a boot event that names
+        // it is forged, even one whose digest is on the boot whitelist.
+        let forge = |ev: &mut AttestationEvidence| {
+            ev.boot_events.push(MeasuredEvent {
+                pcr_index: index::IMA,
+                digest: agent_binary_digest(),
+                description: "ima:/usr/bin/ok".into(),
+            })
+        };
+        // In a full replay and past a verified prefix alike...
+        for (from, since) in [
+            (&VerifiedPrefix::START, LogOffsets::START),
+            (&prefix, prefix.offsets),
+        ] {
+            let mut ev = evidence(&r, &agent, since);
+            check(&r.verifier, from, &ev).expect("the honest evidence is trusted");
+            forge(&mut ev);
+            let err = check(&r.verifier, from, &ev).unwrap_err();
+            assert!(err.contains("IMA PCR"), "{err}");
+        }
+        // ...and in a boot-selection round, whose quote leaves PCR 10 out.
+        let (sim, a) = (r.sim.clone(), agent.clone());
+        let mut ev = r.sim.block_on(async move {
+            a.attest(&sim, [7; 32], &BOOT_SELECTION, &LogOffsets::START)
+                .await
+                .expect("attests")
+        });
+        forge(&mut ev);
+        let err = r
+            .verifier
+            .verify_from(NODE, &VerifiedPrefix::START, &[7; 32], &BOOT_SELECTION, &ev)
+            .unwrap_err();
+        assert!(err.contains("IMA PCR"), "{err}");
     }
 
     #[test]
@@ -1763,7 +1660,7 @@ mod prefix_tests {
             async move { boot(&r).await }
         });
         let rebooted = boot_log_len(&r);
-        assert_eq!(rebooted, before.offsets.boot - 1, "no IMA extend yet");
+        assert_eq!(rebooted, before.offsets.boot, "the same boot chain");
         // Evidence of the new boot that starts past its first entries
         // is refused: nothing of this boot was verified.
         let stale = evidence(
@@ -1832,7 +1729,7 @@ mod prefix_tests {
         assert_eq!(round(&r, &fresh), AttestOutcome::Trusted);
         let replayed = stored(&fresh);
         assert_eq!(replayed.offsets, old.offsets);
-        assert_eq!(replayed.ima_pcr, old.ima_pcr);
+        assert_eq!(replayed.pcrs, old.pcrs);
         // Re-enrolment drops the prefix the same way.
         enrol(&r.verifier, &r, &agent);
         assert_eq!(r.verifier.log_offsets(NODE), Some(LogOffsets::START));

@@ -234,10 +234,16 @@ impl Tpm {
         self.aik.as_ref().map(|k| &k.public)
     }
 
-    /// Extends a PCR and records the event in the boot log.
+    /// Records the event in the boot log, then extends its PCR.
     pub fn extend_measured(&mut self, pcr: usize, digest: Digest, description: impl Into<String>) {
-        self.pcrs.extend(pcr, &digest);
         self.event_log.append(pcr, digest, description);
+        self.extend(pcr, digest);
+    }
+
+    /// Extends a PCR and writes no boot-log event (`TPM2_PCR_Extend`):
+    /// for a PCR whose log another component keeps, as IMA keeps PCR 10's.
+    pub fn extend(&mut self, pcr: usize, digest: Digest) {
+        self.pcrs.extend(pcr, &digest);
         self.clock += 1;
     }
 
@@ -400,6 +406,19 @@ mod tests {
         let q = t.quote(&[0, 4], [0; 32]).expect("quotes");
         let replayed = t.event_log().replay();
         assert_eq!(q.pcr_values, vec![replayed[0], replayed[4]]);
+    }
+
+    #[test]
+    fn a_plain_extend_writes_no_log_event() {
+        let mut t = tpm();
+        t.extend_measured(0, sha256(b"fw"), "fw");
+        t.extend(10, sha256(b"ima entry"));
+        assert_eq!(t.event_log().len(), 1, "only the measured event");
+        assert_eq!(
+            t.pcr_read(10),
+            PcrBank::extend_value(&Digest::ZERO, &sha256(b"ima entry"))
+        );
+        assert_eq!(t.event_log().replay()[10], Digest::ZERO);
     }
 
     #[test]

@@ -306,6 +306,13 @@ fn ima_log_replay_always_matches_live_pcr() {
             log.measure(&mut tpm, path, content);
         }
         assert_eq!(log.replay_pcr(), tpm.pcr_read(bolted::tpm::index::IMA));
+        // The list is PCR 10's only log: no measurement reaches the
+        // TPM's boot log.
+        assert!(
+            tpm.event_log().is_empty(),
+            "{} boot events",
+            tpm.event_log().len()
+        );
     }
 }
 

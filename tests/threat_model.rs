@@ -1,11 +1,14 @@
 //! §2/§6 threat-model integration tests: every attack the paper defends
 //! against, executed against the full stack.
 
+use std::sync::Arc;
+
 use bolted::core::{
-    revocation_experiment, Cloud, CloudConfig, Enclave, ProvisionError, SecurityProfile, Tenant,
+    revocation_experiment, Cloud, CloudConfig, Enclave, KeylimeAttestation, ProvisionError,
+    SecurityProfile, Services, Tenant, TenantEnv,
 };
 use bolted::firmware::{FirmwareKind, KernelImage};
-use bolted::keylime::verifier::BOOT_SELECTION;
+use bolted::keylime::verifier::{VerifierConfig, BOOT_SELECTION};
 use bolted::keylime::{ImaWhitelist, LogOffsets};
 use bolted::sim::{Sim, SimDuration};
 use bolted::storage::ImageId;
@@ -299,33 +302,46 @@ fn after_occupancy_released_volume_deleted_from_storage() {
 #[test]
 fn quote_replay_across_nodes_fails() {
     // A compromised node cannot present a clean sibling's quote: the AIK
-    // is bound to each TPM via credential activation.
+    // is bound to each TPM via credential activation, and the verifier
+    // checks a node's quote against the AIK the registrar certified for
+    // that node.
     let (sim, cloud, golden) = build(2);
-    let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
+    let attestation = KeylimeAttestation::new(&cloud, VerifierConfig::default());
+    let registrar = attestation.registrar().clone();
+    let verifier = attestation.verifier().clone();
+    let tenant = Tenant::with_backend(
+        "charlie",
+        TenantEnv::of_cloud(&cloud),
+        Services::of_cloud(&cloud, Arc::new(attestation)),
+        verifier,
+    )
+    .expect("tenant");
     let nodes = cloud.nodes();
-    let (clean_evidence, verifier) = sim.block_on({
-        let tenant = tenant.clone();
-        async move {
-            let p0 = tenant
-                .provision(nodes[0], &SecurityProfile::charlie(), golden)
+    let (clean, clean_id, sibling_id) = sim.block_on(async move {
+        let mut agents = Vec::new();
+        for node in nodes {
+            let p = tenant
+                .provision(node, &SecurityProfile::charlie(), golden)
                 .await
-                .expect("clean node");
-            let agent = p0.agent.clone().expect("agent");
-            let ev = agent
-                .attest(&tenant.sim(), [9; 32], &BOOT_SELECTION, &LogOffsets::START)
-                .await
-                .expect("attests");
-            (ev, tenant.verifier.clone())
+                .expect("provisions");
+            agents.push(p.agent.expect("agent"));
         }
+        let ev = agents[0]
+            .attest(&tenant.sim(), [9; 32], &BOOT_SELECTION, &LogOffsets::START)
+            .await
+            .expect("attests");
+        (ev, agents[0].id().to_string(), agents[1].id().to_string())
     });
-    // Presented for the wrong node id ("m620-02"), verification fails —
-    // the registrar has no certified AIK matching it.
-    let err = verifier
-        .verify_evidence("m620-02", &[9; 32], &BOOT_SELECTION, &clean_evidence)
-        .unwrap_err();
+    let own = registrar.certified_aik(&clean_id).expect("certified");
     assert!(
-        err.contains("not certified") || err.contains("unknown"),
-        "{err}"
+        clean.quote.verify(&own),
+        "the quote verifies for its own node"
+    );
+    // Presented for the sibling's id, it meets the sibling's AIK.
+    let sibling = registrar.certified_aik(&sibling_id).expect("certified");
+    assert!(
+        !clean.quote.verify(&sibling),
+        "{clean_id}'s quote verified under {sibling_id}'s AIK"
     );
 }
 
