@@ -1315,7 +1315,11 @@ mod tests {
             Ok(_) => panic!("tampered firmware must not provision"),
         }
         assert_eq!(cloud.rejected_pool(), vec![node]);
-        // The node never reached the tenant enclave, and no keys leaked.
+        // The node never reached the tenant enclave, and the rejection
+        // left none of its key material in the verifier.
+        let name = cloud.machine(node).name();
+        assert!(!tenant.verifier.holds_key_material(&name));
+        assert_eq!(cloud.metrics.counter_total("key_releases"), 0);
     }
 
     #[test]
@@ -1381,9 +1385,10 @@ mod tests {
             "the verifier still holds key material for {released_with}"
         );
         assert!(!tenant.verifier.holds_key_material(&released_with));
-        assert!(
-            matches!(after, AttestOutcome::Unreachable { .. }),
-            "a powered-off machine answers no quote, got {after:?}"
+        assert_eq!(
+            after,
+            AttestOutcome::Failed("unknown node".into()),
+            "release ends the enrolment"
         );
         assert_eq!(
             cloud.metrics.counter_total("key_releases"),

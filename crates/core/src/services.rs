@@ -308,7 +308,7 @@ impl KeylimeAttestation {
         }
     }
 
-    /// The underlying verifier (revocation subscriptions, status).
+    /// The underlying verifier (revocation subscriptions, enrolments).
     pub fn verifier(&self) -> &Verifier {
         &self.verifier
     }

@@ -28,4 +28,4 @@ pub use agent::{
 pub use ima::{ImaEntry, ImaLog, ImaViolation, ImaWhitelist};
 pub use payload::{combine_key, split_key, KeyShare, TenantPayload};
 pub use registrar::{Registrar, RegistrarError};
-pub use verifier::{AttestOutcome, NodeStatus, RevocationEvent, Verifier, VerifierConfig};
+pub use verifier::{AttestOutcome, RevocationEvent, Verifier, VerifierConfig};

@@ -87,7 +87,8 @@ impl Default for VerifierConfig {
 pub enum AttestOutcome {
     /// Everything matched the whitelists.
     Trusted,
-    /// Verification failed; node is revoked.
+    /// Verification failed: the node is revoked and its enrolment ends.
+    /// A round on a node that is not enrolled fails as `unknown node`.
     Failed(String),
     /// The quote round-trip never completed: injected RPC drops, or a
     /// machine that is not powered on, outlived the retry budget.
@@ -110,17 +111,6 @@ pub struct RevocationEvent {
     pub detected_at: SimTime,
 }
 
-/// Per-node verifier status.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeStatus {
-    /// Registered, not yet attested.
-    Pending,
-    /// Last attestation passed.
-    Trusted,
-    /// Attestation failed; revoked.
-    Failed(String),
-}
-
 /// What a verifier has verified of one node's logs: the offsets it
 /// asks the agent for next, and the PCR values the verified entries
 /// replay to. It holds only for the boot and AIK named in its offsets.
@@ -140,33 +130,42 @@ impl VerifiedPrefix {
     };
 }
 
-struct NodeState {
+/// What one `add_node` call fixes for a node. An enrolment lasts from
+/// `add_node` until [`Verifier::stop`] or a failed verdict reached under
+/// it, and a round reads and writes only the enrolment it started under.
+struct Enrolment {
     agent: Agent,
-    /// Which `add_node` call made this entry: a round stores its prefix
-    /// only into the enrolment it started under.
-    enrolment: u64,
-    prefix: VerifiedPrefix,
     boot_whitelist: HashSet<Digest>,
     ima_whitelist: ImaWhitelist,
-    /// The V share and the payload sealed under the node's key. Both
-    /// are taken when the first trusted round releases them, and
-    /// dropped when the node is stopped, so they leave the verifier
-    /// once at most and never outlive the tenancy.
-    v_share: Option<KeyShare>,
-    sealed_payload: Vec<u8>,
     /// Extra bytes (kernel + initrd) shipped alongside the sealed blob,
     /// for delivery timing.
     payload_wire_bytes: u64,
-    status: NodeStatus,
-    detected_at: Option<SimTime>,
-    stop: bool,
+}
+
+struct NodeState {
+    enrolment: Arc<Enrolment>,
+    prefix: VerifiedPrefix,
+    /// The V share and the payload sealed under the node's key. Both
+    /// are taken when the first trusted round releases them, and
+    /// dropped when the enrolment ends, so they leave the verifier once
+    /// at most and never outlive the tenancy.
+    v_share: Option<KeyShare>,
+    sealed_payload: Vec<u8>,
 }
 
 struct VerifierInner {
     nodes: BTreeMap<String, NodeState>,
     subscribers: Vec<Sender<RevocationEvent>>,
     nonce_counter: u64,
-    enrolments: u64,
+}
+
+impl VerifierInner {
+    /// The node's entry, if it is still `enrolment`.
+    fn entry(&mut self, node_id: &str, enrolment: &Arc<Enrolment>) -> Option<&mut NodeState> {
+        self.nodes
+            .get_mut(node_id)
+            .filter(|n| Arc::ptr_eq(&n.enrolment, enrolment))
+    }
 }
 
 /// The Cloud Verifier service (tenant-deployable).
@@ -201,7 +200,6 @@ impl Verifier {
                 nodes: BTreeMap::new(),
                 subscribers: Vec::new(),
                 nonce_counter: 0,
-                enrolments: 0,
             })),
         }
     }
@@ -217,8 +215,10 @@ impl Verifier {
 
     /// Registers a node for verification with its whitelists and (for
     /// security-sensitive tenants) the V share + sealed payload to
-    /// release on first success. Re-enrolling a node drops whatever of
-    /// its logs was verified, so its next round replays them whole.
+    /// release on first success. Each call starts a new enrolment and
+    /// ends any earlier one: whatever of the node's logs was verified is
+    /// dropped, so its next round replays them whole, and a round still
+    /// running under the old enrolment takes nothing of the new one.
     pub fn add_node(
         &self,
         agent: &Agent,
@@ -228,23 +228,19 @@ impl Verifier {
         sealed_payload: Vec<u8>,
         payload_wire_bytes: u64,
     ) {
-        let mut inner = lock(&self.inner);
-        inner.enrolments += 1;
-        let enrolment = inner.enrolments;
-        inner.nodes.insert(
+        let enrolment = Arc::new(Enrolment {
+            agent: agent.clone(),
+            boot_whitelist,
+            ima_whitelist,
+            payload_wire_bytes,
+        });
+        lock(&self.inner).nodes.insert(
             agent.id().to_string(),
             NodeState {
-                agent: agent.clone(),
                 enrolment,
                 prefix: VerifiedPrefix::START,
-                boot_whitelist,
-                ima_whitelist,
                 v_share,
                 sealed_payload,
-                payload_wire_bytes,
-                status: NodeStatus::Pending,
-                detected_at: None,
-                stop: false,
             },
         );
     }
@@ -256,22 +252,9 @@ impl Verifier {
         rx
     }
 
-    /// Current status of a node.
-    pub fn status(&self, node_id: &str) -> Option<NodeStatus> {
-        lock(&self.inner)
-            .nodes
-            .get(node_id)
-            .map(|n| n.status.clone())
-    }
-
-    /// When the verifier first detected a violation on the node.
-    pub fn detected_at(&self, node_id: &str) -> Option<SimTime> {
-        lock(&self.inner).nodes.get(node_id)?.detected_at
-    }
-
     /// True while the verifier holds a V share or a sealed payload for
     /// the node: from enrolment until the first trusted round releases
-    /// them or the node is stopped.
+    /// them or the enrolment ends.
     pub fn holds_key_material(&self, node_id: &str) -> bool {
         lock(&self.inner)
             .nodes
@@ -281,7 +264,7 @@ impl Verifier {
 
     /// How much of the node's logs is verified: the offsets its next
     /// round asks the agent for ([`LogOffsets::START`] until a trusted
-    /// round).
+    /// round), or `None` while the node is not enrolled.
     pub fn log_offsets(&self, node_id: &str) -> Option<LogOffsets> {
         Some(lock(&self.inner).nodes.get(node_id)?.prefix.offsets)
     }
@@ -297,35 +280,30 @@ impl Verifier {
         *d.as_bytes()
     }
 
-    /// Verifies evidence against the node's whitelists, starting from
+    /// Verifies evidence against `enrolment`'s whitelists, starting from
     /// `prefix`, and returns the verified prefix the evidence extends it
     /// to. The prefix counts only if the quote comes from the boot and
     /// AIK it was verified under; otherwise the evidence must carry both
     /// logs whole.
     fn verify_from(
         &self,
-        node_id: &str,
+        enrolment: &Enrolment,
         prefix: &VerifiedPrefix,
         nonce: &[u8; 32],
         selection: &[usize],
         evidence: &AttestationEvidence,
     ) -> Result<VerifiedPrefix, String> {
-        if !lock(&self.inner).nodes.contains_key(node_id) {
-            return Err("unknown node".into());
-        }
         // 1. The AIK must be certified by the registrar, the one place
         //    that holds it: a node that re-registered is read afresh.
         let aik = self
             .registrar
-            .certified_aik(node_id)
+            .certified_aik(enrolment.agent.id())
             .ok_or("AIK not certified by registrar")?;
         // 2. Signature and freshness.
         let quote = &evidence.quote;
         if !quote.verify(&aik) {
             return Err("quote signature invalid".into());
         }
-        let inner = lock(&self.inner);
-        let node = inner.nodes.get(node_id).ok_or("unknown node")?;
         if &quote.nonce != nonce {
             return Err("stale nonce (replay?)".into());
         }
@@ -379,13 +357,13 @@ impl Verifier {
         }
         // 5. Every new boot measurement must be whitelisted.
         for ev in &evidence.boot_events {
-            if !node.boot_whitelist.contains(&ev.digest) {
+            if !enrolment.boot_whitelist.contains(&ev.digest) {
                 return Err(format!("unapproved boot measurement: {}", ev.description));
             }
         }
         // 6. Every new IMA entry must be whitelisted (continuous only).
         if quotes_ima {
-            if let Err(v) = node.ima_whitelist.check(&evidence.ima_entries) {
+            if let Err(v) = enrolment.ima_whitelist.check(&evidence.ima_entries) {
                 return Err(format!("IMA violation: {} ({})", v.path, v.digest));
             }
         }
@@ -406,20 +384,32 @@ impl Verifier {
         }
     }
 
+    /// Ends the node's enrolment if it is still `enrolment`, dropping
+    /// whatever key material the verifier holds for it.
+    fn end(&self, node_id: &str, enrolment: &Arc<Enrolment>) {
+        let mut inner = lock(&self.inner);
+        if inner.entry(node_id, enrolment).is_some() {
+            inner.nodes.remove(node_id);
+        }
+    }
+
     /// Runs one attestation round against a node, charging quote,
     /// network and verification time. `continuous` selects the PCR set.
+    /// The round reads and writes only the enrolment it started under: a
+    /// failed verdict ends that enrolment, and a trusted one stores its
+    /// prefix and releases its V share only while it lasts.
     pub async fn attest_once(&self, node_id: &str, continuous: bool) -> AttestOutcome {
-        let (agent, selection, enrolment, prefix) = {
+        let (enrolment, prefix) = {
             let inner = lock(&self.inner);
             let Some(node) = inner.nodes.get(node_id) else {
                 return AttestOutcome::Failed("unknown node".into());
             };
-            let sel: &[usize] = if continuous {
-                &CONTINUOUS_SELECTION
-            } else {
-                &BOOT_SELECTION
-            };
-            (node.agent.clone(), sel, node.enrolment, node.prefix.clone())
+            (node.enrolment.clone(), node.prefix.clone())
+        };
+        let selection: &[usize] = if continuous {
+            &CONTINUOUS_SELECTION
+        } else {
+            &BOOT_SELECTION
         };
         let nonce = self.fresh_nonce();
         let spans = self.env.spans();
@@ -440,7 +430,12 @@ impl Verifier {
             Dropped,
             Agent(TpmError),
         }
-        let (sim, faults, agent, since) = (self.sim(), self.env.faults(), &agent, &prefix.offsets);
+        let (sim, faults, agent, since) = (
+            self.sim(),
+            self.env.faults(),
+            &enrolment.agent,
+            &prefix.offsets,
+        );
         let mut retry_rng = Rng::seed_from_u64(mix_seed(0x5EC0_11D5, &[node_id]));
         let op = move || async move {
             sim.sleep(RTT).await;
@@ -473,15 +468,15 @@ impl Verifier {
                 let reason = format!("agent error: {e}");
                 spans.attr(span, "outcome", "agent-error");
                 spans.end(self.sim(), span);
-                self.fail_node(node_id, &reason);
+                self.end(node_id, &enrolment);
                 self.broadcast_revocation(node_id, &reason).await;
                 return AttestOutcome::Failed(reason);
             }
             Err(e) => {
                 // Exhausted on drops or a powered-off machine:
-                // infrastructure failure, not evidence of compromise. No
-                // fail_node, no revocation broadcast — the caller decides
-                // what to do with an unreachable node.
+                // infrastructure failure, not evidence of compromise. The
+                // enrolment lasts and no revocation is broadcast — the
+                // caller decides what to do with an unreachable node.
                 spans.attr(span, "outcome", "rpc-fault");
                 spans.end(self.sim(), span);
                 return AttestOutcome::Unreachable {
@@ -498,7 +493,7 @@ impl Verifier {
             None => self.sim().sleep(self.config.verify_cost).await,
         }
         let metrics = self.env.metrics();
-        match self.verify_from(node_id, &prefix, &nonce, selection, &evidence) {
+        match self.verify_from(&enrolment, &prefix, &nonce, selection, &evidence) {
             Ok(verified) => {
                 // Close the span at the verdict — strictly before any key
                 // material moves, so span ordering proves the invariant.
@@ -508,27 +503,18 @@ impl Verifier {
                     "quote_verdicts",
                     &[("target", node_id), ("outcome", "trusted")],
                 );
-                let deliver = {
-                    let mut inner = lock(&self.inner);
-                    inner.nodes.get_mut(node_id).and_then(|node| {
-                        // Revocation is sticky: a concurrent round may
-                        // have failed this node between our verification
-                        // and this update, and a late success must not
-                        // un-revoke it.
-                        if !matches!(node.status, NodeStatus::Failed(_)) {
-                            node.status = NodeStatus::Trusted;
-                        }
-                        if node.enrolment == enrolment {
-                            node.prefix = verified;
-                        }
+                // A round whose enrolment ended meanwhile (a concurrent
+                // failure, `stop`, a re-enrolment) touches nothing.
+                let deliver = lock(&self.inner)
+                    .entry(node_id, &enrolment)
+                    .and_then(|node| {
+                        node.prefix = verified;
                         let v = node.v_share.take()?;
-                        let sealed = std::mem::take(&mut node.sealed_payload);
-                        Some((v, sealed, node.payload_wire_bytes))
-                    })
-                };
-                if let Some((v, sealed, wire)) = deliver {
+                        Some((v, std::mem::take(&mut node.sealed_payload)))
+                    });
+                if let Some((v, sealed)) = deliver {
                     // Payload download (kernel + initrd dominate).
-                    let approx = sealed.len() as u64 + wire;
+                    let approx = sealed.len() as u64 + enrolment.payload_wire_bytes;
                     let t = SimDuration::from_secs_f64(approx as f64 / PAYLOAD_BPS);
                     self.sim().sleep(t + RTT).await;
                     // The guarded key-material event: V leaves the
@@ -547,38 +533,32 @@ impl Verifier {
                     "quote_verdicts",
                     &[("target", node_id), ("outcome", "failed")],
                 );
-                self.fail_node(node_id, &reason);
+                self.end(node_id, &enrolment);
                 self.broadcast_revocation(node_id, &reason).await;
                 AttestOutcome::Failed(reason)
             }
         }
     }
 
-    fn fail_node(&self, node_id: &str, reason: &str) {
-        let mut inner = lock(&self.inner);
-        if let Some(node) = inner.nodes.get_mut(node_id) {
-            node.status = NodeStatus::Failed(reason.to_string());
-            if node.detected_at.is_none() {
-                node.detected_at = Some(self.sim().now());
-            }
-        }
-    }
-
-    /// Spawns the continuous-attestation loop for a node; it polls every
-    /// `poll_interval` until the node fails or [`Verifier::stop`] is
-    /// called. Returns the number of successful rounds.
+    /// Spawns the continuous-attestation loop for the node's current
+    /// enrolment; it polls every `poll_interval` until a round is not
+    /// trusted or that enrolment ends. Returns the number of successful
+    /// rounds.
     pub fn spawn_continuous(&self, node_id: &str) -> JoinHandle<u64> {
         let this = self.clone();
         let node_id = node_id.to_string();
+        let enrolment = lock(&self.inner)
+            .nodes
+            .get(&node_id)
+            .map(|n| n.enrolment.clone());
         self.sim().spawn(async move {
+            let Some(enrolment) = enrolment else {
+                return 0;
+            };
             let mut rounds = 0u64;
             loop {
                 this.sim().sleep(this.config.poll_interval).await;
-                let stopped = {
-                    let inner = lock(&this.inner);
-                    inner.nodes.get(&node_id).is_none_or(|n| n.stop)
-                };
-                if stopped {
+                if lock(&this.inner).entry(&node_id, &enrolment).is_none() {
                     break;
                 }
                 match this.attest_once(&node_id, true).await {
@@ -590,16 +570,11 @@ impl Verifier {
         })
     }
 
-    /// Stops a node's continuous-attestation loop and drops the V share
-    /// and sealed payload the verifier still holds for it, so a released
-    /// node leaves no key material behind and a later round on it
-    /// releases none.
+    /// Ends the node's enrolment: its continuous loop stops, the V share
+    /// and sealed payload the verifier still holds for it are dropped,
+    /// and a later round on it is a round on an unknown node.
     pub fn stop(&self, node_id: &str) {
-        if let Some(n) = lock(&self.inner).nodes.get_mut(node_id) {
-            n.stop = true;
-            n.v_share = None;
-            n.sealed_payload = Vec::new();
-        }
+        lock(&self.inner).nodes.remove(node_id);
     }
 }
 
@@ -611,6 +586,13 @@ fn trusted_verdicts(verifier: &Verifier, node_id: &str) -> u64 {
         "quote_verdicts",
         &[("target", node_id), ("outcome", "trusted")],
     )
+}
+
+/// The node's current enrolment in `verifier`, for calling
+/// `verify_from` directly.
+#[cfg(test)]
+fn enrolment(verifier: &Verifier, node_id: &str) -> Arc<Enrolment> {
+    lock(&verifier.inner).nodes[node_id].enrolment.clone()
 }
 
 /// A call envelope on `sim` that injects nothing and records no spans;
@@ -703,7 +685,8 @@ mod tests {
             }
         });
         assert_eq!(outcome, AttestOutcome::Trusted);
-        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Trusted));
+        assert_eq!(trusted_verdicts(&r.verifier, "node-1"), 1);
+        assert_ne!(r.verifier.log_offsets("node-1"), Some(LogOffsets::START));
     }
 
     #[test]
@@ -718,7 +701,7 @@ mod tests {
         let mut wl = HashSet::new();
         wl.insert(fw.build_id); // tenant approves only the clean build
         wl.insert(agent_binary_digest());
-        let outcome = sim.block_on({
+        let (outcome, revocation) = sim.block_on({
             let (sim2, m, reg, v) = (
                 sim.clone(),
                 machine.clone(),
@@ -736,11 +719,16 @@ mod tests {
                     .await
                     .expect("registers");
                 v.add_node(&agent, wl, ImaWhitelist::new(), None, Vec::new(), 0);
-                v.attest_once("node-1", false).await
+                let rx = v.subscribe_revocations();
+                let outcome = v.attest_once("node-1", false).await;
+                (outcome, rx.try_recv())
             }
         });
         assert!(matches!(outcome, AttestOutcome::Failed(ref r) if r.contains("unapproved")));
-        assert!(verifier.detected_at("node-1").is_some());
+        let ev = revocation.expect("revocation broadcast");
+        assert!(ev.reason.contains("unapproved"), "{}", ev.reason);
+        // The failed verdict ends the enrolment.
+        assert_eq!(verifier.log_offsets("node-1"), None);
     }
 
     #[test]
@@ -816,7 +804,7 @@ mod tests {
     #[test]
     fn continuous_attestation_detects_ima_violation() {
         let r = rig();
-        let (rounds, detected, revocation) = r.sim.block_on({
+        let (rounds, enrolled, revocation) = r.sim.block_on({
             let sim = r.sim.clone();
             let m = r.machine.clone();
             let reg = r.registrar.clone();
@@ -854,19 +842,16 @@ mod tests {
                     agent2.ima_measure("/tmp/cryptominer", b"evil"); // not fine
                 });
                 let rounds = handle.await;
-                let detected = v.detected_at("node-1");
+                let enrolled = v.log_offsets("node-1").is_some();
                 let ev = rx.recv().await;
-                (rounds, detected, ev)
+                (rounds, enrolled, ev)
             }
         });
         assert!(rounds >= 3, "some clean rounds first, got {rounds}");
-        let detected = detected.expect("violation detected");
-        // Malware ran at t=20s (plus boot time offset); detection within
-        // one poll interval + verification time of the *next* quote.
+        assert!(!enrolled, "the violation ends the enrolment");
         let ev = revocation.expect("revocation broadcast");
         assert_eq!(ev.node_id, "node-1");
         assert!(ev.reason.contains("cryptominer"));
-        assert_eq!(ev.detected_at, detected);
     }
 
     #[test]
@@ -918,7 +903,7 @@ mod tests {
         });
         assert!(enrolled, "enrolment hands the verifier its V share");
         assert!(!stopped, "stop drops the V share and the sealed payload");
-        assert_eq!(outcome, AttestOutcome::Trusted);
+        assert_eq!(outcome, AttestOutcome::Failed("unknown node".into()));
         assert!(!delivered, "a round after stop releases no key");
         assert!(!r.verifier.holds_key_material("node-1"));
     }
@@ -953,7 +938,141 @@ mod tests {
             }
         });
         assert!(rounds >= 1);
-        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Trusted));
+        assert_eq!(trusted_verdicts(&r.verifier, "node-1"), rounds);
+        assert_eq!(
+            r.verifier.log_offsets("node-1"),
+            None,
+            "stop ends the enrolment"
+        );
+    }
+
+    /// A round reads and writes only the enrolment it started under: one
+    /// whose node is stopped and enrolled again while its quote is in
+    /// flight reaches its verdict, but takes nothing of the new
+    /// enrolment.
+    #[test]
+    fn a_round_from_an_ended_enrolment_takes_no_key() {
+        let r = rig();
+        let mut rng = XorShiftSource::new(4);
+        let sealed = |k: &Key| {
+            TenantPayload {
+                kernel_name: "fedora".into(),
+                kernel_digest: KernelImage::from_bytes("fedora", b"vmlinuz").digest,
+                kernel_size: 1 << 20,
+                cmdline: "quiet".into(),
+                luks_passphrase: Secret::named("luks_passphrase", b"pw".to_vec()),
+                ipsec_psk: b"psk".to_vec(),
+                script: "kexec".into(),
+            }
+            .seal(k)
+        };
+        let (k1, k2) = (Key([6u8; 32]), Key([7u8; 32]));
+        let ((u1, v1), (_, v2)) = (split_key(&k1, &mut rng), split_key(&k2, &mut rng));
+        let (sealed1, sealed2) = (sealed(&k1), sealed(&k2));
+        let (outcome, delivered, held) = r.sim.block_on({
+            let sim = r.sim.clone();
+            let m = r.machine.clone();
+            let reg = r.registrar.clone();
+            let v = r.verifier.clone();
+            let wl = r.boot_whitelist.clone();
+            async move {
+                let rig_ref = Rig {
+                    sim: sim.clone(),
+                    machine: m,
+                    registrar: reg,
+                    verifier: v.clone(),
+                    boot_whitelist: wl.clone(),
+                };
+                let agent = boot_and_register(&rig_ref).await;
+                agent.deliver_u(u1);
+                let enrol = |v_share, sealed| {
+                    v.add_node(
+                        &agent,
+                        wl.clone(),
+                        ImaWhitelist::new(),
+                        Some(v_share),
+                        sealed,
+                        0,
+                    );
+                };
+                enrol(v1, sealed1);
+                let round = {
+                    let v = v.clone();
+                    sim.spawn(async move { v.attest_once("node-1", false).await })
+                };
+                // The quote is in flight: the first RTT has passed, the
+                // verdict is a quote and a verification budget away.
+                sim.sleep(RTT * 2).await;
+                v.stop("node-1");
+                enrol(v2, sealed2);
+                let outcome = round.await;
+                (
+                    outcome,
+                    agent.payload().is_some(),
+                    v.holds_key_material("node-1"),
+                )
+            }
+        });
+        assert_eq!(
+            outcome,
+            AttestOutcome::Trusted,
+            "the verdict is the round's own"
+        );
+        assert!(!delivered, "the stale round delivered a key");
+        assert!(held, "the new enrolment keeps its V share");
+        assert_eq!(
+            r.verifier
+                .env
+                .metrics()
+                .counter("key_releases", &[("target", "node-1")]),
+            0
+        );
+    }
+
+    /// A continuous loop attests one enrolment: once its node is stopped
+    /// and enrolled again, the old loop ends at its next wake and only
+    /// the new enrolment's loop runs rounds.
+    #[test]
+    fn a_continuous_loop_ends_with_its_enrolment() {
+        let r = rig();
+        let (first, second) = r.sim.block_on({
+            let sim = r.sim.clone();
+            let m = r.machine.clone();
+            let reg = r.registrar.clone();
+            let v = r.verifier.clone();
+            let wl = r.boot_whitelist.clone();
+            async move {
+                let rig_ref = Rig {
+                    sim: sim.clone(),
+                    machine: m,
+                    registrar: reg,
+                    verifier: v.clone(),
+                    boot_whitelist: wl.clone(),
+                };
+                let agent = boot_and_register(&rig_ref).await;
+                let enrol = || {
+                    v.add_node(&agent, wl.clone(), ImaWhitelist::new(), None, Vec::new(), 0);
+                };
+                enrol();
+                let poll = v.config().poll_interval;
+                let first = v.spawn_continuous("node-1");
+                sim.sleep(poll / 2).await;
+                v.stop("node-1");
+                enrol();
+                let second = v.spawn_continuous("node-1");
+                // Bound the run: the second loop ends with its own
+                // enrolment after four polls.
+                let (sim2, v2) = (sim.clone(), v.clone());
+                sim.spawn(async move {
+                    sim2.sleep(poll * 4).await;
+                    v2.stop("node-1");
+                });
+                (first.await, second.await)
+            }
+        });
+        assert_eq!(first, 0, "the first enrolment ended before its first poll");
+        assert!(second >= 3, "the second loop attests, got {second}");
+        assert_eq!(trusted_verdicts(&r.verifier, "node-1"), second);
     }
 
     #[test]
@@ -982,8 +1101,14 @@ mod tests {
                     .attest(&sim, [1; 32], &sel, &LogOffsets::START)
                     .await
                     .expect("attests");
-                v.verify_from("node-1", &VerifiedPrefix::START, &[2; 32], &sel, &old)
-                    .unwrap_err()
+                v.verify_from(
+                    &enrolment(&v, "node-1"),
+                    &VerifiedPrefix::START,
+                    &[2; 32],
+                    &sel,
+                    &old,
+                )
+                .unwrap_err()
             }
         });
         assert!(err.contains("stale nonce"), "got: {err}");
@@ -1022,8 +1147,14 @@ mod tests {
                     .expect("attests");
                 // Strip the incriminating entry.
                 ev.ima_entries.retain(|e| e.path != "/tmp/evil");
-                v.verify_from("node-1", &VerifiedPrefix::START, &nonce, &sel, &ev)
-                    .unwrap_err()
+                v.verify_from(
+                    &enrolment(&v, "node-1"),
+                    &VerifiedPrefix::START,
+                    &nonce,
+                    &sel,
+                    &ev,
+                )
+                .unwrap_err()
             }
         });
         assert!(err.contains("does not replay"), "got: {err}");
@@ -1066,7 +1197,7 @@ mod tests {
             ),
             2
         );
-        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Trusted));
+        assert_eq!(trusted_verdicts(&r.verifier, "node-1"), 1);
     }
 
     #[test]
@@ -1100,7 +1231,7 @@ mod tests {
         });
         // An unreachable verifier RPC is an infrastructure failure, not
         // evidence of compromise: the typed outcome carries the attempt
-        // count and the node is neither marked Failed nor revoked.
+        // count, and the node is neither revoked nor unenrolled.
         match outcome {
             AttestOutcome::Unreachable { attempts } => {
                 assert_eq!(attempts, bolted_sim::MAX_ATTEMPTS)
@@ -1108,13 +1239,12 @@ mod tests {
             other => panic!("expected infra failure, got {other:?}"),
         }
         assert!(revocation.is_none(), "no revocation for infra faults");
-        assert!(r.verifier.detected_at("node-1").is_none());
-        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Pending));
+        assert_eq!(r.verifier.log_offsets("node-1"), Some(LogOffsets::START));
     }
 
     /// A machine that is off answers no quote: the round is an
     /// infrastructure failure, like an exhausted RPC, and the node is
-    /// neither failed nor revoked, and trusted no more than before.
+    /// neither revoked nor unenrolled, and trusted no more than before.
     #[test]
     fn a_powered_off_machine_is_unreachable() {
         let r = rig();
@@ -1150,8 +1280,7 @@ mod tests {
             revocation.is_none(),
             "no revocation for a machine that is off"
         );
-        assert!(r.verifier.detected_at("node-1").is_none());
-        assert_eq!(r.verifier.status("node-1"), Some(NodeStatus::Pending));
+        assert_eq!(r.verifier.log_offsets("node-1"), Some(LogOffsets::START));
         assert_eq!(trusted_verdicts(&r.verifier, "node-1"), 0);
     }
 
@@ -1314,9 +1443,9 @@ mod fleet_tests {
         assert!(!metrics.to_json().contains("quote_verdicts"));
     }
 
-    /// Satellite: hammer one node with concurrent attest_once rounds. The
-    /// accounting (trusted verdicts, status, exactly-once payload flag)
-    /// must survive arbitrary interleaving at await points.
+    /// Hammer one node with concurrent attest_once rounds. The accounting
+    /// (trusted verdicts, the stored prefix) must survive arbitrary
+    /// interleaving at await points.
     #[test]
     fn concurrent_rounds_on_one_node_account_correctly() {
         const ROUNDS: usize = 10;
@@ -1358,7 +1487,7 @@ mod fleet_tests {
         assert_eq!(outcomes.len(), ROUNDS);
         assert!(outcomes.iter().all(|o| o == &AttestOutcome::Trusted));
         assert_eq!(trusted_verdicts(&verifier, "node-0"), ROUNDS as u64);
-        assert_eq!(verifier.status("node-0"), Some(NodeStatus::Trusted));
+        assert_ne!(verifier.log_offsets("node-0"), Some(LogOffsets::START));
     }
 }
 
@@ -1460,7 +1589,8 @@ mod prefix_tests {
         prefix: &VerifiedPrefix,
         ev: &AttestationEvidence,
     ) -> Result<VerifiedPrefix, String> {
-        verifier.verify_from(NODE, prefix, &[7; 32], &CONTINUOUS_SELECTION, ev)
+        let enrolment = enrolment(verifier, NODE);
+        verifier.verify_from(&enrolment, prefix, &[7; 32], &CONTINUOUS_SELECTION, ev)
     }
 
     fn boot_log_len(r: &Rig) -> usize {
@@ -1532,7 +1662,13 @@ mod prefix_tests {
         forge(&mut ev);
         let err = r
             .verifier
-            .verify_from(NODE, &VerifiedPrefix::START, &[7; 32], &BOOT_SELECTION, &ev)
+            .verify_from(
+                &enrolment(&r.verifier, NODE),
+                &VerifiedPrefix::START,
+                &[7; 32],
+                &BOOT_SELECTION,
+                &ev,
+            )
             .unwrap_err();
         assert!(err.contains("IMA PCR"), "{err}");
     }
@@ -1606,9 +1742,10 @@ mod prefix_tests {
         let r = rig();
         let agent = enrolled(&r);
         let poll = r.verifier.config().poll_interval;
-        let (malware_at, offsets_before) = r.sim.block_on({
+        let (malware_at, offsets_before, revocation) = r.sim.block_on({
             let (sim, v, agent) = (r.sim.clone(), r.verifier.clone(), agent.clone());
             async move {
+                let rx = v.subscribe_revocations();
                 let handle = v.spawn_continuous(NODE);
                 for _ in 0..50 {
                     agent.ima_measure("/usr/bin/ok", b"ok");
@@ -1625,11 +1762,17 @@ mod prefix_tests {
                     v2.stop(NODE);
                 });
                 handle.await;
-                (at, before)
+                (at, before, rx.try_recv())
             }
         });
         assert_eq!(offsets_before.ima, 50, "the clean entries were verified");
-        let detected = r.verifier.detected_at(NODE).expect("detected");
+        let revocation = revocation.expect("detected");
+        assert!(
+            revocation.reason.contains("cryptominer"),
+            "{}",
+            revocation.reason
+        );
+        let detected = revocation.detected_at;
         let round = RTT
             + RTT
             + SimDuration::from_nanos(r.machine.with_tpm(|t| t.timings().quote_ns))
@@ -1639,10 +1782,11 @@ mod prefix_tests {
             "detected {} after the violation",
             detected.since(malware_at)
         );
-        assert!(matches!(
-            r.verifier.status(NODE),
-            Some(NodeStatus::Failed(reason)) if reason.contains("cryptominer")
-        ));
+        assert_eq!(
+            r.verifier.log_offsets(NODE),
+            None,
+            "the failure ends the enrolment"
+        );
     }
 
     #[test]
