@@ -10,7 +10,9 @@
 //! 1k and 10k IMA entries against a copy of the clone-and-replay
 //! verification, and how the round grows from 0 to 10k entries. The
 //! `sim_event` row times one poll of a sleeping task on the executor
-//! against a copy of the loop it replaced. Plain
+//! against a copy of the loop it replaced, and the `boot_reads` row one
+//! node's boot reads issued a request at a time against one read run.
+//! Plain
 //! `std::time::Instant`, JSON-lines output, no external crates: it runs
 //! in the offline build where criterion cannot.
 
@@ -23,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
+use bolted_core::{Calibration, SecurityProfile};
 use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
@@ -33,7 +36,8 @@ use bolted_keylime::{
     agent_binary_digest, Agent, AttestOutcome, AttestationEvidence, ImaWhitelist, LogOffsets,
     Registrar, Verifier, VerifierConfig,
 };
-use bolted_sim::{lock, CallEnv, Faults, Metrics, Sim, SimDuration, SimTime, Spans};
+use bolted_sim::{lock, CallEnv, Faults, Metrics, OpGate, Sim, SimDuration, SimTime, Spans};
+use bolted_storage::{Backing, Cluster, Gateway, ImageStore, IscsiTarget, TGT_VM_BANDWIDTH_BPS};
 use bolted_tpm::{index, PcrBank, NUM_PCRS};
 
 /// How much wall clock to spend: `Full` for recorded figures, `Quick`
@@ -797,6 +801,50 @@ impl SleepSim for LegacySim {
 }
 
 /// Runs every hot-path benchmark at the given [`Effort`].
+/// One Charlie node's boot reads on a fresh world: the calibrated
+/// `boot_touched_bytes` in `boot_io_request` units over the Charlie
+/// profile's IPsec transport and read-ahead, one `read_timed` per
+/// request (`run == false`) or as one read run. Returns the simulated
+/// end time and the `storage_read_ops` count.
+fn boot_reads(run: bool) -> (SimTime, u64) {
+    let calib = Calibration::default();
+    let (total, unit) = (calib.boot_touched_bytes, calib.boot_io_request);
+    let profile = SecurityProfile::charlie();
+    let sim = Sim::new();
+    let metrics = Metrics::new();
+    let store = ImageStore::new(&Cluster::paper_default(&sim));
+    let image = store
+        .create("root", 8 << 30, Backing::Zero)
+        .expect("boot_reads: image");
+    let gate = OpGate::new(&Faults::disabled(), &metrics);
+    let gateway = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &gate);
+    let target = IscsiTarget::new(
+        &sim,
+        &store,
+        image,
+        &gateway,
+        profile.storage_transport(),
+        profile.read_ahead,
+    );
+    sim.block_on(async move {
+        if run {
+            target
+                .read_run(0, total, unit)
+                .await
+                .expect("boot_reads: run");
+        } else {
+            let mut off = 0;
+            while off < total {
+                let len = unit.min(total - off);
+                target.read_timed(off, len).await.expect("boot_reads: read");
+                off += len;
+            }
+        }
+    });
+    let ops = metrics.counter("storage_read_ops", &[("target", "root")]);
+    (sim.now(), ops)
+}
+
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
     let mut records = Vec::new();
@@ -1050,6 +1098,40 @@ pub fn run(effort: Effort) -> Vec<Record> {
         ("legacy_loop", "task_slab"),
         (polls, polls),
         (ns_legacy / per_round as f64, ns_sim / per_round as f64),
+        None,
+    );
+
+    // --- Boot reads: one node's 800 root-disk requests --------------
+    // A request at a time (one timer each) against one read run (one
+    // timer per stretch of requests served from a resident window).
+    // Both must end at the same instant and count the same reads.
+    let per_request = boot_reads(false);
+    assert_eq!(
+        boot_reads(true),
+        per_request,
+        "boot_reads: runs match single reads"
+    );
+    let calib = Calibration::default();
+    let requests = calib.boot_touched_bytes.div_ceil(calib.boot_io_request);
+    assert_eq!(per_request.1, requests, "boot_reads: one op per request");
+    let (rounds, iters) = effort.pick((10, 20), (4, 4), (2, 1));
+    let ns = time_pair(
+        rounds,
+        iters,
+        iters,
+        || {
+            std::hint::black_box(boot_reads(false));
+        },
+        || {
+            std::hint::black_box(boot_reads(true));
+        },
+    );
+    record_pair(
+        &mut records,
+        "boot_reads",
+        ("per_request", "run"),
+        (rounds * iters, rounds * iters),
+        ns,
         None,
     );
 

@@ -1,8 +1,9 @@
 //! Smoke test for the hot-path micro-bench: the kernels must keep their
 //! speedups (generous margins — CI boxes are noisy), a continuous
 //! attestation round must cost the same at any list length, a simulated
-//! event must stay cheaper than on the executor loop it replaced, and the
-//! binary must run end to end in `--quick` and `--smoke` modes.
+//! event must stay cheaper than on the executor loop it replaced, a boot's
+//! reads must run as a read run and a request at a time, and the binary
+//! must run end to end in `--quick` and `--smoke` modes.
 
 use std::sync::Mutex;
 
@@ -31,6 +32,7 @@ fn quick_run_reports_kernel_speedups() {
         "attest_round_10k",
         "attest_round_growth",
         "sim_event",
+        "boot_reads",
     ] {
         assert_eq!(
             records.iter().filter(|r| r.bench == bench).count(),
@@ -95,7 +97,7 @@ fn smoke_effort_runs_every_bench() {
     let _cpu = exclusive_cpu();
     let records = hotpath::run(Effort::Smoke);
     let benches: std::collections::BTreeSet<_> = records.iter().map(|r| r.bench.as_str()).collect();
-    assert_eq!(benches.len(), 9, "all nine benches present: {benches:?}");
+    assert_eq!(benches.len(), 10, "all ten benches present: {benches:?}");
     for r in &records {
         assert!(r.ns_per_op > 0.0, "{}:{} timed nothing", r.bench, r.variant);
     }

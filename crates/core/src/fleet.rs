@@ -287,7 +287,7 @@ mod tests {
         let sim = Sim::new();
         let out = run_shard_on(&sim, &FleetSpec::new(8, 16, 1), 0).expect("shard");
         assert_eq!((out.ok, out.failed), (16, 0));
-        assert_eq!(sim.events_processed(), 19_616);
+        assert_eq!(sim.events_processed(), 7_616);
     }
 
     #[test]

@@ -905,8 +905,12 @@ impl Tenant {
     }
 
     /// The boot's disk reads: `boot_touched_bytes` from `target` in
-    /// `boot_io_request` units, one `storage.read` retry per unit. The
-    /// read closure borrows the target, so a read costs no clone of it.
+    /// `boot_io_request` units, served as read runs. Each request that
+    /// fails transiently gets its own `storage.read` retry envelope: the
+    /// failure the run stopped at is the envelope's first attempt, a
+    /// re-attempt reads that request alone, and a fresh run takes the
+    /// rest. So attempts, backoffs and jitter draws are those of one
+    /// envelope per request.
     async fn boot_reads(
         &self,
         target: &IscsiTarget,
@@ -918,18 +922,32 @@ impl Tenant {
         let transient = |e: &ImageError| matches!(e, ImageError::Transient);
         let mut off = 0u64;
         while off < total {
-            let len = req.min(total - off);
-            let read = move || async move {
-                match target.read_timed(off, len).await {
-                    // Only injected transient faults retry; the boot
-                    // loop ignores every other read outcome.
-                    Err(ImageError::Transient) => Err(ImageError::Transient),
-                    _ => Ok(()),
-                }
+            let Err(stopped) = target.read_run(off, total - off, req).await else {
+                break;
             };
-            self.retry("storage.read", name, rng, read, transient)
-                .await?;
-            off += len;
+            let len = req.min(total - stopped.at);
+            if stopped.error == ImageError::Transient {
+                // The envelope's first attempt is the failure the run
+                // stopped at; its re-attempts read that request alone.
+                let (at, mut first) = (stopped.at, true);
+                let read = move || {
+                    let replay = std::mem::take(&mut first);
+                    async move {
+                        if replay {
+                            return Err(ImageError::Transient);
+                        }
+                        match target.read_timed(at, len).await {
+                            // Only injected transient faults retry; the
+                            // boot ignores every other read outcome.
+                            Err(ImageError::Transient) => Err(ImageError::Transient),
+                            _ => Ok(()),
+                        }
+                    }
+                };
+                self.retry("storage.read", name, rng, read, transient)
+                    .await?;
+            }
+            off = stopped.at + len;
         }
         Ok(())
     }
@@ -1165,6 +1183,59 @@ mod tests {
         ] {
             assert!(p.report.phase(phase).is_some(), "missing phase {phase}");
         }
+    }
+
+    #[test]
+    fn boot_read_retries_take_one_envelope_per_failing_request() {
+        // One Charlie node booting under transient `storage.read` faults
+        // and latency spikes. Each failing request gets its own retry
+        // envelope and re-attempts alone, so the retries, injected faults
+        // and times are those of a boot that reads one request at a time.
+        use bolted_sim::fault::{ops, FaultPlan, FaultSpec};
+        let sim = Sim::new();
+        let cloud = Cloud::build(
+            &sim,
+            CloudConfig {
+                nodes: 1,
+                faults: FaultPlan::seeded(11).with(
+                    ops::STORAGE_READ,
+                    FaultSpec::transient(0.05).with_spike(0.05, SimDuration::from_millis(20)),
+                ),
+                ..CloudConfig::default()
+            },
+        );
+        let g = golden(&cloud);
+        let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
+        let node = cloud.nodes()[0];
+        let p = sim
+            .block_on(async move { tenant.provision(node, &SecurityProfile::charlie(), g).await })
+            .expect("provisions");
+        let metrics = &cloud.metrics;
+        let retries = metrics.counter(
+            "retry_attempts",
+            &[("op", ops::STORAGE_READ), ("target", &p.report.node)],
+        );
+        let attach = metrics
+            .histogram("provision_phase_seconds", &[("phase", "iscsi-attach")])
+            .expect("iscsi-attach observed")
+            .stats;
+        let got = (
+            retries,
+            metrics.counter_total("faults_injected"),
+            attach.count(),
+            SimDuration::from_secs_f64(attach.max()),
+            p.report.finished,
+        );
+        assert_eq!(
+            got,
+            (
+                42,
+                42,
+                1,
+                SimDuration::from_nanos(13517084247),
+                SimTime::from_nanos(139725508414),
+            )
+        );
     }
 
     #[test]

@@ -33,8 +33,9 @@ use crate::time::SimTime;
 /// gated component, replacing its hand-rolled fault + metrics pair.
 ///
 /// `OpGate` is sim-free so components that must not depend on virtual
-/// time (HIL, the minimal TCB) can still count through it; only
-/// [`OpGate::pass`] — the async latency-injecting gate — takes a [`Sim`].
+/// time (HIL, the minimal TCB) can still count through it. An async site
+/// whose injected spikes stretch virtual time takes the decision from
+/// [`OpGate::faults`] and sleeps it out on its own clock.
 #[derive(Clone)]
 pub struct OpGate {
     faults: Faults,
@@ -60,6 +61,11 @@ impl OpGate {
         &self.metrics
     }
 
+    /// The fault handle this gate consults.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
+    }
+
     /// One attempt of a synchronous operation: bumps `counter{labels}`,
     /// then consults the fault plan for `op` against `target`. `Delay`
     /// degrades to `Allow` — a synchronous request/response cannot
@@ -79,13 +85,6 @@ impl OpGate {
             });
         }
         Ok(())
-    }
-
-    /// One attempt of an asynchronous operation: consults the fault
-    /// plan, sleeping out injected latency spikes. Counting is left to
-    /// the caller — async paths count completed work, not attempts.
-    pub async fn pass(&self, sim: &Sim, op: &str, target: &str) -> Result<(), FaultInjected> {
-        self.faults.gate(sim, op, target).await
     }
 }
 

@@ -77,11 +77,54 @@ struct StoredObject {
     checksum: Option<bolted_crypto::sha256::Digest>,
 }
 
+/// Each object's rendezvous ranking of every OSD and its spindle index
+/// within an OSD. Both are pure functions of the key and the fixed OSD
+/// count, so they are hashed once per key and never invalidated; failed
+/// OSDs are filtered out when a ranking is read.
+#[derive(Default)]
+struct Placements {
+    /// Key → (start of its ranking in `ranks`, spindle index).
+    index: BTreeMap<ObjectKey, (usize, usize)>,
+    /// Every ranking back to back, `osd_count` OSD ids each, best first.
+    ranks: Vec<usize>,
+}
+
+impl Placements {
+    fn get(
+        &mut self,
+        key: ObjectKey,
+        osd_count: usize,
+        spindles_per_osd: usize,
+    ) -> (&[usize], usize) {
+        let ranks = &mut self.ranks;
+        let &mut (start, spindle) = self.index.entry(key).or_insert_with(|| {
+            let hash = |tail: &[u8]| {
+                sha256_concat(&[&key.image.0.to_le_bytes(), &key.index.to_le_bytes(), tail])
+            };
+            let mut scored: Vec<(u64, usize)> = (0..osd_count)
+                .map(|osd| {
+                    let d = hash(&(osd as u64).to_le_bytes());
+                    let mut s = [0u8; 8];
+                    s.copy_from_slice(&d.as_bytes()[..8]);
+                    (u64::from_le_bytes(s), osd)
+                })
+                .collect();
+            scored.sort_unstable_by(|a, b| b.cmp(a));
+            let start = ranks.len();
+            ranks.extend(scored.into_iter().map(|(_, osd)| osd));
+            let spindle = (hash(b"spindle").as_bytes()[0] as usize) % spindles_per_osd;
+            (start, spindle)
+        });
+        (&self.ranks[start..start + osd_count], spindle)
+    }
+}
+
 struct ClusterInner {
     objects: BTreeMap<ObjectKey, StoredObject>,
     object_size: u64,
     osd_count: usize,
     failed_osds: BTreeSet<usize>,
+    placements: Placements,
     bytes_read: u64,
     bytes_written: u64,
     requests: u64,
@@ -130,6 +173,7 @@ impl Cluster {
                 object_size: OBJECT_SIZE,
                 osd_count,
                 failed_osds: BTreeSet::new(),
+                placements: Placements::default(),
                 bytes_read: 0,
                 bytes_written: 0,
                 requests: 0,
@@ -180,39 +224,26 @@ impl Cluster {
     /// degrades gracefully (and may return fewer than `replicas`, or be
     /// empty when everything is down).
     pub fn placement(&self, key: ObjectKey) -> Vec<usize> {
-        let (osd_count, failed) = {
-            let inner = lock(&self.inner);
-            (inner.osd_count, inner.failed_osds.clone())
-        };
-        let mut scored: Vec<(u64, usize)> = (0..osd_count)
-            .filter(|osd| !failed.contains(osd))
-            .map(|osd| {
-                let d = sha256_concat(&[
-                    &key.image.0.to_le_bytes(),
-                    &key.index.to_le_bytes(),
-                    &(osd as u64).to_le_bytes(),
-                ]);
-                let mut s = [0u8; 8];
-                s.copy_from_slice(&d.as_bytes()[..8]);
-                (u64::from_le_bytes(s), osd)
-            })
-            .collect();
-        scored.sort_unstable_by(|a, b| b.cmp(a));
-        scored
-            .into_iter()
-            .take(self.replicas)
-            .map(|(_, osd)| osd)
-            .collect()
+        self.replicas_of(&mut lock(&self.inner), key).0
     }
 
-    fn spindle_for(&self, key: ObjectKey, osd: usize) -> Resource {
-        let d = sha256_concat(&[
-            &key.image.0.to_le_bytes(),
-            &key.index.to_le_bytes(),
-            b"spindle",
-        ]);
-        let idx = (d.as_bytes()[0] as usize) % self.spindles_per_osd;
-        self.spindles[osd * self.spindles_per_osd + idx].clone()
+    /// `key`'s live replica OSDs, primary first, and its spindle index
+    /// within an OSD, read from the memoised ranking.
+    fn replicas_of(&self, inner: &mut ClusterInner, key: ObjectKey) -> (Vec<usize>, usize) {
+        let (ranking, spindle) = inner
+            .placements
+            .get(key, inner.osd_count, self.spindles_per_osd);
+        let live = ranking
+            .iter()
+            .copied()
+            .filter(|osd| !inner.failed_osds.contains(osd))
+            .take(self.replicas)
+            .collect();
+        (live, spindle)
+    }
+
+    fn spindle(&self, osd: usize, index: usize) -> Resource {
+        self.spindles[osd * self.spindles_per_osd + index].clone()
     }
 
     /// Declares an object's baseline content (no timing cost; this is
@@ -396,19 +427,19 @@ impl Cluster {
     /// Panics if every replica's OSD has failed (check
     /// [`Cluster::is_available`] in failure-injection scenarios).
     pub async fn charge_read(&self, key: ObjectKey, len: u64) {
-        {
+        let (live, spindle) = {
             let mut inner = lock(&self.inner);
             inner.bytes_read += len;
             inner.requests += 1;
-        }
-        let placement = self.placement(key);
+            self.replicas_of(&mut inner, key)
+        };
         // lint: allow(L1-panic: documented API contract — callers running
         // failure-injection scenarios must check Cluster::is_available
         // first; see the method doc)
-        let primary = *placement
+        let primary = *live
             .first()
             .expect("no live replica for object (all OSDs failed)");
-        let spindle = self.spindle_for(key, primary);
+        let spindle = self.spindle(primary, spindle);
         spindle.visit(self.disk.service_time(len)).await;
     }
 
@@ -418,7 +449,7 @@ impl Cluster {
     ///
     /// Panics if every replica's OSD has failed.
     pub async fn charge_write(&self, key: ObjectKey, len: u64) {
-        let osds = self.placement(key);
+        let (osds, spindle) = self.replicas_of(&mut lock(&self.inner), key);
         assert!(
             !osds.is_empty(),
             "no live replica for object (all OSDs failed)"
@@ -435,7 +466,7 @@ impl Cluster {
         let handles: Vec<_> = osds
             .into_iter()
             .map(|osd| {
-                let spindle = self.spindle_for(key, osd);
+                let spindle = self.spindle(osd, spindle);
                 self.sim.spawn(async move { spindle.visit(service).await })
             })
             .collect();

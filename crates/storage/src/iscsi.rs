@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use bolted_crypto::cost::CipherCost;
-use bolted_sim::fault::ops;
+use bolted_sim::fault::{ops, FaultDecision};
 use bolted_sim::{JoinHandle, OpGate, Resource, Sim, SimDuration};
 
 use crate::cluster::ImageId;
@@ -115,6 +115,16 @@ impl Transport {
         // Encryption pipelines with the NIC: the slower stage dominates.
         SimDuration::from_secs_f64(net.max(enc)) + self.rtt
     }
+}
+
+/// Where an [`IscsiTarget::read_run`] stopped short.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunStopped {
+    /// Offset of the request that failed; every request before it was
+    /// served.
+    pub at: u64,
+    /// Why it failed.
+    pub error: ImageError,
 }
 
 struct TargetState {
@@ -217,9 +227,21 @@ impl IscsiTarget {
         (start, (start + self.read_ahead).min(image_size))
     }
 
+    /// Sleeps out the wire time a run owes, in one piece.
+    async fn pay(&self, owed: &mut SimDuration) {
+        self.sim.sleep(std::mem::take(owed)).await;
+    }
+
     /// Ensures [offset, offset+len) is resident at the gateway, consuming
-    /// prefetches and topping the pipeline back up.
-    async fn ensure(&self, offset: u64, len: u64) -> Result<(), ImageError> {
+    /// prefetches and topping the pipeline back up. The `owed` wire time
+    /// is paid before a fetch is spawned or awaited, the first moments
+    /// this path observes the clock.
+    async fn ensure(
+        &self,
+        offset: u64,
+        len: u64,
+        owed: &mut SimDuration,
+    ) -> Result<(), ImageError> {
         let image_size = self.store.size(self.image)?;
         let end = range_end(offset, len, image_size)?;
         let mut pos = offset;
@@ -239,6 +261,7 @@ impl IscsiTarget {
                 pos = we;
                 continue;
             }
+            self.pay(owed).await;
             // Does a prefetch cover it?
             let pre = {
                 let mut st = lock(&self.state);
@@ -293,22 +316,13 @@ impl IscsiTarget {
                     }
                     last_end
                 };
+                self.pay(owed).await;
                 let (s, e) = self.window_bounds(next_start, image_size);
                 let handle = self.spawn_fetch(s, e);
                 lock(&self.state).prefetch.push_back((s, e, handle));
             }
         }
         Ok(())
-    }
-
-    /// Fault gate for the read path: latency spikes sleep, injected
-    /// failures surface as [`ImageError::Transient`].
-    async fn read_gate(&self) -> Result<(), ImageError> {
-        self.gateway
-            .gate
-            .pass(&self.sim, ops::STORAGE_READ, &self.fault_key)
-            .await
-            .map_err(|_| ImageError::Transient)
     }
 
     /// Accounts one successful client read against this target's image.
@@ -318,14 +332,77 @@ impl IscsiTarget {
         metrics.add("storage_read_bytes", &[("target", &self.fault_key)], len);
     }
 
-    /// Timing-only read (no data materialisation) for large workloads.
-    pub async fn read_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
-        self.read_gate().await?;
-        self.ensure(offset, len).await?;
+    /// One client request of a run: the `storage.read` fault decision
+    /// (a spike is owed, a failure is [`ImageError::Transient`]), the
+    /// range check and residency, the served-byte and op counts, and the
+    /// request's wire time, owed.
+    async fn serve(&self, offset: u64, len: u64, owed: &mut SimDuration) -> Result<(), ImageError> {
+        match self
+            .gateway
+            .gate
+            .faults()
+            .decide(ops::STORAGE_READ, &self.fault_key)
+        {
+            FaultDecision::Allow => {}
+            FaultDecision::Delay(spike) => *owed += spike,
+            FaultDecision::Fail => return Err(ImageError::Transient),
+        }
+        self.ensure(offset, len, owed).await?;
         lock(&self.state).bytes_to_client += len;
         self.count_read(len);
-        self.sim.sleep(self.transport.wire_time(len)).await;
+        *owed += self.transport.wire_time(len);
         Ok(())
+    }
+
+    /// Timing-only read of `total` bytes at `offset` as back-to-back
+    /// client requests of `unit` bytes (the last may be shorter; an empty
+    /// run is one empty request). Each request costs what a lone
+    /// [`IscsiTarget::read_timed`] of it costs, but its wire time and any
+    /// injected spike are owed and slept in one piece before the run next
+    /// observes the clock: a window fetch or prefetch top-up, a failed
+    /// request, or the end of the run. So every instant the run can be
+    /// seen at is the one a loop of single reads reaches, with one timer
+    /// per stretch of resident requests instead of one per request.
+    ///
+    /// A failed request ends the run at that request, with the time owed
+    /// before it paid; the requests before it were served.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is zero and `total` is not.
+    pub async fn read_run(&self, offset: u64, total: u64, unit: u64) -> Result<(), RunStopped> {
+        // lint: allow(L1-panic: a zero request size with bytes to read
+        // would never finish; documented caller contract)
+        assert!(
+            unit > 0 || total == 0,
+            "a {total}-byte run of empty requests"
+        );
+        let mut owed = SimDuration::ZERO;
+        let mut done = 0u64;
+        loop {
+            // A served request passed the range check, so `at` does not
+            // overflow.
+            let at = offset + done;
+            let len = unit.min(total - done);
+            if let Err(error) = self.serve(at, len, &mut owed).await {
+                self.pay(&mut owed).await;
+                return Err(RunStopped { at, error });
+            }
+            done += len;
+            if done >= total {
+                break;
+            }
+        }
+        self.pay(&mut owed).await;
+        Ok(())
+    }
+
+    /// Timing-only read (no data materialisation) for large workloads: a
+    /// run of one request.
+    pub async fn read_timed(&self, offset: u64, len: u64) -> Result<(), ImageError> {
+        self.read_run(offset, len, len)
+            .await
+            .map_err(|stopped| stopped.error)
     }
 
     /// Reads `len` bytes at `offset` with the timing of
@@ -370,6 +447,8 @@ impl IscsiTarget {
 mod tests {
     use super::*;
     use crate::cluster::{Backing, Cluster};
+    use bolted_sim::fault::{FaultPlan, FaultSpec};
+    use bolted_sim::{Faults, Metrics, SimTime};
 
     fn setup(read_ahead: u64) -> (Sim, ImageStore, IscsiTarget) {
         setup_gated(read_ahead, &OpGate::disabled())
@@ -577,8 +656,6 @@ mod tests {
 
     #[test]
     fn reads_respect_fault_plan() {
-        use bolted_sim::fault::{FaultPlan, FaultSpec};
-        use bolted_sim::{Faults, Metrics};
         // Installed after the target opened: the gate holds the shared
         // handle, so the swapped-in plan still reaches the read path.
         let metrics = Metrics::new();
@@ -612,8 +689,6 @@ mod tests {
 
     #[test]
     fn fault_spikes_stretch_read_time() {
-        use bolted_sim::fault::{FaultPlan, FaultSpec};
-        use bolted_sim::{Faults, Metrics};
         let elapsed = |spiked: bool| {
             let plan = if spiked {
                 FaultPlan::seeded(4).with(
@@ -638,6 +713,179 @@ mod tests {
             (slow - base - 1.0).abs() < 1e-6,
             "spike should add exactly 1s: {base} vs {slow}"
         );
+    }
+
+    /// One world of [`read_runs_match_single_reads`]: a 256 MiB image
+    /// behind a gate whose plan fails and spikes `storage.read`.
+    fn faulted_world(transport: Transport) -> (Sim, IscsiTarget, Metrics) {
+        let metrics = Metrics::new();
+        let plan = FaultPlan::seeded(23).with(
+            ops::STORAGE_READ,
+            FaultSpec::transient(0.1).with_spike(0.2, SimDuration::from_millis(3)),
+        );
+        let gate = OpGate::new(&Faults::new(plan, &metrics), &metrics);
+        let sim = Sim::new();
+        let store = ImageStore::new(&Cluster::paper_default(&sim));
+        let img = store
+            .create("root", 256 << 20, Backing::Zero)
+            .expect("creates");
+        let gw = Gateway::new(&sim, TGT_VM_BANDWIDTH_BPS, &gate);
+        let t = IscsiTarget::new(&sim, &store, img, &gw, transport, 1 << 20);
+        (sim, t, metrics)
+    }
+
+    /// What a world observed: each failure's offset and time, the end
+    /// time, the target's byte counts and the metrics registry.
+    type Seen = (Vec<(u64, SimTime)>, SimTime, (u64, u64), u64, String);
+
+    /// Reads `count` requests of `unit` bytes at each of `starts`, as
+    /// read runs (`runs`) or one `read_timed` at a time, skipping each
+    /// request that fails.
+    fn read_streams(
+        transport: Transport,
+        starts: &[u64],
+        count: u64,
+        unit: u64,
+        runs: bool,
+    ) -> Seen {
+        let (sim, t, metrics) = faulted_world(transport);
+        let failures = sim.block_on({
+            let sim = sim.clone();
+            let t = t.clone();
+            let starts = starts.to_vec();
+            async move {
+                let mut failures = Vec::new();
+                for start in starts {
+                    let end = start + count * unit;
+                    let mut off = start;
+                    while off < end {
+                        let failed = if runs {
+                            t.read_run(off, end - off, unit).await.err()
+                        } else {
+                            t.read_timed(off, unit)
+                                .await
+                                .err()
+                                .map(|error| RunStopped { at: off, error })
+                        };
+                        off = match failed {
+                            Some(stopped) => {
+                                assert_eq!(stopped.error, ImageError::Transient);
+                                failures.push((stopped.at, sim.now()));
+                                stopped.at + unit
+                            }
+                            None if runs => end,
+                            None => off + unit,
+                        };
+                    }
+                }
+                failures
+            }
+        });
+        (
+            failures,
+            sim.now(),
+            t.stats(),
+            t.wasted_prefetch(),
+            metrics.to_json(),
+        )
+    }
+
+    #[test]
+    fn read_runs_match_single_reads() {
+        // Two streams of 512 KiB requests over 1 MiB windows, the second
+        // far from the first (so plain iSCSI discards its prefetches),
+        // under injected failures and spikes: a run must reach every
+        // instant, count and byte that one read at a time reaches.
+        let ipsec = Transport::ipsec_10g(bolted_crypto::CipherSuite::AesNi.default_cost());
+        for transport in [ipsec, Transport::plain_10g()] {
+            let starts = [0, 128 << 20];
+            let run = read_streams(transport, &starts, 48, 512 << 10, true);
+            let single = read_streams(transport, &starts, 48, 512 << 10, false);
+            assert!(
+                run.0.len() >= 4,
+                "the plan fails some requests: {:?}",
+                run.0
+            );
+            assert_eq!(run, single, "pipeline depth {}", transport.pipeline_depth);
+        }
+    }
+
+    #[test]
+    fn an_empty_read_is_one_gated_counted_request() {
+        let metrics = Metrics::new();
+        let faults = Faults::new(
+            FaultPlan::seeded(4).with(ops::STORAGE_READ, FaultSpec::flaky(1)),
+            &metrics,
+        );
+        let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &OpGate::new(&faults, &metrics));
+        let (r, times) = sim.block_on({
+            let sim = sim.clone();
+            let t = t.clone();
+            async move {
+                let mut r = Vec::new();
+                let mut times = Vec::new();
+                r.push(t.read_timed(0, 0).await);
+                times.push(sim.now());
+                r.push(t.read_timed(0, 0).await);
+                times.push(sim.now());
+                r.push(t.read_timed((256 << 20) + 1, 0).await);
+                times.push(sim.now());
+                r.push(t.read_run(256 << 20, 0, 0).await.map_err(|s| s.error));
+                times.push(sim.now());
+                (r, times)
+            }
+        });
+        assert_eq!(
+            r,
+            [
+                Err(ImageError::Transient),
+                Ok(()),
+                Err(ImageError::OutOfBounds),
+                Ok(())
+            ]
+        );
+        // Gated first: the injected failure and the range rejection cost
+        // no time, and each served empty request sleeps one RTT.
+        let one = SimTime::ZERO + Transport::plain_10g().rtt;
+        let two = one + Transport::plain_10g().rtt;
+        assert_eq!(times, [SimTime::ZERO, one, one, two]);
+        assert_eq!(
+            metrics.counter("storage_read_ops", &[("target", "root")]),
+            2
+        );
+        assert_eq!(
+            metrics.counter("storage_read_bytes", &[("target", "root")]),
+            0
+        );
+        assert_eq!(t.stats().1, 0);
+    }
+
+    #[test]
+    fn a_spike_delays_the_prefetches_its_request_starts() {
+        // An empty first read spawns the plain pipeline's prefetches; a
+        // spike on it must be slept before they start, so a following
+        // read that waits on them ends exactly one spike later.
+        let end = |spike: bool| {
+            let metrics = Metrics::new();
+            let spec = FaultSpec::none().with_spike(1.0, SimDuration::from_secs(1));
+            let plan = if spike {
+                FaultPlan::seeded(4).with(ops::STORAGE_READ, spec)
+            } else {
+                FaultPlan::none()
+            };
+            let faults = Faults::new(plan, &metrics);
+            let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &OpGate::new(&faults, &metrics));
+            sim.block_on({
+                let sim = sim.clone();
+                async move {
+                    t.read_timed(0, 0).await.expect("reads");
+                    faults.install(FaultPlan::none());
+                    t.read_timed(0, 4096).await.expect("reads");
+                    sim.now()
+                }
+            })
+        };
+        assert_eq!(end(true), end(false) + SimDuration::from_secs(1));
     }
 
     #[test]

@@ -15,5 +15,6 @@ pub mod iscsi;
 pub use cluster::{Backing, Cluster, DiskModel, ImageId, ObjectKey, OBJECT_SIZE};
 pub use image::{ImageError, ImageStore};
 pub use iscsi::{
-    Gateway, IscsiTarget, Transport, DEFAULT_READ_AHEAD, TGT_VM_BANDWIDTH_BPS, TUNED_READ_AHEAD,
+    Gateway, IscsiTarget, RunStopped, Transport, DEFAULT_READ_AHEAD, TGT_VM_BANDWIDTH_BPS,
+    TUNED_READ_AHEAD,
 };
