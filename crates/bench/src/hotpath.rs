@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Instant;
 
-use bolted_core::{Calibration, SecurityProfile};
+use bolted_core::{calib, SecurityProfile};
 use bolted_crypto::prime::{gen_prime, random_below};
 use bolted_crypto::rsa::PublicKey;
 use bolted_crypto::sha256::Digest;
@@ -800,15 +800,13 @@ impl SleepSim for LegacySim {
     }
 }
 
-/// Runs every hot-path benchmark at the given [`Effort`].
 /// One Charlie node's boot reads on a fresh world: the calibrated
-/// `boot_touched_bytes` in `boot_io_request` units over the Charlie
-/// profile's IPsec transport and read-ahead, one `read_timed` per
-/// request (`run == false`) or as one read run. Returns the simulated
-/// end time and the `storage_read_ops` count.
+/// `calib::BOOT_TOUCHED_BYTES` in `calib::BOOT_IO_REQUEST` units over
+/// the Charlie profile's IPsec transport and read-ahead, one
+/// `read_timed` per request (`run == false`) or as one read run.
+/// Returns the simulated end time and the `storage_read_ops` count.
 fn boot_reads(run: bool) -> (SimTime, u64) {
-    let calib = Calibration::default();
-    let (total, unit) = (calib.boot_touched_bytes, calib.boot_io_request);
+    let (total, unit) = (calib::BOOT_TOUCHED_BYTES, calib::BOOT_IO_REQUEST);
     let profile = SecurityProfile::charlie();
     let sim = Sim::new();
     let metrics = Metrics::new();
@@ -845,6 +843,7 @@ fn boot_reads(run: bool) -> (SimTime, u64) {
     (sim.now(), ops)
 }
 
+/// Runs every hot-path benchmark at the given [`Effort`].
 pub fn run(effort: Effort) -> Vec<Record> {
     let mut rng = XorShiftSource::new(0xB017ED);
     let mut records = Vec::new();
@@ -1111,8 +1110,7 @@ pub fn run(effort: Effort) -> Vec<Record> {
         per_request,
         "boot_reads: runs match single reads"
     );
-    let calib = Calibration::default();
-    let requests = calib.boot_touched_bytes.div_ceil(calib.boot_io_request);
+    let requests = calib::BOOT_TOUCHED_BYTES.div_ceil(calib::BOOT_IO_REQUEST);
     assert_eq!(per_request.1, requests, "boot_reads: one op per request");
     let (rounds, iters) = effort.pick((10, 20), (4, 4), (2, 1));
     let ns = time_pair(

@@ -12,8 +12,6 @@ use bolted_sim::{Metrics, OpGate, Resource, Sim, Spans};
 use bolted_storage::{Cluster, Gateway, ImageStore, TGT_VM_BANDWIDTH_BPS};
 use std::sync::{Arc, Mutex};
 
-use crate::calib::Calibration;
-
 /// Canonical LinuxBoot source tree (what a tenant audits and rebuilds).
 pub fn linuxboot_source() -> FirmwareSource {
     FirmwareSource::from_tree(
@@ -52,8 +50,6 @@ pub struct CloudConfig {
     pub airlocks: usize,
     /// Deterministic seed.
     pub seed: u64,
-    /// Timing calibration.
-    pub calib: Calibration,
     /// Fault-injection plan for the hardware-facing layers (BMCs, switch
     /// management plane, storage reads, Keylime round-trips). The default
     /// empty plan injects nothing and costs nothing.
@@ -67,7 +63,6 @@ impl Default for CloudConfig {
             firmware: FirmwareKind::LinuxBoot,
             airlocks: 1,
             seed: 42,
-            calib: Calibration::default(),
             faults: FaultPlan::none(),
         }
     }
@@ -121,8 +116,6 @@ impl BmcOps for MachineBmc {
 pub struct Cloud {
     /// The simulation everything runs on.
     pub sim: Sim,
-    /// Timing calibration in effect.
-    pub calib: Calibration,
     /// The network fabric.
     pub fabric: Fabric,
     /// The top-of-rack switch.
@@ -209,7 +202,6 @@ impl Cloud {
         }
         Cloud {
             sim: sim.clone(),
-            calib: config.calib,
             fabric,
             switch,
             hil,
@@ -247,6 +239,24 @@ impl Cloud {
             FirmwareKind::LinuxBoot => linuxboot_source().build(),
             FirmwareKind::Uefi => uefi_source().build(),
         }
+    }
+
+    /// Ordered pairs of (`a` node, `b` node) whose hosts can reach each
+    /// other on some VLAN: the cross-tenant leak count between two
+    /// tenants' nodes, which isolation holds at zero.
+    pub(crate) fn cross_tenant_paths(&self, a: &[NodeId], b: &[NodeId]) -> u64 {
+        let mut leaks = 0u64;
+        for &na in a {
+            for &nb in b {
+                let (Ok(ha), Ok(hb)) = (self.hil.node_host(na), self.hil.node_host(nb)) else {
+                    continue;
+                };
+                if self.fabric.path(ha, hb).is_ok() {
+                    leaks += 1;
+                }
+            }
+        }
+        leaks
     }
 
     /// Marks a node as quarantined in the rejected pool.

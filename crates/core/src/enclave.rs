@@ -13,6 +13,7 @@ use bolted_keylime::verifier;
 use bolted_net::{HostId, IpsecError, IpsecTunnel, NetError, TransferSpec};
 use bolted_sim::{join_all, lock, SimDuration, SimTime};
 
+use crate::calib;
 use crate::cloud::Cloud;
 use crate::provision::{ProvisionedNode, Tenant};
 
@@ -224,13 +225,12 @@ pub async fn revocation_experiment(
     let event = rx.recv().await.expect("revocation broadcast");
     let detected_at = event.detected_at;
     // Every other member applies the revocation in parallel.
-    let apply = cloud.calib.revocation_apply;
     let handles: Vec<_> = (0..enclave.len())
         .filter(|&i| i != victim)
         .map(|_| {
             let sim2 = sim.clone();
             sim.spawn(async move {
-                sim2.sleep(verifier::RTT + apply).await;
+                sim2.sleep(verifier::RTT + calib::REVOCATION_APPLY).await;
             })
         })
         .collect();

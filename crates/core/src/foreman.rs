@@ -10,8 +10,9 @@
 use bolted_firmware::KernelImage;
 use bolted_hil::NodeId;
 
+use crate::calib;
 use crate::cloud::Cloud;
-use crate::provision::{ProvisionError, ProvisionReport};
+use crate::provision::{PhaseTimer, ProvisionError, ProvisionReport};
 
 /// Provisions `node` the Foreman way and returns the timing breakdown.
 pub async fn foreman_provision(
@@ -20,61 +21,45 @@ pub async fn foreman_provision(
     node: NodeId,
 ) -> Result<ProvisionReport, ProvisionError> {
     let sim = &cloud.sim;
-    let calib = &cloud.calib;
     let name = cloud.hil.node_name(node)?;
     let machine = cloud.machine(node);
-    let started = sim.now();
-    let mut phases: Vec<(String, bolted_sim::SimDuration)> = Vec::new();
-    let mut last = sim.now();
-    let mark = |phases: &mut Vec<(String, bolted_sim::SimDuration)>,
-                last: &mut bolted_sim::SimTime,
-                name: &str,
-                now: bolted_sim::SimTime| {
-        phases.push((name.to_string(), now.since(*last)));
-        *last = now;
-    };
+    let mut timer = PhaseTimer::new(sim);
 
     cloud.hil.allocate_node(project, node)?;
     cloud.hil.power_cycle(project, node)?;
 
     // First POST (vendor UEFI on a Foreman shop).
     machine.run_firmware(sim).await?;
-    mark(&mut phases, &mut last, "post-1", sim.now());
+    timer.mark("post-1");
 
     // PXE-boot the installer.
-    sim.sleep(calib.pxe_dhcp).await;
-    sim.sleep(calib.foreman_download(calib.foreman_installer_size))
+    sim.sleep(calib::PXE_DHCP).await;
+    sim.sleep(calib::foreman_download(calib::FOREMAN_INSTALLER_SIZE))
         .await;
-    mark(&mut phases, &mut last, "pxe+installer", sim.now());
+    timer.mark("pxe+installer");
 
     // Install: copy the full OS onto the local disk + package work.
-    let copy_time = calib.local_write(calib.foreman_install_bytes);
+    let copy_time = calib::local_write(calib::FOREMAN_INSTALL_BYTES);
     // Download and disk-write pipeline; the slower stage dominates.
-    let download_time = calib.foreman_download(calib.foreman_install_bytes);
+    let download_time = calib::foreman_download(calib::FOREMAN_INSTALL_BYTES);
     sim.sleep(copy_time.max(download_time)).await;
-    sim.sleep(calib.foreman_install_cpu).await;
-    mark(&mut phases, &mut last, "install-to-disk", sim.now());
+    sim.sleep(calib::FOREMAN_INSTALL_CPU).await;
+    timer.mark("install-to-disk");
 
     // Reboot: second POST.
     machine.power_cycle();
     machine.run_firmware(sim).await?;
-    mark(&mut phases, &mut last, "post-2", sim.now());
+    timer.mark("post-2");
 
     // Boot from the local disk.
     machine.kexec(
         KernelImage::from_bytes("foreman-installed", b"locally installed kernel"),
         project,
     )?;
-    sim.sleep(calib.foreman_local_boot).await;
-    mark(&mut phases, &mut last, "local-boot", sim.now());
+    sim.sleep(calib::FOREMAN_LOCAL_BOOT).await;
+    timer.mark("local-boot");
 
-    Ok(ProvisionReport {
-        node: name,
-        profile: "foreman-baseline".into(),
-        phases,
-        started,
-        finished: sim.now(),
-    })
+    Ok(timer.finish(name, "foreman-baseline".into()))
 }
 
 /// The cost of safely releasing a Foreman-provisioned (stateful) node to
@@ -86,7 +71,7 @@ pub async fn foreman_release_with_scrub(
 ) -> Result<bolted_sim::SimDuration, ProvisionError> {
     let sim = &cloud.sim;
     let t0 = sim.now();
-    sim.sleep(cloud.calib.full_disk_scrub()).await;
+    sim.sleep(calib::full_disk_scrub()).await;
     cloud.hil.power_off(project, node)?;
     cloud.hil.free_node(project, node)?;
     Ok(sim.now().since(t0))

@@ -24,7 +24,6 @@ pub mod reconcile;
 pub mod scenario;
 pub mod services;
 
-pub use calib::Calibration;
 pub use cloud::{
     heads_runtime_digest, ipxe_digest, linuxboot_source, uefi_source, Cloud, CloudConfig,
 };

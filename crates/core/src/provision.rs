@@ -31,6 +31,7 @@ use bolted_sim::fault::mix_seed;
 use bolted_sim::{join_all, Metrics, RetryError, Rng, SimDuration, SimTime};
 use bolted_storage::{ImageError, ImageId, IscsiTarget};
 
+use crate::calib;
 use crate::cloud::{heads_runtime_digest, ipxe_digest, Cloud};
 use crate::lifecycle::{InvalidTransition, Lifecycle, NodeState};
 use crate::profile::{AttestationMode, SecurityProfile};
@@ -194,25 +195,43 @@ impl bolted_crypto::RandomSource for SimRngSource<'_> {
     }
 }
 
-struct PhaseTimer {
+/// A run's phase clock: each `mark` closes the phase that began at the
+/// previous mark (or at the start), and `finish` turns the marks into
+/// the run's [`ProvisionReport`].
+pub(crate) struct PhaseTimer {
     sim: bolted_sim::Sim,
+    started: SimTime,
     last: SimTime,
     phases: Vec<(String, SimDuration)>,
 }
 
 impl PhaseTimer {
-    fn new(sim: &bolted_sim::Sim) -> Self {
+    pub(crate) fn new(sim: &bolted_sim::Sim) -> Self {
+        let now = sim.now();
         PhaseTimer {
             sim: sim.clone(),
-            last: sim.now(),
+            started: now,
+            last: now,
             phases: Vec::new(),
         }
     }
 
-    fn mark(&mut self, name: &str) {
+    pub(crate) fn mark(&mut self, name: &str) {
         let now = self.sim.now();
         self.phases.push((name.to_string(), now.since(self.last)));
         self.last = now;
+    }
+
+    /// The report of a run that started when this timer was made and
+    /// finishes now.
+    pub(crate) fn finish(self, node: String, profile: String) -> ProvisionReport {
+        ProvisionReport {
+            node,
+            profile,
+            phases: self.phases,
+            started: self.started,
+            finished: self.sim.now(),
+        }
     }
 }
 
@@ -562,7 +581,6 @@ impl Tenant {
             image: None,
             name,
         };
-        let started = sim.now();
         let (image, agent, psk, target) = match self.run_phases(&mut cx, profile, golden).await {
             Ok(booted) => booted,
             Err(e) => {
@@ -583,13 +601,7 @@ impl Tenant {
             agent,
             target,
             image,
-            report: ProvisionReport {
-                node: cx.name,
-                profile: profile.name.clone(),
-                phases: cx.timer.phases,
-                started,
-                finished: sim.now(),
-            },
+            report: cx.timer.finish(cx.name, profile.name.clone()),
             lifecycle: cx.lc,
             psk,
         })
@@ -658,16 +670,15 @@ impl Tenant {
             return Ok(());
         }
         let sim = self.env.sim().clone();
-        let calib = &self.env.calib;
-        sim.sleep(calib.pxe_dhcp).await;
-        self.env.http.visit(calib.download(calib.ipxe_size)).await;
+        sim.sleep(calib::PXE_DHCP).await;
+        self.env.http.visit(calib::download(calib::IPXE_SIZE)).await;
         self.services
             .boot
             .measure_download(&cx.machine, "ipxe", ipxe_digest())?;
         cx.timer.mark("pxe-ipxe");
         self.env
             .http
-            .visit(calib.download(calib.heads_runtime_size))
+            .visit(calib::download(calib::HEADS_RUNTIME_SIZE))
             .await;
         self.services.boot.measure_download(
             &cx.machine,
@@ -675,7 +686,7 @@ impl Tenant {
             heads_runtime_digest(),
         )?;
         cx.timer.mark("download-heads");
-        sim.sleep(calib.heads_runtime_boot).await;
+        sim.sleep(calib::HEADS_RUNTIME_BOOT).await;
         cx.timer.mark("heads-boot");
         Ok(())
     }
@@ -707,11 +718,10 @@ impl Tenant {
         cmdline: String,
     ) -> Result<(Option<Agent>, Vec<u8>), ProvisionError> {
         let sim = self.env.sim().clone();
-        let calib = &self.env.calib;
         if profile.attestation == AttestationMode::None {
             self.env
                 .http
-                .visit(calib.download(calib.kernel_initrd_size))
+                .visit(calib::download(calib::KERNEL_INITRD_SIZE))
                 .await;
             cx.timer.mark("download-kernel");
             return Ok((None, Vec::new()));
@@ -721,12 +731,15 @@ impl Tenant {
         // across nodes (§7.3).
         let airlock_permit = self.env.airlock.acquire().await;
         cx.timer.mark("airlock-wait");
-        self.env.http.visit(calib.download(calib.agent_size)).await;
+        self.env
+            .http
+            .visit(calib::download(calib::AGENT_SIZE))
+            .await;
         self.services
             .boot
             .measure_download(&cx.machine, "keylime-agent", agent_binary_digest())?;
         cx.timer.mark("download-agent");
-        sim.sleep(calib.agent_startup).await;
+        sim.sleep(calib::AGENT_STARTUP).await;
         let agent = Agent::start(&sim, &cx.name, &cx.machine).await;
         let phase = self.env.call.open_phase("tenant", "registrar", &cx.name);
         // Fork a task-local RNG: RefCell borrows must never be held
@@ -790,7 +803,7 @@ impl Tenant {
         let payload = TenantPayload {
             kernel_name: kernel.name.clone(),
             kernel_digest: kernel.digest,
-            kernel_size: calib.kernel_initrd_size,
+            kernel_size: calib::KERNEL_INITRD_SIZE,
             cmdline,
             luks_passphrase: Secret::named("luks_passphrase", luks_pass),
             ipsec_psk: psk.clone(),
@@ -813,7 +826,7 @@ impl Tenant {
             lock(&self.ima_whitelist).clone(),
             Some(v),
             sealed,
-            calib.kernel_initrd_size,
+            calib::KERNEL_INITRD_SIZE,
         );
         match self.services.attestation.attest_once(&cx.name, false).await {
             AttestOutcome::Trusted => {}
@@ -853,7 +866,7 @@ impl Tenant {
     async fn phase_enclave_join(&self, cx: &mut Ctx) -> Result<(), ProvisionError> {
         self.connect(cx, self.enclave).await?;
         let sim = self.env.sim();
-        sim.sleep(self.env.calib.network_move).await;
+        sim.sleep(calib::NETWORK_MOVE).await;
         cx.lc.transition(sim, NodeState::Allocated)?;
         cx.timer.mark("network-move");
         Ok(())
@@ -869,7 +882,6 @@ impl Tenant {
         kernel: KernelImage,
     ) -> Result<IscsiTarget, ProvisionError> {
         let sim = self.env.sim().clone();
-        let calib = &self.env.calib;
         self.services
             .boot
             .kexec(&cx.machine, kernel, &self.project)?;
@@ -880,13 +892,13 @@ impl Tenant {
         );
         if profile.disk_encryption {
             let phase = self.env.call.open_phase("tenant", "luks-unlock", &cx.name);
-            sim.sleep(calib.luks_unlock).await;
+            sim.sleep(calib::LUKS_UNLOCK).await;
             self.env
                 .call
                 .close_phase(phase, "provision_phase_seconds", "luks-unlock");
         }
         if profile.net_encryption {
-            sim.sleep(calib.ipsec_setup).await;
+            sim.sleep(calib::IPSEC_SETUP).await;
         }
         // Boot is sequential: read a unit from the root disk, run init
         // work, repeat — so I/O and CPU do not overlap, and a slower
@@ -899,17 +911,17 @@ impl Tenant {
         self.env
             .call
             .close_phase(phase, "provision_phase_seconds", "iscsi-attach");
-        sim.sleep(calib.kernel_boot_cpu).await;
+        sim.sleep(calib::KERNEL_BOOT_CPU).await;
         cx.timer.mark("kernel-boot");
         Ok(target)
     }
 
-    /// The boot's disk reads: `boot_touched_bytes` from `target` in
-    /// `boot_io_request` units, served as read runs. Each request that
-    /// fails transiently gets its own `storage.read` retry envelope: the
-    /// failure the run stopped at is the envelope's first attempt, a
-    /// re-attempt reads that request alone, and a fresh run takes the
-    /// rest. So attempts, backoffs and jitter draws are those of one
+    /// The boot's disk reads: [`calib::BOOT_TOUCHED_BYTES`] from `target`
+    /// in [`calib::BOOT_IO_REQUEST`] units, served as read runs. Each
+    /// request that fails transiently gets its own `storage.read` retry
+    /// envelope: the failure the run stopped at is the envelope's first
+    /// attempt, a re-attempt reads that request alone, and a fresh run
+    /// takes the rest. So attempts, backoffs and jitter draws are those of one
     /// envelope per request.
     async fn boot_reads(
         &self,
@@ -917,8 +929,8 @@ impl Tenant {
         name: &str,
         rng: &mut Rng,
     ) -> Result<(), ProvisionError> {
-        let total = self.env.calib.boot_touched_bytes;
-        let req = self.env.calib.boot_io_request;
+        let total = calib::BOOT_TOUCHED_BYTES;
+        let req = calib::BOOT_IO_REQUEST;
         let transient = |e: &ImageError| matches!(e, ImageError::Transient);
         let mut off = 0u64;
         while off < total {
@@ -1005,8 +1017,6 @@ impl Tenant {
         profile: &SecurityProfile,
     ) -> Result<ProvisionReport, ProvisionError> {
         let sim = self.env.sim().clone();
-        let calib = &self.env.calib;
-        let started = sim.now();
         let mut timer = PhaseTimer::new(&sim);
         let machine = &pnode.machine;
         let agent = pnode.agent.as_ref().ok_or_else(|| {
@@ -1021,7 +1031,10 @@ impl Tenant {
         self.services.boot.run_firmware(machine).await?;
         timer.mark("post");
         // Re-fetch + measure the agent so PCR 4 replays the sealed policy.
-        self.env.http.visit(calib.download(calib.agent_size)).await;
+        self.env
+            .http
+            .visit(calib::download(calib::AGENT_SIZE))
+            .await;
         self.services
             .boot
             .measure_download(machine, "keylime-agent", agent_binary_digest())?;
@@ -1041,22 +1054,19 @@ impl Tenant {
         );
         self.services.boot.kexec(machine, kernel, &self.project)?;
         if profile.disk_encryption {
-            sim.sleep(calib.luks_unlock).await;
+            sim.sleep(calib::LUKS_UNLOCK).await;
         }
         if profile.net_encryption {
-            sim.sleep(calib.ipsec_setup).await;
+            sim.sleep(calib::IPSEC_SETUP).await;
         }
         self.boot_reads(&pnode.target, &pnode.report.node, &mut retry_rng)
             .await?;
-        sim.sleep(calib.kernel_boot_cpu).await;
+        sim.sleep(calib::KERNEL_BOOT_CPU).await;
         timer.mark("kernel-boot");
-        Ok(ProvisionReport {
-            node: pnode.report.node.clone(),
-            profile: format!("{}-warm-restart", profile.name),
-            phases: timer.phases,
-            started,
-            finished: sim.now(),
-        })
+        Ok(timer.finish(
+            pnode.report.node.clone(),
+            format!("{}-warm-restart", profile.name),
+        ))
     }
 
     /// Releases a node back to the free pool. With diskless provisioning

@@ -744,24 +744,6 @@ impl ReconcileRunReport {
     }
 }
 
-/// Counts cross-tenant fabric paths between two holdings — any pair of
-/// hosts reachable across tenants is an isolation violation.
-fn cross_paths(cloud: &Cloud, a: &[ProvisionedNode], b: &[ProvisionedNode]) -> u64 {
-    let mut leaks = 0u64;
-    for va in a {
-        for vb in b {
-            let (Ok(ha), Ok(hb)) = (cloud.hil.node_host(va.node), cloud.hil.node_host(vb.node))
-            else {
-                continue;
-            };
-            if cloud.fabric.path(ha, hb).is_ok() {
-                leaks += 1;
-            }
-        }
-    }
-    leaks
-}
-
 /// Evaluates the scenario-harness isolation invariants over a shard at
 /// an epoch boundary; returns human-readable violations (empty = held).
 fn epoch_invariants(
@@ -771,9 +753,13 @@ fn epoch_invariants(
     attested_provisions: u64,
 ) -> Vec<String> {
     let mut violations = Vec::new();
-    for (i, a) in recs.iter().enumerate() {
-        for b in recs.iter().skip(i + 1) {
-            let leaks = cross_paths(cloud, a.holdings(), b.holdings());
+    let held: Vec<Vec<NodeId>> = recs
+        .iter()
+        .map(|r| r.holdings().iter().map(|p| p.node).collect())
+        .collect();
+    for (i, (a, ha)) in recs.iter().zip(&held).enumerate() {
+        for (b, hb) in recs.iter().zip(&held).skip(i + 1) {
+            let leaks = cloud.cross_tenant_paths(ha, hb);
             if leaks > 0 {
                 violations.push(format!(
                     "epoch {epoch}: {leaks} cross-tenant fabric paths between {} and {}",

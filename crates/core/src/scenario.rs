@@ -163,24 +163,6 @@ fn phase_p99(fleet: &FleetReport, phases: &[&str]) -> f64 {
     samples.percentile(99.0)
 }
 
-/// Ordered pairs of (victim node, attacker node) whose hosts can reach
-/// each other on some VLAN — the cross-tenant leak count, which every
-/// two-tenant scenario pins to zero.
-fn cross_tenant_paths(cloud: &Cloud, victim: &[NodeId], attacker: &[NodeId]) -> f64 {
-    let mut leaks = 0u64;
-    for &v in victim {
-        for &a in attacker {
-            let (Ok(vh), Ok(ah)) = (cloud.hil.node_host(v), cloud.hil.node_host(a)) else {
-                continue;
-            };
-            if cloud.fabric.path(vh, ah).is_ok() {
-                leaks += 1;
-            }
-        }
-    }
-    leaks as f64
-}
-
 /// Provisions `nodes` as one fleet call under the full attested profile.
 async fn provision_victim(tenant: &Tenant, nodes: &[NodeId], golden: ImageId) -> FleetReport {
     tenant
@@ -372,7 +354,7 @@ fn airlock_world(
         );
         report.set(
             "cross_tenant_paths",
-            cross_tenant_paths(&w.cloud, &victim_nodes, &attacker_nodes),
+            w.cloud.cross_tenant_paths(&victim_nodes, &attacker_nodes) as f64,
         );
         report.set("free_nodes_after", w.cloud.hil.free_nodes().len() as f64);
         report.spans = w.cloud.spans.render();
@@ -593,7 +575,7 @@ fn quote_storm_world(
         );
         report.set(
             "cross_tenant_paths",
-            cross_tenant_paths(&w.cloud, &victim_nodes, &attacker_nodes),
+            w.cloud.cross_tenant_paths(&victim_nodes, &attacker_nodes) as f64,
         );
         report.spans = w.cloud.spans.render();
         report.metrics = w.cloud.metrics.to_json();

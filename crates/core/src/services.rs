@@ -32,7 +32,6 @@ use bolted_keylime::{
 use bolted_sim::{CallEnv, Resource, Sim};
 use bolted_storage::{ImageId, IscsiTarget, Transport};
 
-use crate::calib::Calibration;
 use crate::cloud::Cloud;
 
 /// A boxed, `Send` future — the async-method currency of the
@@ -392,12 +391,10 @@ impl Services {
 }
 
 /// The ambient pieces of a tenant's world that are not service calls:
-/// virtual time, calibration, the instrumented call envelope and the
-/// two shared queueing resources.
+/// virtual time, the instrumented call envelope and the two shared
+/// queueing resources.
 #[derive(Clone)]
 pub struct TenantEnv {
-    /// Measured phase durations driving every sleep.
-    pub calib: Calibration,
     /// The single fault/retry/span/metrics envelope for service calls.
     pub call: CallEnv,
     /// The provisioning-network HTTP server (boot artifact downloads).
@@ -411,7 +408,6 @@ impl TenantEnv {
     /// cloud's fault plan, spans and metrics.
     pub fn of_cloud(cloud: &Cloud) -> TenantEnv {
         TenantEnv {
-            calib: cloud.calib.clone(),
             call: CallEnv::new(&cloud.sim, &cloud.faults, &cloud.spans, &cloud.metrics),
             http: cloud.http.clone(),
             airlock: cloud.airlock.clone(),

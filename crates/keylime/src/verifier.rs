@@ -39,8 +39,9 @@ pub const RTT: SimDuration = SimDuration::from_millis(5);
 
 /// Bandwidth for delivering the sealed payload — kernel + initrd over the
 /// paper's unoptimised HTTP path ("obvious opportunities include better
-/// download protocols than HTTP", §7.3 fn 8).
-const PAYLOAD_BPS: f64 = 6e6;
+/// download protocols than HTTP", §7.3 fn 8), bytes/s. Every management
+/// network download runs at this rate.
+pub const PAYLOAD_BPS: f64 = 6e6;
 
 /// PCRs quoted during boot attestation.
 pub const BOOT_SELECTION: [usize; 3] = [index::FIRMWARE, index::BOOT_CODE, index::BOOT_CONFIG];

@@ -549,37 +549,75 @@ fn no_crate_declares_cargo_features() {
     );
 }
 
+/// Every `.rs` file under `crates/*/src`, with its text.
+fn workspace_sources() -> Vec<(std::path::PathBuf, String)> {
+    fn scan(dir: &std::path::Path, out: &mut Vec<(std::path::PathBuf, String)>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                scan(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let text = std::fs::read_to_string(&path).expect("source reads");
+                out.push((path, text));
+            }
+        }
+    }
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(&crates).expect("crates dir lists") {
+        scan(&entry.expect("crates entry").path().join("src"), &mut out);
+    }
+    assert!(
+        out.len() > 50,
+        "expected every crate's sources, got {}",
+        out.len()
+    );
+    out
+}
+
 /// No component grows a late-install setter next to its constructor.
 /// Fault plans, spans and metrics are handed to a component when it is
 /// built, and a plan swapped at run time goes through the one shared
 /// `Faults::install`; a setter would be a second wiring mechanism.
 #[test]
 fn no_crate_defines_late_install_setters() {
-    fn scan(dir: &std::path::Path, scanned: &mut usize, hits: &mut Vec<String>) {
-        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                scan(&path, scanned, hits);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                *scanned += 1;
-                let text = std::fs::read_to_string(&path).expect("source reads");
-                for setter in ["fn set_faults", "fn set_metrics", "fn set_observability"] {
-                    if text.contains(setter) {
-                        hits.push(format!("{}: {setter}", path.display()));
-                    }
-                }
+    let mut hits = Vec::new();
+    for (path, text) in workspace_sources() {
+        for setter in ["fn set_faults", "fn set_metrics", "fn set_observability"] {
+            if text.contains(setter) {
+                hits.push(format!("{}: {setter}", path.display()));
             }
         }
     }
-    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let (mut scanned, mut hits) = (0, Vec::new());
-    for entry in std::fs::read_dir(&crates).expect("crates dir lists") {
-        let src = entry.expect("crates entry").path().join("src");
-        scan(&src, &mut scanned, &mut hits);
-    }
-    assert!(
-        scanned > 50,
-        "expected every crate's sources, got {scanned}"
-    );
     assert!(hits.is_empty(), "late-install setters: {hits:?}");
+}
+
+/// The paper measures one testbed, so its phase costs are constants:
+/// `calib.rs` defines no settings struct or default, and no type carries
+/// a `calib` field for a run to override.
+#[test]
+fn phase_costs_are_constants_not_settings() {
+    let mut hits = Vec::new();
+    for (path, text) in workspace_sources() {
+        let calib_rs = path.ends_with("core/src/calib.rs");
+        for (i, line) in text.lines().enumerate() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            let words: Vec<&str> = code.split_whitespace().collect();
+            let settings = calib_rs && (words.contains(&"struct") || code.contains("impl Default"));
+            // `calib:` as a field, in a declaration or a literal; the
+            // path `calib::X` is a constant.
+            let field = code.match_indices("calib:").any(|(at, _)| {
+                let before = code[..at].chars().next_back();
+                !code[at..].starts_with("calib::")
+                    && !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            });
+            if settings || field {
+                hits.push(format!("{}:{}: {code}", path.display(), i + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "settable phase costs: {hits:?}");
 }

@@ -66,6 +66,9 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+/// Chunk size for interleaving concurrent flows on a link, bytes.
+const CHUNK_BYTES: u64 = 1 << 20;
+
 /// Parameters of a timed transfer.
 #[derive(Debug, Clone, Copy)]
 pub struct TransferSpec {
@@ -73,8 +76,6 @@ pub struct TransferSpec {
     pub esp: bool,
     /// CPU cost model for encryption (use [`CipherCost::FREE`] for none).
     pub cipher: CipherCost,
-    /// Chunk size for interleaving concurrent flows, bytes.
-    pub chunk_bytes: u64,
     /// Traffic shaping: pad every message up to a multiple of this many
     /// bytes (`None` = no shaping).
     pub pad_to: Option<u64>,
@@ -86,7 +87,6 @@ impl TransferSpec {
         TransferSpec {
             esp: false,
             cipher: CipherCost::FREE,
-            chunk_bytes: 1 << 20,
             pad_to: None,
         }
     }
@@ -96,7 +96,6 @@ impl TransferSpec {
         TransferSpec {
             esp: true,
             cipher,
-            chunk_bytes: 1 << 20,
             pad_to: None,
         }
     }
@@ -407,7 +406,7 @@ impl Fabric {
         let wire_payload = spec.padded_len(bytes);
         let mut remaining = wire_payload;
         loop {
-            let chunk = remaining.min(spec.chunk_bytes.max(1));
+            let chunk = remaining.min(CHUNK_BYTES);
             let wire = link.serialize_time(chunk, overhead);
             let pkts = link.packets_for(chunk, overhead);
             let cipher_ns =

@@ -1,11 +1,12 @@
 //! A Ceph-like replicated object store.
 //!
-//! Matches the paper's storage backend (§7.1): 3 OSD hosts, 27 spindles
-//! total, 4 MiB objects, 3× replication. Reads hit the primary replica's
-//! spindle; writes fan out to every replica in parallel. Contention —
-//! the source of Figure 5's knee at 16 concurrent boots on "the small
-//! scale Ceph deployment (with only 27 disks)" — emerges from the
-//! per-spindle FIFO queues, not from any baked-in constant.
+//! The paper's storage backend (§7.1) is the one geometry, fixed as
+//! constants: 3 OSD hosts, 27 spindles total, 4 MiB objects, 3×
+//! replication, 7200 rpm nearline spindles. Reads hit the primary
+//! replica's spindle; writes fan out to every replica in parallel.
+//! Contention — the source of Figure 5's knee at 16 concurrent boots on
+//! "the small scale Ceph deployment (with only 27 disks)" — emerges from
+//! the per-spindle FIFO queues, not from any baked-in constant.
 
 // lint: allow-file(L1-index: object content generation and placement
 // slice buffers whose bounds are min()-clamped against object_size at
@@ -18,8 +19,20 @@ use std::sync::{Arc, Mutex};
 use bolted_crypto::sha256::{sha256, sha256_concat, Digest};
 use bolted_sim::{join_all, Resource, Sim, SimDuration};
 
-/// Default object size: Ceph's 4 MiB.
+/// Object size: Ceph's 4 MiB.
 pub const OBJECT_SIZE: u64 = 4 * 1024 * 1024;
+/// OSD hosts in the paper's cluster.
+const OSD_COUNT: usize = 3;
+/// Spindles per OSD host: 27 disks in all.
+const SPINDLES_PER_OSD: usize = 9;
+/// Copies of each object (Ceph's 3× replication).
+const REPLICAS: usize = 3;
+const _: () = assert!(REPLICAS >= 1 && REPLICAS <= OSD_COUNT);
+/// Average positioning time per request of a 7200 rpm nearline SAS
+/// spindle, as in the paper's OSD hosts.
+const SEEK: SimDuration = SimDuration::from_millis(4);
+/// Sustained transfer rate of one spindle, bytes per second.
+const SPINDLE_BPS: f64 = 180e6;
 
 /// Identifies a logical image/volume in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -34,28 +47,9 @@ pub struct ObjectKey {
     pub index: u64,
 }
 
-/// Mechanical disk model for one spindle.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiskModel {
-    /// Average positioning time per request.
-    pub seek: SimDuration,
-    /// Sustained transfer rate, bytes per second.
-    pub bandwidth_bps: f64,
-}
-
-impl DiskModel {
-    /// A 7200 rpm nearline SAS spindle, as in the paper's OSD hosts.
-    pub fn hdd() -> Self {
-        DiskModel {
-            seek: SimDuration::from_millis(4),
-            bandwidth_bps: 180e6,
-        }
-    }
-
-    /// Service time for one request of `len` bytes.
-    pub fn service_time(&self, len: u64) -> SimDuration {
-        self.seek + SimDuration::from_secs_f64(len as f64 / self.bandwidth_bps)
-    }
+/// One spindle's service time for a request of `len` bytes.
+fn service_time(len: u64) -> SimDuration {
+    SEEK + SimDuration::from_secs_f64(len as f64 / SPINDLE_BPS)
 }
 
 /// How an object's baseline content is produced.
@@ -78,30 +72,25 @@ struct StoredObject {
 }
 
 /// Each object's rendezvous ranking of every OSD and its spindle index
-/// within an OSD. Both are pure functions of the key and the fixed OSD
-/// count, so they are hashed once per key and never invalidated; failed
-/// OSDs are filtered out when a ranking is read.
+/// within an OSD. Both are pure functions of the key, so they are hashed
+/// once per key and never invalidated; failed OSDs are filtered out when
+/// a ranking is read.
 #[derive(Default)]
 struct Placements {
     /// Key → (start of its ranking in `ranks`, spindle index).
     index: BTreeMap<ObjectKey, (usize, usize)>,
-    /// Every ranking back to back, `osd_count` OSD ids each, best first.
+    /// Every ranking back to back, `OSD_COUNT` OSD ids each, best first.
     ranks: Vec<usize>,
 }
 
 impl Placements {
-    fn get(
-        &mut self,
-        key: ObjectKey,
-        osd_count: usize,
-        spindles_per_osd: usize,
-    ) -> (&[usize], usize) {
+    fn get(&mut self, key: ObjectKey) -> (&[usize], usize) {
         let ranks = &mut self.ranks;
         let &mut (start, spindle) = self.index.entry(key).or_insert_with(|| {
             let hash = |tail: &[u8]| {
                 sha256_concat(&[&key.image.0.to_le_bytes(), &key.index.to_le_bytes(), tail])
             };
-            let mut scored: Vec<(u64, usize)> = (0..osd_count)
+            let mut scored: Vec<(u64, usize)> = (0..OSD_COUNT)
                 .map(|osd| {
                     let d = hash(&(osd as u64).to_le_bytes());
                     let mut s = [0u8; 8];
@@ -112,17 +101,15 @@ impl Placements {
             scored.sort_unstable_by(|a, b| b.cmp(a));
             let start = ranks.len();
             ranks.extend(scored.into_iter().map(|(_, osd)| osd));
-            let spindle = (hash(b"spindle").as_bytes()[0] as usize) % spindles_per_osd;
+            let spindle = (hash(b"spindle").as_bytes()[0] as usize) % SPINDLES_PER_OSD;
             (start, spindle)
         });
-        (&self.ranks[start..start + osd_count], spindle)
+        (&self.ranks[start..start + OSD_COUNT], spindle)
     }
 }
 
 struct ClusterInner {
     objects: BTreeMap<ObjectKey, StoredObject>,
-    object_size: u64,
-    osd_count: usize,
     failed_osds: BTreeSet<usize>,
     placements: Placements,
     bytes_read: u64,
@@ -138,40 +125,18 @@ pub struct Cluster {
     inner: Arc<Mutex<ClusterInner>>,
     /// One FIFO resource per spindle, grouped by OSD.
     spindles: Arc<Vec<Resource>>,
-    spindles_per_osd: usize,
-    disk: DiskModel,
-    replicas: usize,
 }
 
 impl Cluster {
-    /// Builds a cluster with the paper's topology: 3 OSDs × 9 spindles.
+    /// Builds the paper's cluster: 3 OSDs × 9 spindles, 3× replication.
     pub fn paper_default(sim: &Sim) -> Self {
-        Self::new(sim, 3, 9, DiskModel::hdd(), 3)
-    }
-
-    /// Builds a cluster with explicit geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any count is zero or `replicas > osd_count`.
-    pub fn new(
-        sim: &Sim,
-        osd_count: usize,
-        spindles_per_osd: usize,
-        disk: DiskModel,
-        replicas: usize,
-    ) -> Self {
-        assert!(osd_count > 0 && spindles_per_osd > 0, "empty cluster");
-        assert!(replicas >= 1 && replicas <= osd_count, "bad replica count");
-        let spindles = (0..osd_count * spindles_per_osd)
+        let spindles = (0..OSD_COUNT * SPINDLES_PER_OSD)
             .map(|_| Resource::new(sim, 1))
             .collect();
         Cluster {
             sim: sim.clone(),
             inner: Arc::new(Mutex::new(ClusterInner {
                 objects: BTreeMap::new(),
-                object_size: OBJECT_SIZE,
-                osd_count,
                 failed_osds: BTreeSet::new(),
                 placements: Placements::default(),
                 bytes_read: 0,
@@ -180,15 +145,12 @@ impl Cluster {
                 degraded_writes: 0,
             })),
             spindles: Arc::new(spindles),
-            spindles_per_osd,
-            disk,
-            replicas,
         }
     }
 
     /// Object size in bytes.
     pub fn object_size(&self) -> u64 {
-        lock(&self.inner).object_size
+        OBJECT_SIZE
     }
 
     /// `(bytes_read, bytes_written, requests)` served so far.
@@ -213,15 +175,15 @@ impl Cluster {
         !self.placement(key).is_empty()
     }
 
-    /// Writes that completed with fewer than the configured replica count
-    /// because of failed OSDs.
+    /// Writes that completed with fewer than three replicas because of
+    /// failed OSDs.
     pub fn degraded_writes(&self) -> u64 {
         lock(&self.inner).degraded_writes
     }
 
     /// Rendezvous-hash placement: returns the live OSD ids holding `key`,
     /// with the primary first. Failed OSDs are skipped, so placement
-    /// degrades gracefully (and may return fewer than `replicas`, or be
+    /// degrades gracefully (and may return fewer than three, or be
     /// empty when everything is down).
     pub fn placement(&self, key: ObjectKey) -> Vec<usize> {
         self.replicas_of(&mut lock(&self.inner), key).0
@@ -230,20 +192,18 @@ impl Cluster {
     /// `key`'s live replica OSDs, primary first, and its spindle index
     /// within an OSD, read from the memoised ranking.
     fn replicas_of(&self, inner: &mut ClusterInner, key: ObjectKey) -> (Vec<usize>, usize) {
-        let (ranking, spindle) = inner
-            .placements
-            .get(key, inner.osd_count, self.spindles_per_osd);
+        let (ranking, spindle) = inner.placements.get(key);
         let live = ranking
             .iter()
             .copied()
             .filter(|osd| !inner.failed_osds.contains(osd))
-            .take(self.replicas)
+            .take(REPLICAS)
             .collect();
         (live, spindle)
     }
 
     fn spindle(&self, osd: usize, index: usize) -> Resource {
-        self.spindles[osd * self.spindles_per_osd + index].clone()
+        self.spindles[osd * SPINDLES_PER_OSD + index].clone()
     }
 
     /// Declares an object's baseline content (no timing cost; this is
@@ -440,7 +400,7 @@ impl Cluster {
             .first()
             .expect("no live replica for object (all OSDs failed)");
         let spindle = self.spindle(primary, spindle);
-        spindle.visit(self.disk.service_time(len)).await;
+        spindle.visit(service_time(len)).await;
     }
 
     /// Charges the time of a replicated write without touching data.
@@ -458,11 +418,11 @@ impl Cluster {
             let mut inner = lock(&self.inner);
             inner.bytes_written += len;
             inner.requests += 1;
-            if osds.len() < self.replicas {
+            if osds.len() < REPLICAS {
                 inner.degraded_writes += 1;
             }
         }
-        let service = self.disk.service_time(len);
+        let service = service_time(len);
         let handles: Vec<_> = osds
             .into_iter()
             .map(|osd| {
@@ -688,13 +648,6 @@ mod tests {
                 index: i
             }));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "bad replica count")]
-    fn replicas_cannot_exceed_osds() {
-        let sim = Sim::new();
-        Cluster::new(&sim, 2, 4, DiskModel::hdd(), 3);
     }
 }
 

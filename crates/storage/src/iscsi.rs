@@ -233,9 +233,10 @@ impl IscsiTarget {
     }
 
     /// Ensures [offset, offset+len) is resident at the gateway, consuming
-    /// prefetches and topping the pipeline back up. The `owed` wire time
-    /// is paid before a fetch is spawned or awaited, the first moments
-    /// this path observes the clock.
+    /// prefetches and topping the pipeline back up behind the resident
+    /// window (an empty request with nothing resident reads nothing
+    /// ahead). The `owed` wire time is paid before a fetch is spawned or
+    /// awaited, the first moments this path observes the clock.
     async fn ensure(
         &self,
         offset: u64,
@@ -309,12 +310,11 @@ impl IscsiTarget {
                         .prefetch
                         .back()
                         .map(|&(_, e, _)| e)
-                        .or(st.window.map(|(_, e)| e))
-                        .unwrap_or(0);
-                    if last_end >= image_size {
-                        break;
+                        .or(st.window.map(|(_, e)| e));
+                    match last_end {
+                        Some(e) if e < image_size => e,
+                        _ => break,
                     }
-                    last_end
                 };
                 self.pay(owed).await;
                 let (s, e) = self.window_bounds(next_start, image_size);
@@ -861,26 +861,41 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_read_on_a_cold_target_reads_nothing_ahead() {
+        let (sim, store, t) = setup_gated(DEFAULT_READ_AHEAD, &OpGate::disabled());
+        sim.block_on(async move { t.read_timed(200 << 20, 0).await.expect("reads") });
+        // One RTT and no cluster I/O, even once every task has run.
+        assert_eq!(sim.now(), SimTime::ZERO + Transport::plain_10g().rtt);
+        assert_eq!(store.cluster().io_stats(), (0, 0, 0));
+    }
+
+    #[test]
     fn a_spike_delays_the_prefetches_its_request_starts() {
-        // An empty first read spawns the plain pipeline's prefetches; a
-        // spike on it must be slept before they start, so a following
-        // read that waits on them ends exactly one spike later.
+        // A read that moves into a prefetched window tops the plain
+        // pipeline up behind it. A spike on that read must be slept
+        // before the new prefetch starts, so a later read that waits on
+        // that prefetch ends exactly one spike later.
+        let ra = DEFAULT_READ_AHEAD;
         let end = |spike: bool| {
             let metrics = Metrics::new();
-            let spec = FaultSpec::none().with_spike(1.0, SimDuration::from_secs(1));
-            let plan = if spike {
-                FaultPlan::seeded(4).with(ops::STORAGE_READ, spec)
-            } else {
-                FaultPlan::none()
-            };
-            let faults = Faults::new(plan, &metrics);
-            let (sim, _store, t) = setup_gated(DEFAULT_READ_AHEAD, &OpGate::new(&faults, &metrics));
+            let faults = Faults::new(FaultPlan::none(), &metrics);
+            let (sim, _store, t) = setup_gated(ra, &OpGate::new(&faults, &metrics));
             sim.block_on({
                 let sim = sim.clone();
                 async move {
-                    t.read_timed(0, 0).await.expect("reads");
-                    faults.install(FaultPlan::none());
+                    // Window 0 resident, windows 1..=3 prefetched and landed.
                     t.read_timed(0, 4096).await.expect("reads");
+                    sim.sleep(SimDuration::from_secs(1)).await;
+                    if spike {
+                        let spec = FaultSpec::none().with_spike(1.0, SimDuration::from_secs(1));
+                        faults.install(FaultPlan::seeded(4).with(ops::STORAGE_READ, spec));
+                    }
+                    // Moves into window 1 and starts the prefetch of window 4.
+                    t.read_timed(ra, 4096).await.expect("reads");
+                    faults.install(FaultPlan::none());
+                    for w in 2..=4 {
+                        t.read_timed(w * ra, 4096).await.expect("reads");
+                    }
                     sim.now()
                 }
             })

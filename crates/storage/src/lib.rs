@@ -12,7 +12,7 @@ pub mod cluster;
 pub mod image;
 pub mod iscsi;
 
-pub use cluster::{Backing, Cluster, DiskModel, ImageId, ObjectKey, OBJECT_SIZE};
+pub use cluster::{Backing, Cluster, ImageId, ObjectKey, OBJECT_SIZE};
 pub use image::{ImageError, ImageStore};
 pub use iscsi::{
     Gateway, IscsiTarget, RunStopped, Transport, DEFAULT_READ_AHEAD, TGT_VM_BANDWIDTH_BPS,

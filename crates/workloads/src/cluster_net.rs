@@ -61,12 +61,7 @@ impl CommGroup {
         }
         let spec = if self.encrypted() {
             // Wire overhead only; CPU is charged on the engines.
-            TransferSpec {
-                esp: true,
-                cipher: CipherCost::FREE,
-                chunk_bytes: 1 << 20,
-                pad_to: None,
-            }
+            TransferSpec::ipsec(CipherCost::FREE)
         } else {
             TransferSpec::plain()
         };

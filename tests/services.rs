@@ -11,9 +11,8 @@ use bolted_sim::lock;
 
 use bolted::bmi::{Bmi, BmiError};
 use bolted::core::{
-    linuxboot_source, AttestationService, BootService, BoxFuture, Calibration, Cloud,
-    IsolationService, NodeState, ProvisionError, ProvisioningService, SecurityProfile, Services,
-    Tenant, TenantEnv,
+    linuxboot_source, AttestationService, BootService, BoxFuture, Cloud, IsolationService,
+    NodeState, ProvisionError, ProvisioningService, SecurityProfile, Services, Tenant, TenantEnv,
 };
 
 use bolted::crypto::prime::RandomSource;
@@ -289,7 +288,6 @@ fn mock_backend_provisions_end_to_end_through_trait_objects() {
         &Metrics::disabled(),
     );
     let env = TenantEnv {
-        calib: Calibration::default(),
         call: call.clone(),
         http: Resource::new(&sim, 1),
         airlock: Resource::new(&sim, 1),
