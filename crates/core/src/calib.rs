@@ -109,6 +109,12 @@ mod tests {
     fn disk_scrub_takes_hours() {
         let hours = full_disk_scrub().as_secs_f64() / 3600.0;
         assert!(hours > 2.0, "paper: scrubbing takes hours; got {hours:.1}h");
+        // 2 TiB at 170 MB/s, to the nanosecond: no figure prints this
+        // cost, so this is its pin.
+        assert_eq!(
+            full_disk_scrub(),
+            SimDuration::from_nanos(12_935_430_915_012)
+        );
     }
 
     #[test]

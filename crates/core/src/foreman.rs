@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::cloud::CloudConfig;
     use bolted_firmware::FirmwareKind;
-    use bolted_sim::Sim;
+    use bolted_sim::{Sim, SimDuration};
 
     fn cloud() -> (Sim, Cloud) {
         let sim = Sim::new();
@@ -149,5 +149,7 @@ mod tests {
             "disk scrub should take hours: {}",
             scrub
         );
+        // The whole release is the scrub: 2 TiB at 170 MB/s.
+        assert_eq!(scrub, SimDuration::from_nanos(12_935_430_915_012));
     }
 }

@@ -780,7 +780,13 @@ impl Tenant {
             .call
             .close_phase(phase, "provision_phase_seconds", "registrar");
         cx.timer.mark("keylime-register");
-        debug_assert!(self.verify_node_identity(cx.node, &cx.name));
+        if !self.verify_node_identity(cx.node, &cx.name) {
+            self.reject(cx, image)?;
+            return Err(ProvisionError::Rejected(format!(
+                "{}: registered EK is not the one HIL publishes for the node",
+                cx.name
+            )));
+        }
         // Build the sealed payload and split the bootstrap key.
         let (k, u, v) = {
             let mut kb = [0u8; 32];
@@ -842,15 +848,7 @@ impl Tenant {
                 });
             }
             AttestOutcome::Failed(reason) => {
-                // Step 5 (failure): move to the rejected pool and clean
-                // up the cloned volume.
-                cx.lc.transition(&sim, NodeState::Rejected)?;
-                self.services
-                    .isolation
-                    .detach_node(&self.project, cx.node)?;
-                self.services.isolation.free_node(&self.project, cx.node)?;
-                self.services.isolation.quarantine(cx.node);
-                let _ = self.services.provisioning.release(image, false);
+                self.reject(cx, image)?;
                 return Err(ProvisionError::Rejected(reason));
             }
         }
@@ -860,6 +858,19 @@ impl Tenant {
         cx.timer.mark("attest+payload");
         drop(airlock_permit);
         Ok((Some(agent), psk))
+    }
+
+    /// Step 5 (failure): moves the node to the rejected pool and
+    /// deletes its cloned volume.
+    fn reject(&self, cx: &mut Ctx, image: ImageId) -> Result<(), ProvisionError> {
+        cx.lc.transition(self.env.sim(), NodeState::Rejected)?;
+        self.services
+            .isolation
+            .detach_node(&self.project, cx.node)?;
+        self.services.isolation.free_node(&self.project, cx.node)?;
+        self.services.isolation.quarantine(cx.node);
+        let _ = self.services.provisioning.release(image, false);
+        Ok(())
     }
 
     /// Step 4/6: leave the airlock, join the tenant enclave.
@@ -1072,26 +1083,33 @@ impl Tenant {
     /// Releases a node back to the free pool. With diskless provisioning
     /// there is nothing to scrub: the volume either persists (to restart
     /// later on any compatible node) or is deleted in the image store.
+    ///
+    /// The node is borrowed, so a caller whose release failed part-way
+    /// still holds it and can release it again. Its verifier enrolment
+    /// ends once HIL has the node back, and not before: a node the
+    /// tenant still holds stays attested. (HIL clears the owner before
+    /// it detaches the port, so a failed `free_node` may have freed it.)
     pub async fn release(
         &self,
-        mut pnode: ProvisionedNode,
+        pnode: &mut ProvisionedNode,
         keep_volume: bool,
-    ) -> Result<Lifecycle, ProvisionError> {
+    ) -> Result<(), ProvisionError> {
         let sim = self.env.sim();
-        if let Some(agent) = &pnode.agent {
-            self.services.attestation.stop(agent.id());
+        let isolation = &self.services.isolation;
+        let freed = isolation
+            .power_off(&self.project, pnode.node)
+            .and_then(|()| isolation.free_node(&self.project, pnode.node));
+        if freed.is_ok() || self.free_nodes().contains(&pnode.node) {
+            if let Some(agent) = &pnode.agent {
+                self.services.attestation.stop(agent.id());
+            }
         }
-        self.services
-            .isolation
-            .power_off(&self.project, pnode.node)?;
-        self.services
-            .isolation
-            .free_node(&self.project, pnode.node)?;
+        freed?;
         self.services
             .provisioning
             .release(pnode.image, keep_volume)?;
         pnode.lifecycle.transition(sim, NodeState::Free)?;
-        Ok(pnode.lifecycle)
+        Ok(())
     }
 }
 
@@ -1428,13 +1446,13 @@ mod tests {
         let lc = sim.block_on({
             let (tenant, cloud2) = (tenant.clone(), cloud.clone());
             async move {
-                let p = tenant
+                let mut p = tenant
                     .provision(node, &SecurityProfile::alice(), g)
                     .await
                     .expect("provisions");
-                let lc = tenant.release(p, true).await.expect("releases");
+                tenant.release(&mut p, true).await.expect("releases");
                 assert!(cloud2.store.lookup("m620-01-root").is_some(), "volume kept");
-                lc
+                p.lifecycle
             }
         });
         assert_eq!(lc.state(), NodeState::Free);
@@ -1450,12 +1468,12 @@ mod tests {
         let (held, released_with, after) = sim.block_on({
             let tenant = tenant.clone();
             async move {
-                let p = tenant
+                let mut p = tenant
                     .provision(node, &SecurityProfile::charlie(), g)
                     .await
                     .expect("provisions");
                 let name = p.agent.as_ref().expect("attested").id().to_string();
-                tenant.release(p, false).await.expect("releases");
+                tenant.release(&mut p, false).await.expect("releases");
                 let held = tenant.verifier.holds_key_material(&name);
                 let after = tenant.verifier.attest_once(&name, false).await;
                 (held, name, after)

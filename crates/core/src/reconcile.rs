@@ -7,7 +7,7 @@
 //! declares a [`DesiredState`] — profile, node count, data networks —
 //! and a [`TenantReconciler`] repeatedly:
 //!
-//! 1. **observes** the world it actually holds ([`ObservedState`]),
+//! 1. **observes** its own holdings ([`ObservedState`]),
 //! 2. **diffs** declaration against observation ([`diff`]) into a plan
 //!    of [`ReconcileOp`]s — minimal by construction: a converged tenant
 //!    plans nothing,
@@ -19,12 +19,15 @@
 //!    releases first (they refill the free pool), then network creation,
 //!    then one batched [`Tenant::provision_fleet_report`] claim.
 //!
-//! Every step checks observed state before acting, so steps are
-//! idempotent and a plan applied twice is a no-op — which is exactly
-//! what makes recovery *convergent*: a node the fault substrate
-//! abandoned back to Free (PR 3's `Airlock → Free` edge) is simply a
-//! desired-vs-observed deficit on the next tick, re-claimed from the
-//! free pool without any operator runbook.
+//! A plan lives for one tick: [`TenantReconciler::tick`] diffs and runs
+//! it inside one `&mut self` call, so nothing can move the holdings
+//! between planning and execution, and the ops run without re-checks.
+//! Convergence comes from re-diffing against desired state every tick,
+//! not from idempotent ops: a node the fault substrate abandoned back to
+//! Free (the `Airlock → Free` edge) is simply a desired-vs-observed
+//! deficit on the next tick, re-claimed from the free pool without any
+//! operator runbook, and a node whose release failed is still held, so
+//! the next diff releases it again.
 //!
 //! [`reconcile_fleet_parallel`] scales this to a sharded fleet: each
 //! shard is one deterministic world (its own [`Sim`], [`Cloud`], tenants
@@ -78,8 +81,8 @@ impl DesiredState {
     }
 }
 
-/// What the tenant actually holds, as observed from its inventory and
-/// the isolation service.
+/// What the tenant holds: the reconciler's own holdings and the data
+/// networks it created, not a read of the isolation service.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObservedState {
     /// Held nodes and the profile name each was provisioned under.
@@ -88,10 +91,10 @@ pub struct ObservedState {
     pub networks: usize,
 }
 
-/// One step of a reconcile plan. Ops carry no execution-time bindings
-/// (a `Provision` names no node): every executor re-checks observed
-/// state when the op finally runs, which is what makes plans idempotent
-/// and safe to defer.
+/// One step of a reconcile plan. A plan is run in the tick that diffed
+/// it and then dropped; an op the tick did not grant is not kept, the
+/// next diff plans it again. A `Provision` names no node: the tick
+/// claims the lowest free ids when it runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReconcileOp {
     /// Release a held node back to the free pool (wrong profile, or
@@ -105,17 +108,6 @@ pub enum ReconcileOp {
     Provision,
     /// Create one tenant data network.
     CreateNetwork,
-}
-
-impl ReconcileOp {
-    /// Stable op-kind label for metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ReconcileOp::Release { .. } => "release",
-            ReconcileOp::Provision => "provision",
-            ReconcileOp::CreateNetwork => "network",
-        }
-    }
 }
 
 /// Diffs declaration against observation into a minimal plan.
@@ -146,69 +138,6 @@ pub fn diff(desired: &DesiredState, observed: &ObservedState) -> Vec<ReconcileOp
         plan.push(ReconcileOp::CreateNetwork);
     }
     plan
-}
-
-/// Applies a plan to a *model* of the world — the same observed-state
-/// guards the live executor uses, over plain data. `free` is the free
-/// pool (ascending ids); provisions claim from its front, releases
-/// return to it. Used by the property tests to prove plans are
-/// idempotent without standing up a world.
-pub fn apply_to_model(
-    observed: &ObservedState,
-    desired: &DesiredState,
-    plan: &[ReconcileOp],
-    free: &mut Vec<NodeId>,
-) -> ObservedState {
-    let mut state = observed.clone();
-    for op in plan {
-        match op {
-            ReconcileOp::Release { node } => {
-                // Guard: only release a held node that is still
-                // non-conforming — wrong profile, or surplus over the
-                // declared count. A stale release against a node that
-                // was re-provisioned correctly since planning must
-                // degrade to a no-op, or applying a plan twice would
-                // churn nodes it already converged.
-                if let Some(pos) = state.nodes.iter().position(|(n, _)| n == node) {
-                    let wrong = state
-                        .nodes
-                        .iter()
-                        .any(|(n, p)| n == node && *p != desired.profile.name);
-                    let conforming = state
-                        .nodes
-                        .iter()
-                        .filter(|(_, p)| *p == desired.profile.name)
-                        .count();
-                    if wrong || conforming > desired.node_count {
-                        state.nodes.remove(pos);
-                        free.push(*node);
-                        free.sort();
-                    }
-                }
-            }
-            ReconcileOp::Provision => {
-                // Guard: only provision while under the declared count.
-                let held = state
-                    .nodes
-                    .iter()
-                    .filter(|(_, p)| *p == desired.profile.name)
-                    .count();
-                if held < desired.node_count {
-                    if let Some(node) = free.first().copied() {
-                        free.retain(|n| *n != node);
-                        state.nodes.push((node, desired.profile.name.clone()));
-                    }
-                }
-            }
-            ReconcileOp::CreateNetwork => {
-                // Guard: only create while under the declared count.
-                if state.networks < desired.networks {
-                    state.networks += 1;
-                }
-            }
-        }
-    }
-    state
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +272,8 @@ pub struct TickReport {
     pub provision_failed: usize,
     /// Nodes released back to the free pool.
     pub released: usize,
-    /// Releases that failed (node stays held; retried next tick).
+    /// Releases that failed. A node HIL has not taken back stays held,
+    /// and the next tick releases it again.
     pub release_failed: usize,
     /// Data networks created.
     pub networks_created: usize,
@@ -473,38 +403,31 @@ impl TenantReconciler {
             }
         }
 
-        // 3. Execute. Every step re-checks observed state first, so a
-        // stale op (the world moved since planning) degrades to a no-op
-        // instead of over-acting.
+        // 3. Execute. The plan was diffed from the holdings within this
+        // call and nothing has moved them since, so no op is re-checked.
         for node in releases {
-            let Some(pos) = self.inventory.iter().position(|p| p.node == node) else {
+            let Some(pnode) = self.inventory.iter_mut().find(|p| p.node == node) else {
                 continue;
             };
-            // Same conformance guard as `apply_to_model`: a release is
-            // only valid while its node is wrongly profiled or surplus.
-            let wrong = self
-                .inventory
-                .iter()
-                .any(|p| p.node == node && p.report.profile != self.desired.profile.name);
-            let conforming = self
-                .inventory
-                .iter()
-                .filter(|p| p.report.profile == self.desired.profile.name)
-                .count();
-            if !wrong && conforming <= self.desired.node_count {
-                continue;
-            }
-            let pnode = self.inventory.remove(pos);
             report.executed += 1;
-            match self.tenant.release(pnode, false).await {
-                Ok(_) => report.released += 1,
-                Err(_) => report.release_failed += 1,
+            let freed = match self.tenant.release(pnode, false).await {
+                Ok(()) => {
+                    report.released += 1;
+                    true
+                }
+                Err(_) => {
+                    // Until HIL has the node back it is still the
+                    // tenant's: it stays held and the next diff releases
+                    // it again.
+                    report.release_failed += 1;
+                    self.tenant.free_nodes().contains(&node)
+                }
+            };
+            if freed {
+                self.inventory.retain(|p| p.node != node);
             }
         }
         for _ in 0..networks {
-            if self.networks_created >= self.desired.networks {
-                continue;
-            }
             let name = format!("{}-data-{}", self.tenant.project, self.net_seq);
             self.net_seq += 1;
             report.executed += 1;
@@ -514,17 +437,16 @@ impl TenantReconciler {
             }
         }
         if provisions > 0 {
-            let held = self
-                .inventory
-                .iter()
-                .filter(|p| p.report.profile == self.desired.profile.name)
-                .count();
-            let need = self.desired.node_count.saturating_sub(held).min(provisions);
             // One batched claim against the free pool: ascending id
             // order keeps the claim deterministic, and a node the fault
             // substrate abandoned is simply the lowest free id again —
             // convergent recovery with no special path.
-            let claim: Vec<NodeId> = self.tenant.free_nodes().into_iter().take(need).collect();
+            let claim: Vec<NodeId> = self
+                .tenant
+                .free_nodes()
+                .into_iter()
+                .take(provisions)
+                .collect();
             if !claim.is_empty() {
                 let fleet = self
                     .tenant
@@ -1007,16 +929,11 @@ mod tests {
 
     #[test]
     fn profile_flip_releases_before_provisioning() {
-        let mut observed = held(&[0, 1]);
         let desired = DesiredState::new(SecurityProfile::bob(), 2);
-        let plan = diff(&desired, &observed);
+        let plan = diff(&desired, &held(&[0, 1]));
         assert_eq!(plan.len(), 4, "{plan:?}");
         assert!(matches!(plan.first(), Some(ReconcileOp::Release { .. })));
         assert!(matches!(plan.last(), Some(ReconcileOp::Provision)));
-        // Applying the plan over the model converges it.
-        let mut free = vec![NodeId(2), NodeId(3)];
-        observed = apply_to_model(&observed, &desired, &plan, &mut free);
-        assert!(diff(&desired, &observed).is_empty());
     }
 
     #[test]

@@ -8,10 +8,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootchain;
 pub mod image;
 pub mod machine;
 
-pub use bootchain::{classify_chain, BootFlow, ChainError};
 pub use image::{FirmwareImage, FirmwareKind, FirmwareSource, KernelImage};
 pub use machine::{Machine, MachineError, PowerState, RamResidue};

@@ -76,7 +76,6 @@ struct MachineInner {
     /// True once firmware has run since the last power-on.
     firmware_ran: bool,
     booted_kernel: Option<KernelImage>,
-    console: Vec<String>,
 }
 
 /// A simulated physical server. Clonable handle with shared state, so it
@@ -100,7 +99,6 @@ impl Machine {
                 ram_residue: None,
                 firmware_ran: false,
                 booted_kernel: None,
-                console: Vec::new(),
             })),
         }
     }
@@ -118,16 +116,6 @@ impl Machine {
     /// Access the TPM with a closure (shared-handle-safe).
     pub fn with_tpm<R>(&self, f: impl FnOnce(&mut Tpm) -> R) -> R {
         f(&mut lock(&self.inner).tpm)
-    }
-
-    /// Appends a console line (visible through HIL's console API).
-    pub fn console_log(&self, line: impl Into<String>) {
-        lock(&self.inner).console.push(line.into());
-    }
-
-    /// Full console transcript.
-    pub fn console(&self) -> Vec<String> {
-        lock(&self.inner).console.clone()
     }
 
     // -- power ------------------------------------------------------------
@@ -210,7 +198,6 @@ impl Machine {
             sim.sleep(scrub_time).await;
             self.scrub_memory();
         }
-        self.console_log(format!("POST complete ({kind:?})"));
         Ok(kind)
     }
 
@@ -467,13 +454,5 @@ mod tests {
             }
         });
         assert_ne!(m.with_tpm(|t| t.pcr_read(index::FIRMWARE)), good);
-    }
-
-    #[test]
-    fn console_collects_lines() {
-        let m = machine(linuxboot());
-        m.console_log("hello");
-        m.console_log("world");
-        assert_eq!(m.console(), vec!["hello".to_string(), "world".to_string()]);
     }
 }

@@ -621,3 +621,28 @@ fn phase_costs_are_constants_not_settings() {
     }
     assert!(hits.is_empty(), "settable phase costs: {hits:?}");
 }
+
+/// A tenant-facing check is not compiled out of release builds, where
+/// every figure, bench and perfbench run executes: the control plane and
+/// the verifier carry no `debug_assert` outside `#[cfg(test)]` code.
+#[test]
+fn tenant_checks_run_in_release_builds() {
+    let mut hits = Vec::new();
+    for (path, text) in workspace_sources() {
+        let name = path.to_string_lossy();
+        if !(name.contains("/core/src/") || name.contains("/keylime/src/")) {
+            continue;
+        }
+        let file = bolted_lint::SourceFile::new(&name, &text);
+        for (i, token) in file.tokens.iter().enumerate() {
+            let bang = file.tokens.get(i + 1).is_some_and(|t| t.is_punct('!'));
+            let debug = token
+                .ident()
+                .is_some_and(|id| id.starts_with("debug_assert"));
+            if debug && bang && !file.test_mask[i] {
+                hits.push(format!("{}:{}", path.display(), token.line));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "debug-only checks: {hits:?}");
+}

@@ -92,8 +92,8 @@ fn main() {
     sim.block_on({
         let borrower = borrower.clone();
         async move {
-            for p in loaned {
-                borrower.release(p, false).await.expect("released");
+            for mut p in loaned {
+                borrower.release(&mut p, false).await.expect("released");
             }
         }
     });

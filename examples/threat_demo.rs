@@ -51,7 +51,7 @@ fn main() {
 
     println!();
     println!("=== Threat 2 (during occupancy): eavesdropping on enclave traffic ===");
-    let p1 = sim
+    let mut p1 = sim
         .block_on({
             let charlie = charlie.clone();
             let node = nodes[1];
@@ -99,7 +99,7 @@ fn main() {
     machine.write_secret_to_ram("charlie", b"LUKS master key material");
     sim.block_on({
         let charlie = charlie.clone();
-        async move { charlie.release(p1, false).await.expect("released") }
+        async move { charlie.release(&mut p1, false).await.expect("released") }
     });
     let eve = Tenant::new(&cloud, "eve").expect("tenant");
     let p2 = sim

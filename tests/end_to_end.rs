@@ -102,8 +102,8 @@ fn full_cluster_provisioning_and_release_cycle() {
                 assert!(p.agent.is_some());
             }
             // Release everything.
-            for p in provisioned {
-                tenant.release(p, false).await.expect("releases");
+            for mut p in provisioned {
+                tenant.release(&mut p, false).await.expect("releases");
             }
         }
     });
@@ -124,12 +124,15 @@ fn restart_volume_on_a_different_node() {
     sim.block_on({
         let (tenant, cloud) = (tenant.clone(), cloud.clone());
         async move {
-            let p = tenant
+            let mut p = tenant
                 .provision(nodes[0], &SecurityProfile::bob(), golden)
                 .await
                 .expect("provisions");
             let volume = p.image;
-            tenant.release(p, true).await.expect("keeps the volume");
+            tenant
+                .release(&mut p, true)
+                .await
+                .expect("keeps the volume");
             // The volume persisted and can back another node's target.
             assert!(cloud.store.lookup("m620-01-root").is_some());
             let target = cloud.bmi.boot_target(

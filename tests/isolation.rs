@@ -195,11 +195,11 @@ fn audit_log_covers_every_privileged_operation() {
     sim.block_on({
         let tenant = tenant.clone();
         async move {
-            let p = tenant
+            let mut p = tenant
                 .provision(node, &SecurityProfile::charlie(), golden)
                 .await
                 .expect("provisions");
-            tenant.release(p, false).await.expect("releases");
+            tenant.release(&mut p, false).await.expect("releases");
         }
     });
     let log = cloud.hil.audit_log();

@@ -183,11 +183,11 @@ fn bmi_counts_every_op_into_the_cloud_registry() {
     let tenant = Tenant::new(&cloud, "charlie").expect("tenant");
     let node = cloud.nodes()[0];
     sim.block_on(async move {
-        let p = tenant
+        let mut p = tenant
             .provision(node, &SecurityProfile::charlie(), golden)
             .await
             .expect("provisions");
-        tenant.release(p, false).await.expect("releases");
+        tenant.release(&mut p, false).await.expect("releases");
     });
     for op in ["clone", "boot_info", "boot_target", "release"] {
         assert_eq!(

@@ -1,24 +1,26 @@
 //! Reconciler tests: diff-engine properties, convergent recovery, and
 //! determinism of the sharded churn driver.
 //!
-//! The property tests pin the three contracts ISSUE 10 names for the
-//! diff engine — plans are minimal, applying a plan twice is a no-op,
-//! and rate-limited churn is deferred rather than dropped — and the
-//! regression test pins the behaviour the reconciler was built for: a
-//! permanently-faulted node that the pipeline abandoned back to Free is
-//! re-claimed and converged once the fault clears, where the old
-//! one-shot fleet call stayed one node short forever.
+//! The property tests pin the reconciler's contracts: plans are
+//! minimal, a tick runs the first `g` ops of the plan it diffed and
+//! the next diff is the rest, and rate-limited churn is deferred rather
+//! than dropped. The regression tests pin the behaviour the reconciler
+//! was built for: a permanently-faulted node that the pipeline abandoned
+//! back to Free is re-claimed and converged once the fault clears,
+//! where the old one-shot fleet call stayed one node short forever, and
+//! a node whose release failed stays held, and attested, until a later
+//! tick releases it.
 
 mod common;
 
-use bolted::core::reconcile::apply_to_model;
 use bolted::core::{
     diff, reconcile_fleet_parallel, DesiredState, ObservedState, OpBudget, ReconcileFleetSpec,
     ReconcileOp, ReconcilerConfig, SecurityProfile, Tenant, TenantReconciler,
 };
 use bolted::hil::NodeId;
+use bolted::keylime::AttestOutcome;
 use bolted::sim::fault::{ops, FaultPlan, FaultSpec};
-use bolted::sim::Rng;
+use bolted::sim::{Rng, SimDuration};
 
 use common::world;
 
@@ -72,34 +74,178 @@ fn plans_are_minimal_across_the_state_grid() {
 }
 
 #[test]
-fn applying_a_plan_twice_is_a_no_op() {
-    // Idempotence over a seeded sweep of random states, including
-    // profile flips and free pools too small to fully converge: the
-    // second application of the same plan must change nothing.
-    let profiles = [SecurityProfile::charlie(), SecurityProfile::bob()];
+fn a_tick_runs_the_first_g_ops_and_leaves_the_rest_to_the_next_diff() {
+    // A plan lives for one tick. Over seeded declarations (profile
+    // flips, scale up and down, networks) and grants `g`, in a
+    // fault-free world with enough free nodes, each tick of a real
+    // reconciler runs exactly the first `g` ops of the plan it diffed:
+    // the diff after the tick is that plan minus its first `g` ops.
+    let profiles = [SecurityProfile::alice(), SecurityProfile::charlie()];
     let mut rng = Rng::seed_from_u64(0x1D3A);
-    for case in 0..200 {
-        let have = &profiles[rng.gen_range(2) as usize];
-        let want = &profiles[rng.gen_range(2) as usize];
-        let held: Vec<usize> = (0..rng.gen_range(5) as usize).collect();
-        let obs = observed(&held, have, rng.gen_range(2) as usize);
-        let desired = DesiredState {
-            profile: want.clone(),
-            node_count: rng.gen_range(6) as usize,
-            networks: rng.gen_range(3) as usize,
-        };
-        let mut free: Vec<NodeId> = (10..10 + rng.gen_range(7) as usize).map(NodeId).collect();
-        let plan = diff(&desired, &obs);
-        let once = apply_to_model(&obs, &desired, &plan, &mut free);
-        let free_after_once = free.clone();
-        let twice = apply_to_model(&once, &desired, &plan, &mut free);
-        assert_eq!(once, twice, "case {case}: second application changed state");
-        assert_eq!(free, free_after_once, "case {case}: free pool moved");
-        // And when the pool sufficed, one application fully converges.
-        if once.nodes.len() == desired.node_count {
-            assert!(diff(&desired, &once).is_empty(), "case {case}");
-        }
+    for case in 0..6 {
+        let steps: Vec<(DesiredState, usize)> = (0..4)
+            .map(|_| {
+                let desired = DesiredState {
+                    profile: profiles[rng.gen_range(2) as usize].clone(),
+                    node_count: rng.gen_range(5) as usize,
+                    networks: rng.gen_range(4) as usize,
+                };
+                (desired, rng.gen_range(6) as usize)
+            })
+            .collect();
+        let (sim, cloud, golden) = world().nodes(8).build();
+        let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
+        let config = ReconcilerConfig { churn_burst: 64 };
+        let idle = DesiredState::new(SecurityProfile::alice(), 0);
+        let mut rec = TenantReconciler::new(tenant, golden, idle, &config);
+        let tick_gap = sim.clone();
+        sim.block_on(async move {
+            for (step, (desired, g)) in steps.into_iter().enumerate() {
+                rec.set_desired(desired);
+                for tick in 0..3 {
+                    let at = format!("case {case} step {step} tick {tick} g {g}");
+                    let plan = diff(rec.desired(), &rec.observed());
+                    let report = rec.tick(&mut OpBudget::new(g)).await;
+                    let ran = g.min(plan.len());
+                    assert_eq!(report.planned, plan.len(), "{at}");
+                    assert_eq!(report.planned - report.deferred, ran, "{at}");
+                    assert_eq!(report.executed, ran, "{at}");
+                    assert_eq!(
+                        (report.release_failed, report.provision_failed),
+                        (0, 0),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        diff(rec.desired(), &rec.observed()),
+                        plan[ran..].to_vec(),
+                        "{at}: plan {plan:?}"
+                    );
+                    // A minute refills the churn bucket, so the shard
+                    // budget alone decides `g`.
+                    tick_gap.sleep(SimDuration::from_secs(60)).await;
+                }
+            }
+        });
     }
+}
+
+#[test]
+fn a_failed_release_keeps_its_node_held_until_hil_takes_it_back() {
+    // Scale 2 -> 1 while every BMC refuses power commands: the release
+    // fails at power-off, before HIL frees the node. The node is still
+    // the tenant's, so it stays held and the tenant is not converged;
+    // once the fault clears, the next tick releases it again.
+    let (sim, cloud, golden) = world().nodes(2).build();
+    let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
+    let desired = DesiredState::new(SecurityProfile::charlie(), 2);
+    let mut rec = TenantReconciler::new(tenant, golden, desired, &ReconcilerConfig::default());
+    let (faults, hil) = (cloud.faults.clone(), cloud.hil.clone());
+    let (failed, held_after_fault, free_after_fault, retried, held, free) =
+        sim.block_on(async move {
+            let up = rec.tick(&mut OpBudget::new(64)).await;
+            assert!(up.converged, "{up:?}");
+            faults.install(FaultPlan::seeded(7).with(ops::BMC_POWER, FaultSpec::permanent()));
+            rec.set_desired(DesiredState::new(SecurityProfile::charlie(), 1));
+            let failed = rec.tick(&mut OpBudget::new(64)).await;
+            let held_after_fault = rec.holdings().len();
+            let free_after_fault = hil.free_nodes();
+            faults.install(FaultPlan::none());
+            let retried = rec.tick(&mut OpBudget::new(64)).await;
+            let held: Vec<NodeId> = rec.holdings().iter().map(|p| p.node).collect();
+            (
+                failed,
+                held_after_fault,
+                free_after_fault,
+                retried,
+                held,
+                hil.free_nodes(),
+            )
+        });
+    assert_eq!((failed.release_failed, failed.released), (1, 0));
+    assert!(
+        !failed.converged,
+        "a node the tenant still owns is not released"
+    );
+    assert_eq!(held_after_fault, 2, "the unreleased node stays held");
+    assert_eq!(free_after_fault, Vec::<NodeId>::new());
+    assert_eq!((retried.planned, retried.released), (1, 1));
+    assert!(retried.converged);
+    assert_eq!(held, vec![NodeId(0)]);
+    assert_eq!(free, vec![NodeId(1)], "the released node is back in HIL");
+}
+
+#[test]
+fn a_node_whose_release_failed_stays_attested_when_the_declaration_grows_back() {
+    // Scale 2 -> 1 under a BMC power fault, then back to 2 before any
+    // retry: the held node counts towards the declaration again, so no
+    // tick releases or re-enrols it. It must still be under attestation.
+    let (sim, cloud, golden) = world().nodes(2).build();
+    let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
+    let desired = DesiredState::new(SecurityProfile::charlie(), 2);
+    let mut rec = TenantReconciler::new(tenant, golden, desired, &ReconcilerConfig::default());
+    let faults = cloud.faults.clone();
+    let (failed, regrown, enrolled, outcome) = sim.block_on(async move {
+        let up = rec.tick(&mut OpBudget::new(64)).await;
+        assert!(up.converged, "{up:?}");
+        faults.install(FaultPlan::seeded(7).with(ops::BMC_POWER, FaultSpec::permanent()));
+        rec.set_desired(DesiredState::new(SecurityProfile::charlie(), 1));
+        let failed = rec.tick(&mut OpBudget::new(64)).await;
+        rec.set_desired(DesiredState::new(SecurityProfile::charlie(), 2));
+        let regrown = rec.tick(&mut OpBudget::new(64)).await;
+        let agent = rec
+            .holdings()
+            .iter()
+            .find(|p| p.node == NodeId(1))
+            .and_then(|p| p.agent.as_ref())
+            .map(|a| a.id().to_string())
+            .expect("the unreleased node is held with its agent");
+        let verifier = &rec.tenant().verifier;
+        let enrolled = verifier.log_offsets(&agent).is_some();
+        let outcome = verifier.attest_once(&agent, false).await;
+        (failed, regrown, enrolled, outcome)
+    });
+    assert_eq!((failed.release_failed, failed.released), (1, 0));
+    assert_eq!((regrown.planned, regrown.executed), (0, 0));
+    assert!(regrown.converged, "{regrown:?}");
+    assert!(enrolled, "a held node keeps its verifier enrolment");
+    assert_eq!(outcome, AttestOutcome::Trusted);
+}
+
+#[test]
+fn a_release_that_hil_completes_despite_an_error_ends_the_enrolment() {
+    // Scale 2 -> 1 while every switch refuses VLAN changes: HIL clears
+    // the owner before the port detach fails, so the node is back in
+    // the free pool although the release reports an error. It is no
+    // longer the tenant's, so it leaves the holdings and its verifier
+    // enrolment ends with it.
+    let (sim, cloud, golden) = world().nodes(2).build();
+    let tenant = Tenant::new(&cloud, "tenant-00").expect("tenant");
+    let desired = DesiredState::new(SecurityProfile::charlie(), 2);
+    let mut rec = TenantReconciler::new(tenant, golden, desired, &ReconcilerConfig::default());
+    let (faults, hil) = (cloud.faults.clone(), cloud.hil.clone());
+    let (failed, held, free, enrolled) = sim.block_on(async move {
+        let up = rec.tick(&mut OpBudget::new(64)).await;
+        assert!(up.converged, "{up:?}");
+        let agent = rec
+            .holdings()
+            .iter()
+            .find(|p| p.node == NodeId(1))
+            .and_then(|p| p.agent.as_ref())
+            .map(|a| a.id().to_string())
+            .expect("attested node");
+        faults.install(FaultPlan::seeded(7).with(ops::SWITCH_SET_VLAN, FaultSpec::permanent()));
+        rec.set_desired(DesiredState::new(SecurityProfile::charlie(), 1));
+        let failed = rec.tick(&mut OpBudget::new(64)).await;
+        faults.install(FaultPlan::none());
+        let held: Vec<NodeId> = rec.holdings().iter().map(|p| p.node).collect();
+        let enrolled = rec.tenant().verifier.log_offsets(&agent).is_some();
+        (failed, held, hil.free_nodes(), enrolled)
+    });
+    assert_eq!((failed.release_failed, failed.released), (1, 0));
+    assert!(failed.converged, "{failed:?}");
+    assert_eq!(held, vec![NodeId(0)]);
+    assert_eq!(free, vec![NodeId(1)]);
+    assert!(!enrolled, "a node HIL took back is no longer attested");
 }
 
 #[test]

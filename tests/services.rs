@@ -120,6 +120,101 @@ fn exhausted_attach_through_trait_object_abandons_to_free_pool() {
 }
 
 // ---------------------------------------------------------------------------
+// A wrapper backend: real cloud underneath, but HIL publishes the other
+// node's EK, as if the provider handed the tenant a different server
+// than the one it reserved.
+// ---------------------------------------------------------------------------
+
+struct SwappedEkIsolation(Cloud);
+
+impl IsolationService for SwappedEkIsolation {
+    fn node_name(&self, node: NodeId) -> Result<String, HilError> {
+        self.0.hil.node_name(node)
+    }
+    fn node_metadata(&self, node: NodeId) -> Result<NodeMetadata, HilError> {
+        let mut md = self.0.hil.node_metadata(node)?;
+        md.ek_pub = self.0.hil.node_metadata(NodeId(1 - node.0))?.ek_pub;
+        Ok(md)
+    }
+    fn create_network(&self, project: &str, name: String) -> Result<NetworkId, HilError> {
+        self.0.hil.create_network(project, name)
+    }
+    fn allocate_node(&self, project: &str, node: NodeId) -> Result<(), HilError> {
+        self.0.hil.allocate_node(project, node)
+    }
+    fn free_node(&self, project: &str, node: NodeId) -> Result<(), HilError> {
+        self.0.hil.free_node(project, node)
+    }
+    fn free_nodes(&self) -> Vec<NodeId> {
+        IsolationService::free_nodes(&self.0)
+    }
+    fn connect_node(&self, project: &str, node: NodeId, net: NetworkId) -> Result<(), HilError> {
+        self.0.hil.connect_node(project, node, net)
+    }
+    fn detach_node(&self, project: &str, node: NodeId) -> Result<(), HilError> {
+        self.0.hil.detach_node(project, node)
+    }
+    fn power_cycle(&self, project: &str, node: NodeId) -> Result<(), HilError> {
+        self.0.hil.power_cycle(project, node)
+    }
+    fn power_off(&self, project: &str, node: NodeId) -> Result<(), HilError> {
+        self.0.hil.power_off(project, node)
+    }
+    fn quarantine(&self, node: NodeId) {
+        self.0.quarantine(node);
+    }
+}
+
+/// §5's identity check runs in every build: a node whose registered EK
+/// is not the one HIL publishes for it is rejected before the verifier
+/// enrols it, so no key share is ever released to it, and it ends in
+/// quarantine with its volume deleted.
+#[test]
+fn a_node_whose_ek_is_not_the_published_one_is_rejected_before_enrolment() {
+    let (sim, cloud, golden) = world().nodes(2).build();
+    let env = TenantEnv::of_cloud(&cloud);
+    let attestation = Arc::new(bolted::core::KeylimeAttestation::new(
+        &cloud,
+        VerifierConfig::default(),
+    ));
+    let verifier = attestation.verifier().clone();
+    let backend: Arc<Cloud> = Arc::new(cloud.clone());
+    let services = Services {
+        isolation: Arc::new(SwappedEkIsolation(cloud.clone())),
+        attestation,
+        provisioning: backend.clone(),
+        boot: backend,
+    };
+    let tenant = Tenant::with_backend("charlie", env, services, verifier.clone()).expect("tenant");
+    let node = cloud.nodes()[0];
+    let result = sim.block_on({
+        let tenant = tenant.clone();
+        async move {
+            tenant
+                .provision(node, &SecurityProfile::charlie(), golden)
+                .await
+        }
+    });
+    match result {
+        Err(ProvisionError::Rejected(reason)) => assert!(reason.contains("EK"), "{reason}"),
+        other => panic!("expected Rejected, got {other:?}", other = other.err()),
+    }
+    assert_eq!(cloud.rejected_pool(), vec![node]);
+    assert!(!IsolationService::free_nodes(&cloud).contains(&node));
+    assert_eq!(
+        cloud.hil.free_nodes(),
+        cloud.nodes(),
+        "the node left the tenant"
+    );
+    assert_eq!(cloud.metrics.counter_total("key_releases"), 0);
+    assert!(!verifier.holds_key_material("m620-01"));
+    assert!(
+        cloud.store.lookup("m620-01-root").is_none(),
+        "the cloned volume is deleted"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // A full mock backend: no Cloud at all. One shared machine, no-op
 // isolation, always-trusted attestation, and a standalone BMI for the
 // boot path.

@@ -251,12 +251,12 @@ fn after_occupancy_ram_scrubbed_before_next_tenant() {
         let charlie = charlie.clone();
         let machine = machine.clone();
         async move {
-            let p = charlie
+            let mut p = charlie
                 .provision(node, &SecurityProfile::charlie(), golden)
                 .await
                 .expect("provisions");
             machine.write_secret_to_ram("charlie", b"luks master key");
-            charlie.release(p, false).await.expect("releases");
+            charlie.release(&mut p, false).await.expect("releases");
         }
     });
     // Residue persists through power-off (cold boot threat)...
@@ -286,11 +286,11 @@ fn after_occupancy_released_volume_deleted_from_storage() {
     sim.block_on({
         let tenant = tenant.clone();
         async move {
-            let p = tenant
+            let mut p = tenant
                 .provision(node, &SecurityProfile::charlie(), golden)
                 .await
                 .expect("provisions");
-            tenant.release(p, false).await.expect("releases");
+            tenant.release(&mut p, false).await.expect("releases");
         }
     });
     assert!(
